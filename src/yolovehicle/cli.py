@@ -244,8 +244,12 @@ def cmd_bench(args) -> int:
     if args.detections:
         atomic_write(args.detections, "".join(lines))
     atomic_write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    split = ""
+    if report["mean_cloud_compute_ms"] is not None:
+        split = (f" (cloud frames: compute {report['mean_cloud_compute_ms']:.2f} ms"
+                 f" + network {report['mean_cloud_network_ms']:.2f} ms)")
     print(f"{report['frames']} frames, {report['fps']:.2f} fps, "
-          f"mean {report['mean_frame_ms']:.2f} ms -> {args.output}")
+          f"mean {report['mean_frame_ms']:.2f} ms{split} -> {args.output}")
     return 0
 
 

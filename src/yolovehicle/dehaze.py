@@ -199,6 +199,14 @@ def wmsa_forward(x: np.ndarray, params: WmsaParams) -> np.ndarray:
 
 
 def _wmsa_forward(x: np.ndarray, p: WmsaParams):
+    """Multi-head self-attention within non-overlapping win x win windows.
+
+    With p.shift the map is rolled by half a window first and rolled back
+    after, as in Swin (Liu et al., arXiv 2103.14030), but without Swin's
+    cross-boundary attention mask. The shift is cyclic by design: the
+    windows along the bottom and right edges hold tokens from the opposite
+    edges, and those tokens attend to each other.
+    """
     c, h, w = x.shape
     if h % p.window or w % p.window:
         raise ValueError(f"window {p.window} does not divide map {h}x{w}")
@@ -207,11 +215,11 @@ def _wmsa_forward(x: np.ndarray, p: WmsaParams):
     s = p.window // 2 if p.shift else 0
     xs = np.roll(x, (-s, -s), axis=(1, 2)) if s else x
     tokens = _partition(xs, p.window)              # [nW, T, C]
-    q = tokens @ p.wq.T
-    k = tokens @ p.wk.T
-    v = tokens @ p.wv.T
+    # one [3C, C] projection over all tokens; q, k and v are column views of it
+    qkv = tokens.reshape(-1, c) @ np.concatenate((p.wq, p.wk, p.wv)).T
+    q, k, v = (qkv[:, i * c:(i + 1) * c].reshape(tokens.shape) for i in range(3))
     att, mha_cache = tc.multi_head_attention(q, k, v, p.heads)
-    out_tokens = att @ p.wo.T
+    out_tokens = (att.reshape(-1, c) @ p.wo.T).reshape(tokens.shape)
     y = _unpartition(out_tokens, x.shape, p.window)
     if s:
         y = np.roll(y, (s, s), axis=(1, 2))

@@ -398,6 +398,10 @@ class NodeStats:
     degraded: int = 0
     latency_ms: list = field(default_factory=list)
     haze_scores: list = field(default_factory=list)
+    # per frame answered by the cloud: its reported inference time, and the
+    # rest of the request's round trip (wire, sockets, queueing)
+    cloud_compute_ms: list = field(default_factory=list)
+    cloud_network_ms: list = field(default_factory=list)
 
     def check(self):
         if self.edge + self.cloud != self.frames:
@@ -440,14 +444,19 @@ def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
                 request = encode_message(WireMessage(
                     MSG_FRAME_REQUEST,
                     encode_frame_payload(image_to_frame_payload(frame_id, image))))
-                reply = decode_message(transport.request(request))
+                sent = time.perf_counter()
+                raw = transport.request(request)
+                rtt_ms = (time.perf_counter() - sent) * 1000.0
+                reply = decode_message(raw)
                 if reply.msg_type != MSG_DETECTION_RESPONSE:
                     raise ConnectionError(
                         f"cloud answered with type {reply.msg_type:#04x}")
-                rid, dets, _ = decode_detection_response(reply.payload)
+                rid, dets, compute_ms = decode_detection_response(reply.payload)
                 if rid != frame_id:
                     raise ConnectionError(
                         f"response for frame {rid}, expected {frame_id}")
+                stats.cloud_compute_ms.append(compute_ms)
+                stats.cloud_network_ms.append(rtt_ms - compute_ms)
             except Exception as e:
                 _log(f"frame {frame_id}: cloud route failed ({e}); "
                      "degraded to edge")
@@ -468,6 +477,10 @@ def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
             emit(det.detections_to_jsonl(
                 dets, frame_id, elapsed if timing_in_output else 0.0))
     return stats.check(), results
+
+
+def _mean_or_none(values):
+    return float(np.mean(values)) if values else None
 
 
 def run_bench(image_paths, policy: OffloadPolicy, bundle: md.ModelBundle,
@@ -493,5 +506,8 @@ def run_bench(image_paths, policy: OffloadPolicy, bundle: md.ModelBundle,
         "mean_frame_ms": mean_ms,
         "wall_seconds": wall,
         "mean_haze_score": float(np.mean(stats.haze_scores)),
+        # None when no frame was answered by the cloud
+        "mean_cloud_compute_ms": _mean_or_none(stats.cloud_compute_ms),
+        "mean_cloud_network_ms": _mean_or_none(stats.cloud_network_ms),
     }
     return stats, results, report

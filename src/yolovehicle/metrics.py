@@ -110,7 +110,9 @@ def average_precision(flags: list[bool], scores: list[float], gt_count: int):
     recall, precision = _operating_points(flags, scores, gt_count)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     prev = np.concatenate(([0.0], recall[:-1]))
-    return float(np.sum((recall - prev) * envelope))
+    # left to right in recall order, as the oracle adds (np.sum pairs terms
+    # up and can round the last bit differently)
+    return float(np.cumsum((recall - prev) * envelope)[-1])
 
 
 def average_precision_bruteforce(flags: list[bool], scores: list[float],

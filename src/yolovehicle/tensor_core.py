@@ -11,6 +11,7 @@ import math
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DTYPE = np.float32
 
@@ -68,12 +69,27 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:
+    """np.max(v, axis, keepdims=True) by a halving np.maximum tree.
+
+    The maximum is exact in any order. A numpy reduction over a short last
+    axis runs one inner loop per row; with the axis moved to the front of a
+    contiguous copy, each of the log2(n) tree passes is one long loop.
+    """
+    m = np.ascontiguousarray(np.swapaxes(v, axis, 0))
+    while m.shape[0] > 1:
+        n = m.shape[0]
+        h = (n + 1) // 2
+        m = np.maximum(m[:h], m[n - h:])  # the halves overlap when n is odd
+    return np.swapaxes(m, 0, axis)
+
+
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     if axis >= v.ndim or axis < -v.ndim:
         raise ValueError(f"softmax axis {axis} out of range for rank {v.ndim}")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(v - _max_keepdims(v, axis))
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(y: np.ndarray, grad_out: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -96,7 +112,9 @@ def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def leaky_relu(v: np.ndarray, slope: float = 0.01) -> np.ndarray:
     if not (0.0 < slope < 1.0):
         raise ValueError(f"leaky slope must be in (0,1), got {slope}")
-    return np.where(v > 0, v, slope * v).astype(v.dtype)
+    # for 0 < slope < 1, slope * v < v exactly when v > 0: the same choice
+    # as np.where(v > 0, v, slope * v), signed zeros and NaN included
+    return np.maximum(v, slope * v)
 
 
 def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray, slope: float = 0.01) -> np.ndarray:
@@ -117,26 +135,24 @@ def clamp01_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Columns [C*kh*kw, H'*W']; row (c, i, j) holds kernel tap (i, j) of
+    channel c at every output position."""
     c, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
         raise ValueError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    cols = np.empty((c * kh * kw, ho * wo), dtype=x.dtype)
-    idx = 0
-    for ci in range(c):
-        for i in range(kh):
-            for j in range(kw):
-                patch = xp[ci, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                cols[idx] = patch.reshape(-1)
-                idx += 1
-    return cols, ho, wo
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = windows.shape[1:3]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo), ho, wo
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlate x [C,H,W] with kernels [O,C,kh,kw] -> [O,H',W']."""
+    """Cross-correlate x [C,H,W] with kernels [O,C,kh,kw] -> [O,H',W'].
+
+    One matmul over all columns: BLAS may round a dot product differently
+    when the column count of a call changes, so the columns are not split.
+    """
     if x.ndim != 3 or kernels.ndim != 4:
         raise ValueError(f"conv2d expects CHW input and OCKK kernels, got {x.shape}, {kernels.shape}")
     o, c, kh, kw = kernels.shape
@@ -157,16 +173,14 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     grad_k = (g @ cols.T).reshape(kernels.shape)
     # col2im for grad wrt input
     grad_cols = kernels.reshape(o, -1).T @ g  # [c*kh*kw, ho*wo]
+    taps = grad_cols.reshape(c, kh, kw, ho, wo)
     h, w = x.shape[1:]
     gxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    idx = 0
-    for ci in range(c):
-        for i in range(kh):
-            for j in range(kw):
-                gxp[ci, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                    grad_cols[idx].reshape(ho, wo)
-                )
-                idx += 1
+    # taps are added in (i, j) order at every input element, as a per-channel
+    # loop would add them, so the sums round identically
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[:, i, j]
     if pad:
         gxp = gxp[:, pad:-pad, pad:-pad]
     return gxp, grad_k
@@ -189,17 +203,44 @@ def global_avg_pool_backward(x_shape, grad_out: np.ndarray) -> np.ndarray:
 # scaled dot-product attention (shared by fusion / text encoder / windowed MSA)
 
 
+# 512 KiB of logits per chunk of the leading axis stays within L2, so the
+# softmax passes over a chunk run from cache
+_ATTENTION_CHUNK_BYTES = 1 << 19
+
+
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """softmax(q k^T / sqrt(d)) v over the last two axes; leading axes batch.
 
+    The leading axis is processed in chunks whose logits fit in L2; each
+    chunk writes its rows of the weights and the output in place.
     Returns (out, cache) where cache feeds attention_backward.
     """
     d = q.shape[-1]
     scale = 1.0 / math.sqrt(d)
-    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
-    w = softmax(logits, axis=-1)
-    out = np.matmul(w, v)
+    kt = np.swapaxes(k, -1, -2)
+    lead = np.broadcast(q[..., 0, 0], k[..., 0, 0], v[..., 0, 0]).shape
+    w = np.empty(lead + (q.shape[-2], k.shape[-2]), np.result_type(q, k))
+    out = np.empty(lead + (q.shape[-2], v.shape[-1]), np.result_type(w, v))
+    if lead:
+        step = max(1, _ATTENTION_CHUNK_BYTES // max(1, w[:1].nbytes))
+        chunks = [slice(a, a + step) for a in range(0, lead[0], step)]
+    else:
+        chunks = [slice(None)]
+    for rows in chunks:
+        wc = w[rows]
+        np.matmul(_rows(q, rows, w.ndim), _rows(kt, rows, w.ndim), out=wc)
+        wc *= scale  # softmax in place, the same steps as softmax()
+        wc -= _max_keepdims(wc, -1)
+        np.exp(wc, out=wc)
+        wc /= np.sum(wc, axis=-1, keepdims=True)
+        np.matmul(wc, _rows(v, rows, w.ndim), out=out[rows])
     return out, (q, k, v, w, scale)
+
+
+def _rows(x: np.ndarray, rows: slice, ndim: int) -> np.ndarray:
+    """x's share of a leading-axis chunk; an operand broadcast along that
+    axis is used whole."""
+    return x[rows] if x.ndim == ndim and x.shape[0] != 1 else x
 
 
 def attention_backward(cache, grad_out: np.ndarray):

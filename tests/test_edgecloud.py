@@ -287,6 +287,20 @@ class TestEdgeServe:
         assert stats.degraded == 4
         assert stats.edge == 4 and stats.cloud == 0
         assert all(degraded for _, _, _, degraded in results)
+        assert stats.cloud_compute_ms == [] and stats.cloud_network_ms == []
+
+    def test_cloud_time_split_into_compute_and_network(self, bundle):
+        frames = [(i, quantized_image(tc.Rng(65 + i))) for i in range(3)]
+        stats, _ = ec.edge_serve(frames, ec.OffloadPolicy("always_cloud"),
+                                 bundle, transport=ec.LoopbackTransport(bundle))
+        assert len(stats.cloud_compute_ms) == len(stats.cloud_network_ms) == 3
+        for compute, network, total in zip(stats.cloud_compute_ms,
+                                           stats.cloud_network_ms,
+                                           stats.latency_ms):
+            # the cloud's own time lies inside the round trip, which lies
+            # inside the frame's latency
+            assert compute > 0 and network >= 0
+            assert compute + network <= total
 
     def test_cloud_route_bit_exact_via_loopback(self, bundle):
         img = quantized_image(tc.Rng(70), size=64)
@@ -311,6 +325,8 @@ class TestRunBench:
                                         bundle, repetitions=10)
         assert stats.frames == 10
         assert report["frames"] == 10
+        assert report["mean_cloud_compute_ms"] is None
+        assert report["mean_cloud_network_ms"] is None
         assert abs(report["fps"] - 10 / report["wall_seconds"]) \
             <= 0.05 * report["fps"]
 
@@ -326,6 +342,16 @@ class TestRunBench:
                      repetitions=2, emit=lines_b.append,
                      timing_in_output=False)
         assert lines_a and "".join(lines_a) == "".join(lines_b)
+
+    def test_cloud_split_reported(self, bundle, tmp_path):
+        path = tmp_path / "a.ppm"
+        ppm.write_ppm(path, quantized_image(tc.Rng(82)))
+        stats, _, report = ec.run_bench(
+            [path], ec.OffloadPolicy("always_cloud"), bundle, repetitions=2,
+            transport=ec.LoopbackTransport(bundle))
+        assert report["cloud"] == 2
+        assert report["mean_cloud_compute_ms"] == np.mean(stats.cloud_compute_ms) > 0
+        assert report["mean_cloud_network_ms"] == np.mean(stats.cloud_network_ms) >= 0
 
     def test_empty_inputs_rejected(self, bundle):
         with pytest.raises(ValueError):

@@ -103,7 +103,16 @@ class TestAveragePrecision:
                 scores = [round(s, 1) for s in scores]  # force ties
             a = mx.average_precision(flags, scores, gt_count)
             b = mx.average_precision_bruteforce(flags, scores, gt_count)
-            assert abs(a - b) < 1e-9, (trial, flags, scores, gt_count)
+            assert a == b, (trial, flags, scores, gt_count)
+
+    def test_equals_bruteforce_oracle_where_pairwise_sum_differs(self):
+        # a pairwise np.sum gave 0.5146103896103895 against the oracle's
+        # left-to-right 0.5146103896103896
+        flags = [True, False, True, True, False, False, False, True, True, False, True]
+        scores = [.9, .42, .97, .85, .97, .61, .23, .86, .02, .89, .74]
+        a = mx.average_precision(flags, scores, 8)
+        assert a == mx.average_precision_bruteforce(flags, scores, 8)
+        assert a == 0.5146103896103896
 
     def test_rank_invariance_under_monotone_transform(self):
         rng = tc.Rng(32)
