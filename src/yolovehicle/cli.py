@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from . import config as cfgmod
 from . import detection as det
@@ -23,21 +22,7 @@ from . import metrics as mx
 from . import model as md
 from .dehaze import dehaze_forward
 from .ppm import image_to_ppm_bytes, read_ppm
-
-
-def atomic_write(path, data) -> None:
-    """Writes bytes or text to path via a temp file in the same directory."""
-    directory = os.path.dirname(os.path.abspath(path))
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".yv-tmp-")
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+from .tensor_core import atomic_write
 
 
 def _add_common(p, *names):
@@ -102,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gts", required=True, help="ground truth (JSON-lines)")
     p.add_argument("--output", default="eval.json",
                    help="report path (default eval.json)")
-    _add_common(p, "config")
 
     p = sub.add_parser("bench", help="measure throughput over an image set")
     p.add_argument("--input-dir", dest="input_dir", required=True,

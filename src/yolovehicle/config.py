@@ -26,12 +26,6 @@ def _mode(name, value):
     return value
 
 
-def _positive_int(name, value):
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
 # name -> (parser, default, validator or None)
 SCHEMA = {
     "weights": (str, "weights.bin", None),
@@ -40,13 +34,6 @@ SCHEMA = {
     "lambda1": (float, 0.6, _non_negative),
     "lambda2": (float, 7.0, _non_negative),
     "lambda3": (float, 0.4, _non_negative),
-    "lambda4": (float, 1.0, _non_negative),
-    "lambda5": (float, 1.0, _non_negative),
-    "lambda6": (float, 1.0, _non_negative),
-    "lambda7": (float, 1.0, _non_negative),
-    "channels": (int, 8, _positive_int),
-    "height": (int, 8, _positive_int),
-    "width": (int, 8, _positive_int),
     "seed": (int, 0, None),
     "obj_thresh": (float, 0.5, _unit_interval),
     "nms_iou": (float, 0.5, _unit_interval),

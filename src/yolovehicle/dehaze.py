@@ -6,8 +6,7 @@ perceptual contrast against the hazy input, identity).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ class DehazeGenerator:
     stem: Conv                       # 3x3, 3 -> C
     blocks: list[DehazeBlockParams]
     head: Conv                       # 3x3, C -> 3
-    residual: bool = True
 
     @property
     def window(self) -> int:
@@ -297,16 +295,16 @@ def _gen_forward(hazy: np.ndarray, gen: DehazeGenerator):
         f, bc = _block_forward(f, block)
         block_caches.append(bc)
     head = tc.conv2d(f, gen.head.w, stride=1, pad=1) + gen.head.b[:, None, None]
-    pre_clamp = hazy + head if gen.residual else head
+    pre_clamp = hazy + head
     out = tc.clamp01(pre_clamp)
     return out, (hazy, pre0, f, block_caches, pre_clamp)
 
 
 def _gen_backward(cache, gen: DehazeGenerator, g_out: np.ndarray):
-    """Parameter grads (flat dict keyed like generator_param_items) + input grad."""
+    """Parameter grads (flat dict keyed like tc.param_items(gen)) + input grad."""
     hazy, pre0, f, block_caches, pre_clamp = cache
     g_pre = tc.clamp01_backward(pre_clamp, g_out)
-    g_input = g_pre.copy() if gen.residual else np.zeros_like(g_pre)
+    g_input = g_pre.copy()
     gf, g_head_w = tc.conv2d_backward(f, gen.head.w, g_pre, stride=1, pad=1)
     grads = {"head.w": g_head_w, "head.b": g_pre.sum(axis=(1, 2))}
     for i in reversed(range(len(gen.blocks))):
@@ -317,33 +315,6 @@ def _gen_backward(cache, gen: DehazeGenerator, g_out: np.ndarray):
     grads["stem.w"] = g_stem_w
     grads["stem.b"] = gpre0.sum(axis=(1, 2))
     return grads, g_input + gh
-
-
-def _resolve(gen: DehazeGenerator, name: str):
-    parts = name.split(".")
-    obj = gen
-    for part in parts[:-1]:
-        obj = gen.blocks[int(part)] if part.isdigit() else getattr(obj, part)
-    return obj, parts[-1]
-
-
-def generator_param_items(gen: DehazeGenerator) -> list[tuple[str, np.ndarray]]:
-    items = [("stem.w", gen.stem.w), ("stem.b", gen.stem.b)]
-    for i, b in enumerate(gen.blocks):
-        pre = f"blocks.{i}."
-        items += [(pre + "stem.w", b.stem.w), (pre + "stem.b", b.stem.b),
-                  (pre + "cab.w1", b.cab.w1), (pre + "cab.b1", b.cab.b1),
-                  (pre + "cab.w2", b.cab.w2), (pre + "cab.b2", b.cab.b2),
-                  (pre + "wmsa.wq", b.wmsa.wq), (pre + "wmsa.wk", b.wmsa.wk),
-                  (pre + "wmsa.wv", b.wmsa.wv), (pre + "wmsa.wo", b.wmsa.wo),
-                  (pre + "out.w", b.out.w), (pre + "out.b", b.out.b)]
-    items += [("head.w", gen.head.w), ("head.b", gen.head.b)]
-    return items
-
-
-def generator_set_param(gen: DehazeGenerator, name: str, value: np.ndarray) -> None:
-    obj, leaf = _resolve(gen, name)
-    setattr(obj, leaf, value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ class HeadParams:
     w_cls: np.ndarray  # [K, C]
     b_cls: np.ndarray
     reg_max: int = 7
-    legacy_bias_outside_softmax: bool = False
 
     @property
     def n_bins(self) -> int:
@@ -35,10 +34,6 @@ class HeadParams:
     @property
     def n_classes(self) -> int:
         return self.w_cls.shape[0]
-
-    def param_items(self):
-        return [("w_obj", self.w_obj), ("b_obj", self.b_obj), ("w_box", self.w_box),
-                ("b_box", self.b_box), ("w_cls", self.w_cls), ("b_cls", self.b_cls)]
 
 
 @dataclass
@@ -83,13 +78,6 @@ class DetectLossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-# the training-schedule alternative from the experiments section
-LOSS_PRESETS = {
-    "default": DetectLossWeights(0.6, 7.0, 0.4),
-    "coco-train": DetectLossWeights(7.5, 0.5, 0.375),
-}
-
-
 def init_head(rng: tc.Rng, channels: int, n_classes: int = 3, reg_max: int = 7) -> HeadParams:
     nb = reg_max + 1
     return HeadParams(
@@ -110,11 +98,7 @@ def head_forward(feat: np.ndarray, params: HeadParams) -> HeadOutput:
     obj_logits = np.einsum("oc,chw->ohw", params.w_obj, feat) + params.b_obj[:, None, None]
     box = np.einsum("oc,chw->ohw", params.w_box, feat) + params.b_box[:, None, None]
     cls_logits = np.einsum("oc,chw->ohw", params.w_cls, feat) + params.b_cls[:, None, None]
-    if params.legacy_bias_outside_softmax:
-        raw = cls_logits - params.b_cls[:, None, None]
-        cls = tc.softmax(raw, axis=0) + params.b_cls[:, None, None]
-    else:
-        cls = tc.softmax(cls_logits, axis=0)
+    cls = tc.softmax(cls_logits, axis=0)
     return HeadOutput(obj=tc.sigmoid(obj_logits), box=box, cls=cls,
                       obj_logits=obj_logits, cls_logits=cls_logits, reg_max=params.reg_max)
 

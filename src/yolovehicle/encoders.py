@@ -62,9 +62,9 @@ class EncoderLayerParams:
 class TextEncoderParams:
     vocab: dict[str, int]
     embed: np.ndarray  # [V, d]
-    layers: list[EncoderLayerParams]
     w_out: np.ndarray  # [512, d]
     b_out: np.ndarray  # [1, 512]
+    layers: list[EncoderLayerParams]
     heads: int = NUM_HEADS
 
 
@@ -130,38 +130,6 @@ def text_encode(text: TextInput, params: TextEncoderParams) -> TextFeature:
     tokens = rows @ params.w_out.T + params.b_out
     pooled = rows.mean(axis=0, keepdims=True) @ params.w_out.T + params.b_out
     return TextFeature(pooled=pooled.astype(tc.DTYPE), tokens=tokens.astype(tc.DTYPE))
-
-
-# ---------------------------------------------------------------------------
-# contrastive fine-tuning objective
-
-
-@dataclass
-class ContrastiveBatch:
-    sims: np.ndarray  # [N, N], diagonal marks matching pairs
-    temperature: float = 0.07
-
-
-def contrastive_loss(batch: ContrastiveBatch) -> float:
-    loss, _ = contrastive_loss_with_grad(batch)
-    return loss
-
-
-def contrastive_loss_with_grad(batch: ContrastiveBatch):
-    """Mean over rows t of -log softmax(sims[t]/tau)[t]; grad is wrt sims."""
-    if batch.temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {batch.temperature}")
-    sims = np.asarray(batch.sims)
-    n = sims.shape[0]
-    if sims.ndim != 2 or sims.shape[1] != n or n < 2:
-        raise ValueError(f"sims must be NxN with N >= 2, got {sims.shape}")
-    p = tc.softmax(sims / batch.temperature, axis=1)
-    diag = np.arange(n)
-    loss = float(-np.log(np.maximum(p[diag, diag], 1e-38)).mean())
-    grad = p.copy()
-    grad[diag, diag] -= 1.0
-    grad /= n * batch.temperature
-    return loss, grad.astype(sims.dtype)
 
 
 # ---------------------------------------------------------------------------

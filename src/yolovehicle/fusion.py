@@ -9,7 +9,6 @@ feature map.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +29,6 @@ class FusionParams:
     b_gate: np.ndarray  # [1, 512]
     heads: int = 4
     w_out: np.ndarray | None = None  # optional [C*H*W, 512] output projection
-
-
-@dataclass
-class ProjectedFeatures:
-    img: np.ndarray | None       # [1, 512]
-    text_pooled: np.ndarray      # [1, 512]
-    text_tokens: np.ndarray      # [T, 512]
 
 
 @dataclass
@@ -66,40 +58,6 @@ def init_fusion(rng: tc.Rng, channels: int, heads: int = 4,
 def pool_pyramid(features: MultiScaleFeatures) -> np.ndarray:
     """Global-average-pool each scale and concatenate -> [1, 3C]."""
     return np.concatenate([tc.global_avg_pool(f) for f in features.scales()], axis=1)
-
-
-def project_image(features: MultiScaleFeatures, params: FusionParams) -> np.ndarray:
-    pooled = pool_pyramid(features)
-    if pooled.shape[1] != params.w_img.shape[1]:
-        raise ValueError(
-            f"pooled pyramid dim {pooled.shape[1]} does not match w_img {params.w_img.shape}")
-    return pooled @ params.w_img.T + params.b_img
-
-
-def project_text(text: TextFeature, params: FusionParams) -> ProjectedFeatures:
-    return ProjectedFeatures(
-        img=None,
-        text_pooled=text.pooled @ params.w_text.T + params.b_text,
-        text_tokens=text.tokens @ params.w_text.T + params.b_text,
-    )
-
-
-def cross_attention(q_src: np.ndarray, kv_src: np.ndarray, heads: int) -> np.ndarray:
-    if q_src.shape[-1] % heads:
-        raise ValueError(f"heads {heads} does not divide dim {q_src.shape[-1]}")
-    out, _ = tc.multi_head_attention(q_src, kv_src, kv_src, heads)
-    return out
-
-
-def gated_fuse(proj: ProjectedFeatures, params: FusionParams) -> np.ndarray:
-    if proj.img is None:
-        raise ValueError("projected image feature missing")
-    zcat = np.concatenate([proj.img, proj.text_pooled], axis=1)
-    if zcat.shape[1] != params.w_gate.shape[1]:
-        raise ValueError(f"gate input dim {zcat.shape[1]} vs w_gate {params.w_gate.shape}")
-    g = tc.sigmoid(zcat @ params.w_gate.T + params.b_gate)
-    att = cross_attention(proj.img, proj.text_tokens, params.heads)
-    return g * proj.img + (1.0 - g) * att
 
 
 def positional_encoding(length: int, dim: int = FUSED_DIM) -> np.ndarray:
@@ -151,7 +109,11 @@ class FusionGrads:
 
 def fuse_forward(features: MultiScaleFeatures, text: TextFeature, params: FusionParams,
                  target_shape: tuple[int, int, int]):
-    """Returns (FusedFeature, cache) where cache feeds fuse_backward."""
+    """Returns (FusedFeature, cache) where cache feeds fuse_backward.
+
+    a is the image projection, g the gate and att the cross-attention
+    readout of the text tokens; fused = g * a + (1 - g) * att.
+    """
     pooled = pool_pyramid(features)
     a = pooled @ params.w_img.T + params.b_img
     tp = text.pooled @ params.w_text.T + params.b_text

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,47 +47,13 @@ def init_bundle(seed: int, channels: int = 8, n_classes: int = 3,
     )
 
 
-def bundle_param_items(bundle: ModelBundle) -> list[tuple[str, np.ndarray]]:
-    items = [("text.embed", bundle.text.embed),
-             ("text.w_out", bundle.text.w_out), ("text.b_out", bundle.text.b_out)]
-    for i, lp in enumerate(bundle.text.layers):
-        for f in ("wq", "wk", "wv", "wo", "w1", "b1", "w2", "b2"):
-            items.append((f"text.layers.{i}.{f}", getattr(lp, f)))
-    for i, layer in enumerate(bundle.backbone.stem):
-        items += [(f"backbone.stem.{i}.w", layer.w), (f"backbone.stem.{i}.b", layer.b)]
-    for i, stage in enumerate(bundle.backbone.stages):
-        for j, layer in enumerate(stage):
-            items += [(f"backbone.stages.{i}.{j}.w", layer.w),
-                      (f"backbone.stages.{i}.{j}.b", layer.b)]
-    for f in ("w_img", "b_img", "w_text", "b_text", "w_gate", "b_gate"):
-        items.append((f"fusion.{f}", getattr(bundle.fusion, f)))
-    if bundle.fusion.w_out is not None:
-        items.append(("fusion.w_out", bundle.fusion.w_out))
-    for f, arr in bundle.head.param_items():
-        items.append((f"head.{f}", arr))
-    for name, arr in dh.generator_param_items(bundle.gen):
-        items.append((f"gen.{name}", arr))
-    return items
-
-
-def _set_bundle_param(bundle: ModelBundle, name: str, value: np.ndarray) -> None:
-    parts = name.split(".")
-    obj = bundle
-    for part in parts[:-1]:
-        if part.isdigit():
-            obj = obj[int(part)]
-        else:
-            obj = getattr(obj, part)
-    setattr(obj, parts[-1], value)
-
-
 def save_bundle(path, bundle: ModelBundle) -> None:
     meta = np.array([bundle.backbone.channels, bundle.head.n_classes,
                      bundle.head.reg_max, bundle.gen.blocks[0].stem.w.shape[0],
                      len(bundle.gen.blocks), bundle.gen.window,
                      bundle.gen.blocks[0].wmsa.heads], dtype=np.float32)
     tensors = {"meta": meta}
-    tensors.update(dict(bundle_param_items(bundle)))
+    tensors.update(tc.param_items(bundle))
     tc.save_archive(path, tensors)
 
 
@@ -97,14 +64,17 @@ def load_bundle(path) -> ModelBundle:
     channels, n_classes, reg_max, gc, nb, window, heads = (int(v) for v in tensors["meta"])
     bundle = init_bundle(0, channels=channels, n_classes=n_classes, reg_max=reg_max,
                          gen_channels=gc, n_blocks=nb, window=window, heads=heads)
-    expected = {name for name, _ in bundle_param_items(bundle)}
+    expected = dict(tc.param_items(bundle))
     stored = set(tensors) - {"meta"}
-    if expected != stored:
-        missing = sorted(expected - stored)[:3]
-        extra = sorted(stored - expected)[:3]
+    if expected.keys() != stored:
+        missing = sorted(expected.keys() - stored)[:3]
+        extra = sorted(stored - expected.keys())[:3]
         raise ValueError(f"weights archive mismatch: missing {missing}, extra {extra}")
-    for name in expected:
-        _set_bundle_param(bundle, name, tensors[name])
+    for name, fresh in expected.items():
+        if tensors[name].shape != fresh.shape:
+            raise ValueError(f"weights archive tensor {name} has shape "
+                             f"{tensors[name].shape}, expected {fresh.shape}")
+        tc.set_param(bundle, name, tensors[name])
     return bundle
 
 
@@ -170,13 +140,11 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
     targets = [det.assign_targets(gts, grid, bundle.head.reg_max)
                for _, gts in scenes]
 
-    fusion_names = ["w_img", "b_img", "w_text", "b_text", "w_gate", "b_gate"]
-    head_names = [n for n, _ in bundle.head.param_items()]
     opt = Adam(lr=lr)
     rows = []
     for step in range(1, steps + 1):
-        params = {f"fusion.{n}": getattr(bundle.fusion, n) for n in fusion_names}
-        params.update({f"head.{n}": getattr(bundle.head, n) for n in head_names})
+        params = dict(tc.param_items(bundle.fusion, "fusion"))
+        params.update(tc.param_items(bundle.head, "head"))
         grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
         totals = np.zeros(4)
         for f, t in zip(feats, targets):
@@ -186,18 +154,14 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
             hgrads, g_feat = det.head_backward(fused.output, bundle.head,
                                                g_obj, g_box, g_cls)
             fgrads = fu.fuse_backward(cache, g_feat)
-            for n in fusion_names:
-                grads[f"fusion.{n}"] += getattr(fgrads, n) / n_scenes
-            for n in head_names:
-                grads[f"head.{n}"] += getattr(hgrads, n) / n_scenes
+            for name, g in chain(tc.param_items(fgrads, "fusion"),
+                                 tc.param_items(hgrads, "head")):
+                grads[name] += g / n_scenes
             totals += np.array([loss.total, loss.l_cls, loss.l_bbox, loss.l_dfl])
         totals /= n_scenes
         rows.append((step, *[float(v) for v in totals]))
         if log is not None:
             log("%d,%.6f,%.6f,%.6f,%.6f" % rows[-1])
-        new = opt.step(params, grads)
-        for n in fusion_names:
-            setattr(bundle.fusion, n, new[f"fusion.{n}"])
-        for n in head_names:
-            setattr(bundle.head, n, new[f"head.{n}"])
+        for name, value in opt.step(params, grads).items():
+            tc.set_param(bundle, name, value)
     return rows, bundle

@@ -1,4 +1,6 @@
-"""Minimal dense tensor kernels: activations, matmul, naive conv, gradient checking.
+"""Minimal dense tensor kernels: activations, conv, attention, gradient
+checking, and the tensor archive with the parameter registry that names
+its entries.
 
 All public entry points work on plain numpy arrays. Values created by this
 package are float32 row-major; the math itself is dtype-preserving so the
@@ -7,8 +9,11 @@ finite-difference gradient checker can run the same code paths in float64.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,14 +64,6 @@ def init_uniform(rng: Rng, shape, fan_in: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # core ops
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _max_keepdims(v: np.ndarray, axis: int) -> np.ndarray:
@@ -318,9 +315,46 @@ def grad_check(f, x: np.ndarray, eps: float = 1e-4) -> float:
 
 
 # ---------------------------------------------------------------------------
-# TSR tensor file format and the named-tensor archive
+# TSR tensor file format, the named-tensor archive and the parameter
+# registry that names a model's tensors for it
 
 _TSR_MAGIC = b"TSR1"
+
+
+def param_items(tree, prefix: str = ""):
+    """Yields (dotted_name, array) for every ndarray in a tree of dataclasses
+    and lists, in field order and then index order ("layers.0.wq").
+
+    Ints, bools, dicts, None and other non-array leaves are skipped. The
+    names are the archive keys and the gradient and optimizer keys.
+    """
+    if dataclasses.is_dataclass(tree):
+        children = [(f.name, getattr(tree, f.name)) for f in dataclasses.fields(tree)]
+    elif isinstance(tree, list):
+        children = [(str(i), v) for i, v in enumerate(tree)]
+    else:
+        return
+    for key, value in children:
+        name = f"{prefix}.{key}" if prefix else key
+        if isinstance(value, np.ndarray):
+            yield name, value
+        else:
+            yield from param_items(value, name)
+
+
+def set_param(tree, name: str, value: np.ndarray) -> None:
+    """Replaces the array that param_items(tree) yields under name."""
+    *path, leaf = name.split(".")
+    for key in path:
+        tree = tree[int(key)] if isinstance(tree, list) else getattr(tree, key)
+    setattr(tree, leaf, value)
+
+
+def _unpack(fmt: str, buf: bytes, pos: int):
+    try:
+        return struct.unpack_from(fmt, buf, pos)
+    except struct.error:
+        raise ValueError(f"truncated TSR data at byte {pos} of {len(buf)}") from None
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
@@ -333,14 +367,15 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
 
 
 def tensor_from_bytes(buf: bytes, offset: int = 0):
-    """Returns (array, next_offset)."""
+    """Returns (array, next_offset). Malformed or truncated input raises
+    ValueError."""
     if buf[offset : offset + 4] != _TSR_MAGIC:
         raise ValueError("bad TSR magic")
-    rank = buf[offset + 4]
+    (rank,) = _unpack("<B", buf, offset + 4)
     if not 1 <= rank <= 4:
         raise ValueError(f"bad TSR rank {rank}")
     pos = offset + 5
-    dims = struct.unpack_from(f"<{rank}I", buf, pos)
+    dims = _unpack(f"<{rank}I", buf, pos)
     pos += 4 * rank
     count = int(np.prod(dims))
     end = pos + 4 * count
@@ -348,17 +383,6 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
         raise ValueError("truncated TSR payload")
     arr = np.frombuffer(buf[pos:end], dtype="<f4").reshape(dims).astype(DTYPE)
     return arr, end
-
-
-def save_tensor(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(tensor_to_bytes(arr))
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        arr, _ = tensor_from_bytes(fh.read())
-    return arr
 
 
 def archive_to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
@@ -372,22 +396,39 @@ def archive_to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
 
 
 def archive_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
-    (count,) = struct.unpack_from("<I", buf, 0)
+    """Inverse of archive_to_bytes. Malformed or truncated input raises
+    ValueError (a name that is not UTF-8 raises its subclass
+    UnicodeDecodeError)."""
+    (count,) = _unpack("<I", buf, 0)
     pos = 4
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos : pos + nlen].decode("utf-8")
-        pos += nlen
+        (nlen,) = _unpack("<H", buf, pos)
+        (name,) = _unpack(f"<{nlen}s", buf, pos + 2)
+        pos += 2 + nlen
         arr, pos = tensor_from_bytes(buf, pos)
-        tensors[name] = arr
+        tensors[name.decode("utf-8")] = arr
     return tensors
 
 
+def atomic_write(path, data) -> None:
+    """Writes bytes or text to path via a temp file in the same directory,
+    so a failure part-way leaves an existing file at path untouched."""
+    directory = os.path.dirname(os.path.abspath(path))
+    mode = "wb" if isinstance(data, bytes) else "w"
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".yv-tmp-")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_archive(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(archive_to_bytes(tensors))
+    atomic_write(path, archive_to_bytes(tensors))
 
 
 def load_archive(path) -> dict[str, np.ndarray]:

@@ -20,6 +20,7 @@ from yolovehicle import metrics as mx
 from yolovehicle import model as md
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
+from yolovehicle.encoders import MultiScaleFeatures, TextFeature
 from yolovehicle.optim import Adam
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
@@ -113,7 +114,7 @@ class TestGradientSuite:
             out0 = det.head_forward(feat, params)
             frozen = det.detect_loss_with_grads(out0, targets, weights)[0].alphas
 
-            for pseed, (name, value) in enumerate(params.param_items()):
+            for pseed, (name, value) in enumerate(tc.param_items(params)):
                 def f(p, name=name):
                     trial = det.HeadParams(**{**params.__dict__})
                     setattr(trial, name, p)
@@ -133,14 +134,14 @@ class TestGradientSuite:
         gen, disc, hazy, clear = smooth_scene(119, 121)
         weights = dh.DehazeLossWeights(patch_count=8)
         worst_dh = 0.0
-        for pseed, (name, value) in enumerate(dh.generator_param_items(gen)):
+        for pseed, (name, value) in enumerate(tc.param_items(gen)):
             def f(p, name=name, value=value):
-                dh.generator_set_param(gen, name, p)
+                tc.set_param(gen, name, p)
                 try:
                     _, total, grads = dh.dehaze_losses_with_grads(
                         gen, disc, hazy, clear, weights, seed=0)
                 finally:
-                    dh.generator_set_param(gen, name, value)
+                    tc.set_param(gen, name, value)
                 return total, grads[name]
 
             worst_dh = max(worst_dh,
@@ -171,7 +172,8 @@ class TestAttentionCorrectness:
         logits = (q @ kv.T) / math.sqrt(512)
         wref = np.exp(logits - logits.max())
         wref /= wref.sum()
-        assert np.allclose(fu.cross_attention(q, kv, 1), wref @ kv, atol=1e-5)
+        att, _ = tc.multi_head_attention(q, kv, kv, 1)
+        assert np.allclose(att, wref @ kv, atol=1e-5)
 
         p = dh.WmsaParams(
             wq=rng.uniform(-0.5, 0.5, (4, 4)), wk=rng.uniform(-0.5, 0.5, (4, 4)),
@@ -192,12 +194,13 @@ class TestFusionContracts:
         params = fu.init_fusion(tc.Rng(1200), channels=8)
         rng = tc.Rng(1201)
         for _ in range(1000):
-            img = rng.uniform(-2, 2, (1, 512))
-            proj = fu.ProjectedFeatures(
-                img=img, text_pooled=rng.uniform(-2, 2, (1, 512)),
-                text_tokens=rng.uniform(-2, 2, (3, 512)))
-            att = fu.cross_attention(img, proj.text_tokens, params.heads)
-            out = fu.gated_fuse(proj, params)
+            feats = MultiScaleFeatures(*[rng.uniform(-2, 2, (8, s, s))
+                                         for s in (8, 4, 2)])
+            text = TextFeature(pooled=rng.uniform(-2, 2, (1, 512)),
+                               tokens=rng.uniform(-2, 2, (3, 512)))
+            result, cache = fu.fuse_forward(feats, text, params, (8, 8, 8))
+            _, _, img, _, _, _, _, att, _, _, _, _ = cache
+            out = result.fused
             assert np.all(out >= np.minimum(img, att) - 1e-5)
             assert np.all(out <= np.maximum(img, att) + 1e-5)
 
@@ -306,7 +309,7 @@ class TestToyDehazeDescent:
         opt = Adam(lr=2e-4)
         first = last = None
         for _ in range(50):
-            params = dict(dh.generator_param_items(gen))
+            params = dict(tc.param_items(gen))
             grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
             losses = []
             for i, (hazy, clear) in enumerate(pairs):
@@ -319,7 +322,7 @@ class TestToyDehazeDescent:
             first = mean_loss if first is None else first
             last = mean_loss
             for k, v in opt.step(params, grads).items():
-                dh.generator_set_param(gen, k, v)
+                tc.set_param(gen, k, v)
         assert last <= 0.8 * first, (first, last)
 
         ident = dh.init_generator(tc.Rng(125), channels=4)

@@ -44,7 +44,15 @@ class TestConfig:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            cfgmod.parse_config_text("lambda4=-0.5\n")
+            cfgmod.parse_config_text("lambda3=-0.5\n")
+
+    def test_unread_keys_rejected_with_line(self):
+        # keys that no command reads are not in the schema
+        with pytest.raises(ValueError, match=r":2: unknown key 'channels'"):
+            cfgmod.parse_config_text("tau=0.5\nchannels=16\n")
+        for key in ("lambda4", "lambda7", "height", "width"):
+            with pytest.raises(ValueError, match=":1: unknown key"):
+                cfgmod.parse_config_text(f"{key}=1\n")
 
     def test_comments_and_blanks_ignored(self):
         got = cfgmod.parse_config_text("# top\n\ntau=0.3  # inline\n")
@@ -67,6 +75,13 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
+
+    def test_eval_takes_no_config(self, tmp_path, capsys):
+        # eval reads no config key, so it offers no --config
+        assert run(["eval", "--preds", "p.jsonl", "--gts", "g.jsonl",
+                    "--config", "nope.cfg",
+                    "--output", str(tmp_path / "r.json")]) == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_help_exits_zero_everywhere(self, capsys):
         assert run(["--help"]) == 0
@@ -147,6 +162,21 @@ class TestTrainToy:
         bundle = md.load_bundle(weights)
         assert bundle.n_classes == 3
         assert str(os.path.getsize(weights)) in capsys.readouterr().err
+
+    def test_failed_save_leaves_existing_weights_untouched(self, tmp_path,
+                                                           capsys, monkeypatch):
+        weights = tmp_path / "w.bin"
+        md.save_bundle(weights, md.init_bundle(0))
+        before = weights.read_bytes()
+
+        def fail(tensors):
+            raise RuntimeError("serialisation failed")
+
+        monkeypatch.setattr(tc, "archive_to_bytes", fail)
+        assert run(["train-toy", "--steps", "1", "--seed", "4",
+                    "--save", str(weights)]) == 1
+        assert weights.read_bytes() == before
+        assert os.listdir(tmp_path) == ["w.bin"]
 
 
 class TestEval:

@@ -347,14 +347,14 @@ class TestGeneratorGradients:
         gen, disc, hazy, clear = smooth_scene(119, 121)
         weights = dh.DehazeLossWeights(patch_count=8)
 
-        for seed, (name, value) in enumerate(dh.generator_param_items(gen)):
+        for seed, (name, value) in enumerate(tc.param_items(gen)):
             def f(p, name=name, value=value):
-                dh.generator_set_param(gen, name, p)
+                tc.set_param(gen, name, p)
                 try:
                     _, total, grads = dh.dehaze_losses_with_grads(
                         gen, disc, hazy, clear, weights, seed=0)
                 finally:
-                    dh.generator_set_param(gen, name, value)
+                    tc.set_param(gen, name, value)
                 return total, grads[name]
 
             err = coord_subset_grad_check(f, value, n=4, seed=seed)
@@ -377,7 +377,7 @@ class TestToyDescent:
         first = None
         last = None
         for step in range(50):
-            params = dict(dh.generator_param_items(gen))
+            params = dict(tc.param_items(gen))
             total_grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
             losses = []
             for i, (hazy, clear) in enumerate(pairs):
@@ -392,7 +392,7 @@ class TestToyDescent:
             last = mean_loss
             new_params = opt.step(params, total_grads)
             for k, v in new_params.items():
-                dh.generator_set_param(gen, k, v)
+                tc.set_param(gen, k, v)
         assert last <= 0.8 * first, f"mean loss {first} -> {last}"
 
 

@@ -10,30 +10,12 @@ from yolovehicle import tensor_core as tc
 class TestHeadForward:
     def test_zero_weights_give_uniform_outputs(self):
         params = det.init_head(tc.Rng(1), channels=8, n_classes=3)
-        for name, arr in params.param_items():
+        for name, arr in tc.param_items(params):
             setattr(params, name, np.zeros_like(arr))
         feat = tc.Rng(2).uniform(-1, 1, (8, 2, 2))
         out = det.head_forward(feat, params)
         assert np.allclose(out.obj, 0.5)
         assert np.allclose(out.cls, 1 / 3)
-
-    def test_legacy_mode_matches_default_at_zero_bias(self):
-        params = det.init_head(tc.Rng(3), channels=8, n_classes=4)
-        feat = tc.Rng(4).uniform(-1, 1, (8, 2, 2))
-        default = det.head_forward(feat, params)
-        params.legacy_bias_outside_softmax = True
-        legacy = det.head_forward(feat, params)
-        assert np.allclose(default.cls, legacy.cls, atol=1e-6)
-
-    def test_legacy_mode_literal_form(self):
-        params = det.init_head(tc.Rng(5), channels=4, n_classes=3)
-        params.b_cls = np.array([0.1, -0.2, 0.3], np.float32)
-        params.legacy_bias_outside_softmax = True
-        feat = tc.Rng(6).uniform(-1, 1, (4, 2, 2))
-        out = det.head_forward(feat, params)
-        raw = np.einsum("oc,chw->ohw", params.w_cls, feat)
-        expected = tc.softmax(raw, axis=0) + params.b_cls[:, None, None]
-        assert np.allclose(out.cls, expected, atol=1e-6)
 
     def test_matches_oracle_composition(self):
         params = det.init_head(tc.Rng(7), channels=8, n_classes=3)
@@ -267,12 +249,6 @@ class TestDetectLoss:
         b = det.detect_loss(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8)).total
         assert abs(b - 2 * a) < 1e-9
 
-    def test_presets(self):
-        w = det.LOSS_PRESETS["coco-train"]
-        assert (w.lambda_cls, w.lambda_bbox, w.lambda_dfl) == (7.5, 0.5, 0.375)
-        d = det.LOSS_PRESETS["default"]
-        assert (d.lambda_cls, d.lambda_bbox, d.lambda_dfl) == (0.6, 7.0, 0.4)
-
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
             det.DetectLossWeights(0.0, 0.0, 0.0)
@@ -291,7 +267,7 @@ class TestDetectLoss:
         base, _ = det.detect_loss_with_grads(out0, targets, weights)
         frozen = base.alphas
 
-        for seed, (name, value) in enumerate(params.param_items()):
+        for seed, (name, value) in enumerate(tc.param_items(params)):
             def f(p, name=name):
                 trial = det.HeadParams(**{**params.__dict__})
                 setattr(trial, name, p)

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -70,54 +69,6 @@ class TestTextEncode:
     def test_dim_always_512(self, text_params):
         for raw in ("car", "white van, taxi", "large truck, bus, red car"):
             assert enc.text_encode(enc.TextInput(raw), text_params).pooled.shape == (1, 512)
-
-
-class TestContrastiveLoss:
-    def test_uniform_sims_is_log_n(self):
-        batch = enc.ContrastiveBatch(sims=np.zeros((4, 4), np.float32), temperature=0.07)
-        assert abs(enc.contrastive_loss(batch) - math.log(4)) < 1e-6
-
-    def test_saturated_diagonal_near_zero(self):
-        sims = np.full((3, 3), -50.0, np.float32)
-        np.fill_diagonal(sims, 50.0)
-        assert enc.contrastive_loss(enc.ContrastiveBatch(sims, temperature=1.0)) < 1e-6
-
-    def test_two_by_two_scalar_oracle(self):
-        sims = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
-        loss = enc.contrastive_loss(enc.ContrastiveBatch(sims, temperature=1.0))
-        expected = -math.log(math.e / (math.e + 1.0))
-        assert abs(loss - expected) < 1e-6
-
-    def test_nonnegative(self):
-        rng = tc.Rng(8)
-        for _ in range(20):
-            sims = rng.uniform(-3, 3, (5, 5))
-            assert enc.contrastive_loss(enc.ContrastiveBatch(sims)) >= 0
-
-    def test_lowering_offdiagonal_never_increases_loss(self):
-        rng = tc.Rng(9)
-        sims = rng.uniform(-1, 1, (4, 4)).astype(np.float64)
-        base = enc.contrastive_loss(enc.ContrastiveBatch(sims, 0.5))
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
-                pert = sims.copy()
-                pert[i, j] -= 0.3
-                assert enc.contrastive_loss(enc.ContrastiveBatch(pert, 0.5)) <= base + 1e-9
-
-    def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            enc.contrastive_loss(enc.ContrastiveBatch(np.zeros((2, 2)), temperature=0.0))
-
-    def test_grad_check(self):
-        rng = tc.Rng(10)
-        sims0 = rng.uniform(-1, 1, (4, 4)).astype(np.float64)
-
-        def f(s):
-            return enc.contrastive_loss_with_grad(enc.ContrastiveBatch(s, 0.3))
-
-        assert tc.grad_check(f, sims0) < 1e-3
 
 
 class TestBackbone:

@@ -25,29 +25,41 @@ def params():
     return fu.init_fusion(tc.Rng(50), channels=8)
 
 
+def forward(feats, text, params, target_shape=(8, 8, 8)):
+    """fuse_forward's result plus the image projection a, the projected text
+    tp and tk, the gate g and the attention readout att, unpacked from the
+    cache as fuse_backward unpacks it."""
+    result, cache = fu.fuse_forward(feats, text, params, target_shape)
+    _, _, a, tp, tk, _, g, att, _, _, _, _ = cache
+    return result, a, tp, tk, g, att
+
+
 class TestProjectImage:
     def test_zero_features_zero_bias(self, params):
         feats = MultiScaleFeatures(*[np.zeros((8, s, s), np.float32) for s in (8, 4, 2)])
-        assert np.allclose(fu.project_image(feats, params), 0.0)
+        _, a, _, _, _, _ = forward(feats, make_text(tc.Rng(49)), params)
+        assert np.allclose(a, 0.0)
 
     def test_constant_map_with_zero_weight(self, params):
         p = fu.FusionParams(**{**params.__dict__})
         p.w_img = np.zeros_like(params.w_img)
         p.b_img = tc.Rng(51).uniform(-1, 1, (1, 512))
         feats = make_pyramid(tc.Rng(52))
-        assert np.array_equal(fu.project_image(feats, p), p.b_img)
+        _, a, _, _, _, _ = forward(feats, make_text(tc.Rng(49)), p)
+        assert np.array_equal(a, p.b_img)
 
     def test_hand_composition_c2(self):
         params = fu.init_fusion(tc.Rng(53), channels=2)
         feats = make_pyramid(tc.Rng(54), channels=2)
         pooled = np.concatenate([f.mean(axis=(1, 2)) for f in feats.scales()])[None, :]
         expected = pooled.astype(np.float32) @ params.w_img.T + params.b_img
-        assert np.allclose(fu.project_image(feats, params), expected, atol=1e-5)
+        _, a, _, _, _, _ = forward(feats, make_text(tc.Rng(49)), params)
+        assert np.allclose(a, expected, atol=1e-5)
 
     def test_channel_mismatch(self, params):
         feats = make_pyramid(tc.Rng(55), channels=4)
         with pytest.raises(ValueError):
-            fu.project_image(feats, params)
+            fu.fuse_forward(feats, make_text(tc.Rng(49)), params, (8, 8, 8))
 
 
 class TestProjectText:
@@ -56,104 +68,113 @@ class TestProjectText:
         p.w_text = np.eye(512, dtype=np.float32)
         p.b_text = np.zeros((1, 512), np.float32)
         text = make_text(tc.Rng(56))
-        proj = fu.project_text(text, p)
-        assert np.allclose(proj.text_pooled, text.pooled, atol=1e-6)
-        assert np.allclose(proj.text_tokens, text.tokens, atol=1e-6)
+        _, _, tp, tk, _, _ = forward(make_pyramid(tc.Rng(48)), text, p)
+        assert np.allclose(tp, text.pooled, atol=1e-6)
+        assert np.allclose(tk, text.tokens, atol=1e-6)
 
     def test_zero_weight_bias_everywhere(self, params):
         p = fu.FusionParams(**{**params.__dict__})
         p.w_text = np.zeros_like(params.w_text)
         p.b_text = tc.Rng(57).uniform(-1, 1, (1, 512))
-        proj = fu.project_text(make_text(tc.Rng(58)), p)
-        for row in proj.text_tokens:
+        _, _, _, tk, _, _ = forward(make_pyramid(tc.Rng(48)), make_text(tc.Rng(58)), p)
+        for row in tk:
             assert np.array_equal(row, p.b_text[0])
 
     def test_hand_matmul(self, params):
         text = make_text(tc.Rng(59), t=1)
-        proj = fu.project_text(text, params)
-        assert np.allclose(proj.text_pooled, text.pooled @ params.w_text.T + params.b_text, atol=1e-5)
+        _, _, tp, _, _, _ = forward(make_pyramid(tc.Rng(48)), text, params)
+        assert np.allclose(tp, text.pooled @ params.w_text.T + params.b_text, atol=1e-5)
 
 
 class TestCrossAttention:
-    def test_single_key_returns_value(self):
-        rng = tc.Rng(60)
-        q = rng.uniform(-1, 1, (1, 512))
-        kv = rng.uniform(-1, 1, (1, 512))
-        assert np.allclose(fu.cross_attention(q, kv, 4), kv, atol=1e-5)
+    def test_single_key_returns_value(self, params):
+        text = make_text(tc.Rng(60), t=1)
+        _, _, _, tk, _, att = forward(make_pyramid(tc.Rng(47)), text, params)
+        assert np.allclose(att, tk, atol=1e-5)
 
-    def test_identical_rows_convexity(self):
+    def test_identical_rows_convexity(self, params):
         rng = tc.Rng(61)
-        q = rng.uniform(-1, 1, (1, 512))
         row = rng.uniform(-1, 1, (1, 512))
-        kv = np.repeat(row, 2, axis=0)
-        assert np.allclose(fu.cross_attention(q, kv, 4), row, atol=1e-5)
+        text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
+                           tokens=np.repeat(row, 2, axis=0))
+        _, _, _, tk, _, att = forward(make_pyramid(tc.Rng(47)), text, params)
+        assert np.allclose(att, tk[:1], atol=1e-5)
 
-    def test_single_head_matches_bruteforce(self):
+    def test_single_head_matches_bruteforce(self, params):
+        p = fu.FusionParams(**{**params.__dict__})
+        p.heads = 1
         rng = tc.Rng(62)
         for t in (2, 3, 5, 8):
-            q = rng.uniform(-1, 1, (1, 512)).astype(np.float64)
-            kv = rng.uniform(-1, 1, (t, 512)).astype(np.float64)
+            text = make_text(rng, t=t)
+            _, a, _, tk, _, att = forward(make_pyramid(rng), text, p)
+            q, kv = a.astype(np.float64), tk.astype(np.float64)
             logits = (q @ kv.T) / math.sqrt(512)
             w = np.exp(logits - logits.max())
             w /= w.sum()
-            ref = w @ kv
-            assert np.allclose(fu.cross_attention(q, kv, 1), ref, atol=1e-5)
+            assert np.allclose(att, w @ kv, atol=1e-5)
 
-    def test_bad_head_count(self):
+    def test_bad_head_count(self, params):
+        p = fu.FusionParams(**{**params.__dict__})
+        p.heads = 3
         with pytest.raises(ValueError):
-            fu.cross_attention(np.zeros((1, 512)), np.zeros((2, 512)), 3)
+            fu.fuse_forward(make_pyramid(tc.Rng(47)), make_text(tc.Rng(49)), p, (8, 8, 8))
 
 
 class TestGatedFuse:
     def test_equal_paths_any_gate(self, params):
-        rng = tc.Rng(63)
-        kv = rng.uniform(-1, 1, (1, 512))
-        proj = fu.ProjectedFeatures(img=kv.copy(), text_pooled=rng.uniform(-1, 1, (1, 512)),
-                                    text_tokens=kv.copy())
-        # T=1 attention returns the single value row == img, so any gate gives img
-        assert np.allclose(fu.gated_fuse(proj, params), kv, atol=1e-5)
+        feats = make_pyramid(tc.Rng(63))
+        _, a, _, _, _, _ = forward(feats, make_text(tc.Rng(49)), params)
+        p = fu.FusionParams(**{**params.__dict__})
+        p.w_text = np.zeros_like(params.w_text)
+        p.b_text = a.copy()
+        # every text token projects to a, and T=1 attention returns its single
+        # value row, so any gate gives a
+        result, a, _, _, _, _ = forward(feats, make_text(tc.Rng(46), t=1), p)
+        assert np.allclose(result.fused, a, atol=1e-5)
 
     def test_saturated_gate_returns_img(self, params):
         rng = tc.Rng(64)
         p = fu.FusionParams(**{**params.__dict__})
         p.w_gate = np.zeros_like(params.w_gate)
         p.b_gate = np.full((1, 512), 100.0, np.float32)
-        proj = fu.ProjectedFeatures(img=rng.uniform(-1, 1, (1, 512)),
-                                    text_pooled=rng.uniform(-1, 1, (1, 512)),
-                                    text_tokens=rng.uniform(-1, 1, (3, 512)))
-        assert np.allclose(fu.gated_fuse(proj, p), proj.img, atol=1e-5)
+        result, a, _, _, g, _ = forward(make_pyramid(rng), make_text(rng), p)
+        assert np.all(g == 1.0)
+        assert np.allclose(result.fused, a, atol=1e-5)
 
     def test_small_instance_hand_eval(self):
-        # 4-dim scaled-down gated fusion evaluated by hand
+        # 4-dim scaled-down gated fusion evaluated by hand: a zero image
+        # weight makes the bias the image vector, an identity text weight
+        # passes the text through
         rng = tc.Rng(65)
         img = rng.uniform(-1, 1, (1, 4)).astype(np.float64)
         tok = rng.uniform(-1, 1, (2, 4)).astype(np.float64)
         tpool = rng.uniform(-1, 1, (1, 4)).astype(np.float64)
         w_gate = rng.uniform(-1, 1, (4, 8)).astype(np.float64)
         b_gate = rng.uniform(-1, 1, (1, 4)).astype(np.float64)
-        params = fu.FusionParams(w_img=None, b_img=None, w_text=None, b_text=None,
-                                 w_gate=w_gate.astype(np.float64), b_gate=b_gate, heads=1)
-        proj = fu.ProjectedFeatures(img=img, text_pooled=tpool, text_tokens=tok)
-        out = fu.gated_fuse(proj, params)
+        params = fu.FusionParams(w_img=np.zeros((4, 3)), b_img=img, w_text=np.eye(4),
+                                 b_text=np.zeros((1, 4)), w_gate=w_gate, b_gate=b_gate,
+                                 heads=1)
+        feats = make_pyramid(rng, channels=1)
+        result, _ = fu.fuse_forward(feats, TextFeature(pooled=tpool, tokens=tok),
+                                    params, (4, 1, 1))
 
         g = 1 / (1 + np.exp(-(np.concatenate([img, tpool], axis=1) @ w_gate.T + b_gate)))
         logits = img @ tok.T / 2.0
         w = np.exp(logits - logits.max())
         w /= w.sum()
         att = w @ tok
-        assert np.allclose(out, g * img + (1 - g) * att, atol=1e-9)
+        assert np.allclose(result.fused, g * img + (1 - g) * att, atol=1e-9)
 
     def test_convex_combination_bound(self, params):
         rng = tc.Rng(66)
         for _ in range(50):
-            img = rng.uniform(-2, 2, (1, 512))
-            proj = fu.ProjectedFeatures(img=img, text_pooled=rng.uniform(-2, 2, (1, 512)),
-                                        text_tokens=rng.uniform(-2, 2, (4, 512)))
-            att = fu.cross_attention(img, proj.text_tokens, params.heads)
-            out = fu.gated_fuse(proj, params)
-            lo = np.minimum(img, att) - 1e-5
-            hi = np.maximum(img, att) + 1e-5
-            assert np.all(out >= lo) and np.all(out <= hi)
+            feats = MultiScaleFeatures(*[rng.uniform(-2, 2, (8, s, s)) for s in (8, 4, 2)])
+            text = TextFeature(pooled=rng.uniform(-2, 2, (1, 512)),
+                               tokens=rng.uniform(-2, 2, (4, 512)))
+            result, a, _, _, _, att = forward(feats, text, params)
+            lo = np.minimum(a, att) - 1e-5
+            hi = np.maximum(a, att) + 1e-5
+            assert np.all(result.fused >= lo) and np.all(result.fused <= hi)
 
 
 class TestPositionalEncoding:

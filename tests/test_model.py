@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -12,12 +13,12 @@ class TestBundle:
     def test_init_is_deterministic(self):
         a = md.init_bundle(11)
         b = md.init_bundle(11)
-        for (na, pa), (nb, pb) in zip(md.bundle_param_items(a), md.bundle_param_items(b)):
+        for (na, pa), (nb, pb) in zip(tc.param_items(a), tc.param_items(b)):
             assert na == nb
             assert np.array_equal(pa, pb), na
 
     def test_param_names_unique(self):
-        names = [n for n, _ in md.bundle_param_items(md.init_bundle(0))]
+        names = [n for n, _ in tc.param_items(md.init_bundle(0))]
         assert len(names) == len(set(names))
 
     def test_save_load_roundtrip_exact(self, tmp_path):
@@ -25,8 +26,8 @@ class TestBundle:
         path = tmp_path / "weights.bin"
         md.save_bundle(path, bundle)
         loaded = md.load_bundle(path)
-        for (na, pa), (nb, pb) in zip(md.bundle_param_items(bundle),
-                                      md.bundle_param_items(loaded)):
+        for (na, pa), (nb, pb) in zip(tc.param_items(bundle),
+                                      tc.param_items(loaded)):
             assert na == nb
             assert np.array_equal(pa, pb), na
 
@@ -36,9 +37,41 @@ class TestBundle:
         with pytest.raises(ValueError):
             md.load_bundle(path)
 
+    def test_archive_bytes_are_pinned(self, tmp_path):
+        # the registry's names, in walk order, are the archive keys; any
+        # change to the names, their order or the TSR bytes changes the digest
+        bundle = md.init_bundle(0)
+        path = tmp_path / "init0.bin"
+        md.save_bundle(path, bundle)
+        names = [n for n, _ in tc.param_items(bundle)]
+        assert list(tc.load_archive(path)) == ["meta"] + names
+        assert names[:4] == ["text.embed", "text.w_out", "text.b_out",
+                             "text.layers.0.wq"]
+        buf = path.read_bytes()
+        assert len(buf) == 3698118
+        assert hashlib.sha256(buf).hexdigest() == \
+            "74734ede72f5ef195eba2b90874327bd44803533b839af5f7abf8a8144dd2bb0"
+
+    def test_load_rejects_wrong_shapes_naming_the_tensor(self, tmp_path):
+        for name, shape in (("fusion.w_gate", (3, 3)), ("head.b_cls", (5,))):
+            tensors = {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)}
+            tensors.update(tc.param_items(md.init_bundle(13)))
+            tensors[name] = np.zeros(shape, np.float32)
+            path = tmp_path / "bad_shape.bin"
+            tc.save_archive(path, tensors)
+            with pytest.raises(ValueError, match=name):
+                md.load_bundle(path)
+
+    def test_load_rejects_truncated_archive(self, tmp_path):
+        path = tmp_path / "w.bin"
+        md.save_bundle(path, md.init_bundle(0))
+        path.write_bytes(path.read_bytes()[:5])
+        with pytest.raises(ValueError, match="truncated"):
+            md.load_bundle(path)
+
     def test_load_rejects_missing_params(self, tmp_path):
         bundle = md.init_bundle(13)
-        tensors = dict(md.bundle_param_items(bundle))
+        tensors = dict(tc.param_items(bundle))
         tensors["meta"] = np.array([8, 3, 7, 8, 2, 4, 2], np.float32)
         del tensors["head.w_obj"]
         path = tmp_path / "short.bin"
