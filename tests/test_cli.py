@@ -54,6 +54,14 @@ class TestConfig:
             with pytest.raises(ValueError, match=":1: unknown key"):
                 cfgmod.parse_config_text(f"{key}=1\n")
 
+    def test_range_validators_name_the_line(self):
+        with pytest.raises(ValueError, match=r":2: tau must lie in \[0, 1\]"):
+            cfgmod.parse_config_text("seed=1\ntau=1.5\n")
+        with pytest.raises(ValueError, match=r":1: mode must be always_edge"):
+            cfgmod.parse_config_text("mode=sometimes\n")
+        with pytest.raises(ValueError, match=r":1: timeout_ms must be non-negative"):
+            cfgmod.parse_config_text("timeout_ms=-1\n")
+
     def test_comments_and_blanks_ignored(self):
         got = cfgmod.parse_config_text("# top\n\ntau=0.3  # inline\n")
         assert got == {"tau": 0.3}

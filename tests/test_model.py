@@ -79,6 +79,15 @@ class TestBundle:
         with pytest.raises(ValueError):
             md.load_bundle(path)
 
+    def test_load_rejects_unknown_params(self, tmp_path):
+        tensors = {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)}
+        tensors.update(tc.param_items(md.init_bundle(13)))
+        tensors["head.w_extra"] = np.zeros(3, np.float32)
+        path = tmp_path / "long.bin"
+        tc.save_archive(path, tensors)
+        with pytest.raises(ValueError, match="extra \\['head.w_extra'\\]"):
+            md.load_bundle(path)
+
 
 class TestDetectFrame:
     def test_runs_and_times(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -273,6 +274,38 @@ class TestTsrFormat:
         buf = tc.archive_to_bytes({"ab": np.zeros(1, np.float32)})
         with pytest.raises(ValueError):
             tc.archive_from_bytes(buf[:6] + b"\xff" + buf[7:])
+
+    def test_rank_outside_one_to_four_rejected(self):
+        with pytest.raises(ValueError, match="rank 5"):
+            tc.tensor_to_bytes(np.zeros((1, 1, 1, 1, 1), np.float32))
+        buf = tc.tensor_to_bytes(np.zeros(2, np.float32))
+        for rank in (0, 5):
+            with pytest.raises(ValueError, match=f"bad TSR rank {rank}"):
+                tc.tensor_from_bytes(buf[:4] + bytes([rank]) + buf[5:])
+
+
+class TestAtomicWrite:
+    def test_writes_bytes_and_text(self, tmp_path):
+        tc.atomic_write(tmp_path / "a.bin", b"\x00\xff")
+        tc.atomic_write(tmp_path / "b.txt", "car 0.9\n")
+        assert (tmp_path / "a.bin").read_bytes() == b"\x00\xff"
+        assert (tmp_path / "b.txt").read_text() == "car 0.9\n"
+        assert sorted(os.listdir(tmp_path)) == ["a.bin", "b.txt"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"old contents")
+        tc.atomic_write(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["w.bin"]
+
+    def test_failed_write_keeps_existing_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("kept")
+        with pytest.raises(TypeError):
+            tc.atomic_write(path, 12345)  # neither bytes nor text
+        assert path.read_text() == "kept"
+        assert os.listdir(tmp_path) == ["w.txt"]
 
 
 @dataclasses.dataclass
