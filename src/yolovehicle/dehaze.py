@@ -6,18 +6,12 @@ perceptual contrast against the hazy input, identity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor_core as tc
 from . import encoders
-
-
-@dataclass
-class Conv:
-    w: np.ndarray  # [O, C, kh, kw]
-    b: np.ndarray  # [O]
 
 
 @dataclass
@@ -41,17 +35,17 @@ class WmsaParams:
 
 @dataclass
 class DehazeBlockParams:
-    stem: Conv      # 3x3, C -> C
+    stem: tc.ConvLayer  # 3x3, C -> C
     cab: CabParams
     wmsa: WmsaParams
-    out: Conv       # 3x3, C -> C
+    out: tc.ConvLayer   # 3x3, C -> C
 
 
 @dataclass
 class DehazeGenerator:
-    stem: Conv                       # 3x3, 3 -> C
+    stem: tc.ConvLayer               # 3x3, 3 -> C
     blocks: list[DehazeBlockParams]
-    head: Conv                       # 3x3, C -> 3
+    head: tc.ConvLayer               # 3x3, C -> 3
 
     @property
     def window(self) -> int:
@@ -60,7 +54,7 @@ class DehazeGenerator:
 
 @dataclass
 class Discriminator:
-    convs: list[Conv]  # stride-2 stack ending in a 1-channel patch map
+    convs: list[tc.ConvLayer]  # stride-2 stack ending in a 1-channel patch map
 
 
 @dataclass
@@ -90,12 +84,6 @@ class DehazeLossComponents:
     ide: float
 
 
-def _conv(rng: tc.Rng, c_in: int, c_out: int, k: int = 3) -> Conv:
-    fan = c_in * k * k
-    return Conv(w=tc.init_uniform(rng, (c_out, c_in, k, k), fan),
-                b=np.zeros(c_out, tc.DTYPE))
-
-
 def init_block(rng: tc.Rng, channels: int, window: int = 4, heads: int = 2,
                shift: bool = False) -> DehazeBlockParams:
     if channels % 2:
@@ -104,7 +92,7 @@ def init_block(rng: tc.Rng, channels: int, window: int = 4, heads: int = 2,
         raise ValueError(f"heads {heads} does not divide channels {channels}")
     half = channels // 2
     return DehazeBlockParams(
-        stem=_conv(rng, channels, channels),
+        stem=tc.init_conv(rng, channels, channels),
         cab=CabParams(
             w1=tc.init_uniform(rng, (half, channels), channels),
             b1=np.zeros(half, tc.DTYPE),
@@ -118,7 +106,7 @@ def init_block(rng: tc.Rng, channels: int, window: int = 4, heads: int = 2,
             wo=tc.init_uniform(rng, (channels, channels), channels),
             window=window, heads=heads, shift=shift,
         ),
-        out=_conv(rng, channels, channels),
+        out=tc.init_conv(rng, channels, channels),
     )
 
 
@@ -126,15 +114,15 @@ def init_generator(rng: tc.Rng, channels: int = 8, n_blocks: int = 2,
                    window: int = 4, heads: int = 2) -> DehazeGenerator:
     blocks = [init_block(rng, channels, window, heads, shift=bool(i % 2))
               for i in range(n_blocks)]
-    return DehazeGenerator(stem=_conv(rng, 3, channels), blocks=blocks,
-                           head=_conv(rng, channels, 3))
+    return DehazeGenerator(stem=tc.init_conv(rng, 3, channels), blocks=blocks,
+                           head=tc.init_conv(rng, channels, 3))
 
 
 def init_discriminator(rng: tc.Rng, channels: int = 8) -> Discriminator:
     return Discriminator(convs=[
-        _conv(rng, 3, channels),
-        _conv(rng, channels, 2 * channels),
-        _conv(rng, 2 * channels, 1),
+        tc.init_conv(rng, 3, channels, stride=2),
+        tc.init_conv(rng, channels, 2 * channels, stride=2),
+        tc.init_conv(rng, 2 * channels, 1, stride=2),
     ])
 
 
@@ -142,12 +130,8 @@ def init_discriminator(rng: tc.Rng, channels: int = 8) -> Discriminator:
 # channel attention branch
 
 
-def cab_forward(x: np.ndarray, params: CabParams) -> np.ndarray:
-    y, _ = _cab_forward(x, params)
-    return y
-
-
-def _cab_forward(x: np.ndarray, p: CabParams):
+def cab_forward(x: np.ndarray, p: CabParams):
+    """Returns (y, cache)."""
     if x.shape[0] != p.w1.shape[1]:
         raise ValueError(f"feature channels {x.shape[0]} vs squeeze weight {p.w1.shape}")
     pooled = tc.global_avg_pool(x)                 # [1, C]
@@ -158,18 +142,14 @@ def _cab_forward(x: np.ndarray, p: CabParams):
     return y, (x, pooled, z1, a1, gate)
 
 
-def _cab_backward(cache, p: CabParams, gy: np.ndarray):
+def cab_backward(cache, p: CabParams, gy: np.ndarray):
     x, pooled, z1, a1, gate = cache
     gx = gy * gate[0][:, None, None]
     g_gate = (gy * x).sum(axis=(1, 2))[None, :]
     gz2 = tc.sigmoid_backward(gate, g_gate)
-    gw2 = gz2.T @ a1
-    gb2 = gz2[0]
     gz1 = tc.leaky_relu_backward(z1, gz2 @ p.w2)
-    gw1 = gz1.T @ pooled
-    gb1 = gz1[0]
     gx = gx + tc.global_avg_pool_backward(x.shape, gz1 @ p.w1)
-    return gx, {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2}
+    return gx, replace(p, w1=gz1.T @ pooled, b1=gz1[0], w2=gz2.T @ a1, b2=gz2[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +171,9 @@ def _unpartition(tokens: np.ndarray, shape, win: int):
     return t.reshape(h, w, c).transpose(2, 0, 1)
 
 
-def wmsa_forward(x: np.ndarray, params: WmsaParams) -> np.ndarray:
-    y, _ = _wmsa_forward(x, params)
-    return y
-
-
-def _wmsa_forward(x: np.ndarray, p: WmsaParams):
-    """Multi-head self-attention within non-overlapping win x win windows.
+def wmsa_forward(x: np.ndarray, p: WmsaParams):
+    """Multi-head self-attention within non-overlapping win x win windows;
+    returns (y, cache).
 
     With p.shift the map is rolled by half a window first and rolled back
     after, as in Swin (Liu et al., arXiv 2103.14030), but without Swin's
@@ -224,21 +200,17 @@ def _wmsa_forward(x: np.ndarray, p: WmsaParams):
     return y, (x.shape, s, tokens, att, mha_cache)
 
 
-def _wmsa_backward(cache, p: WmsaParams, gy: np.ndarray):
+def wmsa_backward(cache, p: WmsaParams, gy: np.ndarray):
     shape, s, tokens, att, mha_cache = cache
     if s:
         gy = np.roll(gy, (-s, -s), axis=(1, 2))
     g_out = _partition(gy, p.window)
-    g_att = g_out @ p.wo
-    gwo = np.einsum("wtd,wtc->dc", g_out, att)
-    gq, gk, gv = tc.multi_head_attention_backward(mha_cache, g_att)
+    gq, gk, gv = tc.multi_head_attention_backward(mha_cache, g_out @ p.wo)
     g_tokens = gq @ p.wq + gk @ p.wk + gv @ p.wv
-    grads = {
-        "wq": np.einsum("wtd,wtc->dc", gq, tokens),
-        "wk": np.einsum("wtd,wtc->dc", gk, tokens),
-        "wv": np.einsum("wtd,wtc->dc", gv, tokens),
-        "wo": gwo,
-    }
+    grads = replace(p, wq=np.einsum("wtd,wtc->dc", gq, tokens),
+                    wk=np.einsum("wtd,wtc->dc", gk, tokens),
+                    wv=np.einsum("wtd,wtc->dc", gv, tokens),
+                    wo=np.einsum("wtd,wtc->dc", g_out, att))
     gx = _unpartition(g_tokens, shape, p.window)
     if s:
         gx = np.roll(gx, (s, s), axis=(1, 2))
@@ -249,35 +221,26 @@ def _wmsa_backward(cache, p: WmsaParams, gy: np.ndarray):
 # attention-conv block and generator
 
 
-def attention_conv_block(x: np.ndarray, params: DehazeBlockParams) -> np.ndarray:
-    y, _ = _block_forward(x, params)
-    return y
-
-
-def _block_forward(x: np.ndarray, p: DehazeBlockParams):
-    pre = tc.conv2d(x, p.stem.w, stride=1, pad=1) + p.stem.b[:, None, None]
+def block_forward(x: np.ndarray, p: DehazeBlockParams):
+    """Attention-conv block: conv, then channel plus window attention, then
+    conv. Returns (y, cache)."""
+    pre = tc.conv_layer(x, p.stem)
     s = tc.leaky_relu(pre)
-    c, cab_cache = _cab_forward(s, p.cab)
-    m, wmsa_cache = _wmsa_forward(s, p.wmsa)
+    c, cab_cache = cab_forward(s, p.cab)
+    m, wmsa_cache = wmsa_forward(s, p.wmsa)
     u = c + m
-    y = tc.conv2d(u, p.out.w, stride=1, pad=1) + p.out.b[:, None, None]
+    y = tc.conv_layer(u, p.out)
     return y, (x, pre, s, cab_cache, wmsa_cache, u)
 
 
-def _block_backward(cache, p: DehazeBlockParams, gy: np.ndarray):
+def block_backward(cache, p: DehazeBlockParams, gy: np.ndarray):
     x, pre, s, cab_cache, wmsa_cache, u = cache
-    gu, g_out_w = tc.conv2d_backward(u, p.out.w, gy, stride=1, pad=1)
-    gs_cab, cab_grads = _cab_backward(cab_cache, p.cab, gu)
-    gs_wmsa, wmsa_grads = _wmsa_backward(wmsa_cache, p.wmsa, gu)
+    gu, g_out = tc.conv_layer_backward(u, p.out, gy)
+    gs_cab, g_cab = cab_backward(cab_cache, p.cab, gu)
+    gs_wmsa, g_wmsa = wmsa_backward(wmsa_cache, p.wmsa, gu)
     gpre = tc.leaky_relu_backward(pre, gs_cab + gs_wmsa)
-    gx, g_stem_w = tc.conv2d_backward(x, p.stem.w, gpre, stride=1, pad=1)
-    grads = {
-        "stem.w": g_stem_w, "stem.b": gpre.sum(axis=(1, 2)),
-        "out.w": g_out_w, "out.b": gy.sum(axis=(1, 2)),
-    }
-    grads.update({f"cab.{k}": v for k, v in cab_grads.items()})
-    grads.update({f"wmsa.{k}": v for k, v in wmsa_grads.items()})
-    return gx, grads
+    gx, g_stem = tc.conv_layer_backward(x, p.stem, gpre)
+    return gx, replace(p, stem=g_stem, cab=g_cab, wmsa=g_wmsa, out=g_out)
 
 
 def dehaze_forward(hazy: np.ndarray, gen: DehazeGenerator) -> np.ndarray:
@@ -288,33 +251,28 @@ def dehaze_forward(hazy: np.ndarray, gen: DehazeGenerator) -> np.ndarray:
 def _gen_forward(hazy: np.ndarray, gen: DehazeGenerator):
     if hazy.ndim != 3 or hazy.shape[0] != 3:
         raise ValueError(f"expected a 3xHxW image, got {hazy.shape}")
-    pre0 = tc.conv2d(hazy, gen.stem.w, stride=1, pad=1) + gen.stem.b[:, None, None]
+    pre0 = tc.conv_layer(hazy, gen.stem)
     f = tc.leaky_relu(pre0)
     block_caches = []
     for block in gen.blocks:
-        f, bc = _block_forward(f, block)
+        f, bc = block_forward(f, block)
         block_caches.append(bc)
-    head = tc.conv2d(f, gen.head.w, stride=1, pad=1) + gen.head.b[:, None, None]
+    head = tc.conv_layer(f, gen.head)
     pre_clamp = hazy + head
     out = tc.clamp01(pre_clamp)
     return out, (hazy, pre0, f, block_caches, pre_clamp)
 
 
 def _gen_backward(cache, gen: DehazeGenerator, g_out: np.ndarray):
-    """Parameter grads (flat dict keyed like tc.param_items(gen)) + input grad."""
+    """Returns (input grad, parameter grads as a DehazeGenerator)."""
     hazy, pre0, f, block_caches, pre_clamp = cache
     g_pre = tc.clamp01_backward(pre_clamp, g_out)
-    g_input = g_pre.copy()
-    gf, g_head_w = tc.conv2d_backward(f, gen.head.w, g_pre, stride=1, pad=1)
-    grads = {"head.w": g_head_w, "head.b": g_pre.sum(axis=(1, 2))}
+    gf, g_head = tc.conv_layer_backward(f, gen.head, g_pre)
+    g_blocks = [None] * len(gen.blocks)
     for i in reversed(range(len(gen.blocks))):
-        gf, bgrads = _block_backward(block_caches[i], gen.blocks[i], gf)
-        grads.update({f"blocks.{i}.{k}": v for k, v in bgrads.items()})
-    gpre0 = tc.leaky_relu_backward(pre0, gf)
-    gh, g_stem_w = tc.conv2d_backward(hazy, gen.stem.w, gpre0, stride=1, pad=1)
-    grads["stem.w"] = g_stem_w
-    grads["stem.b"] = gpre0.sum(axis=(1, 2))
-    return grads, g_input + gh
+        gf, g_blocks[i] = block_backward(block_caches[i], gen.blocks[i], gf)
+    gh, g_stem = tc.conv_layer_backward(hazy, gen.stem, tc.leaky_relu_backward(pre0, gf))
+    return g_pre + gh, replace(gen, stem=g_stem, blocks=g_blocks, head=g_head)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +284,7 @@ def disc_forward(img: np.ndarray, disc: Discriminator):
     x = img
     cache = []
     for i, layer in enumerate(disc.convs):
-        pre = tc.conv2d(x, layer.w, stride=2, pad=1) + layer.b[:, None, None]
+        pre = tc.conv_layer(x, layer)
         cache.append((x, pre, layer))
         x = tc.leaky_relu(pre, 0.2) if i + 1 < len(disc.convs) else tc.sigmoid(pre)
     return x, cache
@@ -339,7 +297,7 @@ def disc_backward_input(cache, probs: np.ndarray, g_probs: np.ndarray) -> np.nda
         x, pre, layer = cache[i]
         if i + 1 < len(cache):
             g = tc.leaky_relu_backward(pre, g, 0.2)
-        g, _ = tc.conv2d_backward(x, layer.w, g, stride=2, pad=1)
+        g, _ = tc.conv_layer_backward(x, layer, g)
     return g
 
 
@@ -376,12 +334,6 @@ def _sample_locations(h: int, w: int, count: int, seed: int) -> list[tuple[int, 
             if len(chosen) == count:
                 break
     return [(i // w, i % w) for i in chosen]
-
-
-def patch_nce_loss(feat_out: np.ndarray, feat_in: np.ndarray,
-                   weights: DehazeLossWeights, seed: int = 0) -> float:
-    loss, _ = patch_nce_loss_with_grad(feat_out, feat_in, weights, seed)
-    return loss
 
 
 def patch_nce_loss_with_grad(feat_out: np.ndarray, feat_in: np.ndarray,
@@ -431,12 +383,6 @@ def _scp_backbone() -> encoders.BackboneParams:
 SCP_EPS = 1e-7
 
 
-def scp_loss(restored: np.ndarray, clear_exemplar: np.ndarray,
-             hazy_input: np.ndarray) -> float:
-    loss, _ = scp_loss_with_grad(restored, clear_exemplar, hazy_input)
-    return loss
-
-
 def scp_loss_with_grad(restored: np.ndarray, clear_exemplar: np.ndarray,
                        hazy_input: np.ndarray):
     """Perceptual contrast: pull restored toward the clear exemplar and push
@@ -482,7 +428,8 @@ def dehaze_losses_with_grads(gen: DehazeGenerator, disc: Discriminator,
     """Full restoration objective and its gradient wrt generator parameters.
 
     The discriminator is treated as fixed (its output still shapes the
-    adversarial term's gradient). Returns (components, total, grads dict).
+    adversarial term's gradient). Returns (components, total, grads), grads
+    a dict keyed and ordered like tc.param_items(gen).
     """
     restored, gcache = _gen_forward(hazy, gen)
 
@@ -498,15 +445,15 @@ def dehaze_losses_with_grads(gen: DehazeGenerator, disc: Discriminator,
     l_scp, g_scp = scp_loss_with_grad(restored, clear, hazy)
     g_restored = g_restored + weights.lambda_scp * g_scp
 
-    grads, _ = _gen_backward(gcache, gen, g_restored)
+    _, g_gen = _gen_backward(gcache, gen, g_restored)
 
     ide_out, icache = _gen_forward(clear, gen)
     diff = ide_out.astype(np.float64) - clear.astype(np.float64)
     l_ide = float(np.mean(np.abs(diff)))
     g_ide = (weights.lambda_ide * np.sign(diff) / diff.size).astype(ide_out.dtype)
-    ide_grads, _ = _gen_backward(icache, gen, g_ide)
-    for k, v in ide_grads.items():
-        grads[k] = grads[k] + v
+    _, g_gen_ide = _gen_backward(icache, gen, g_ide)
+    grads = {name: g + g_i for (name, g), (_, g_i)
+             in zip(tc.param_items(g_gen), tc.param_items(g_gen_ide))}
 
     components = DehazeLossComponents(adv_g=l_adv_g, patch=l_patch, scp=l_scp, ide=l_ide)
     return components, dehaze_total_loss(components, weights), grads

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,20 +103,12 @@ def head_forward(feat: np.ndarray, params: HeadParams) -> HeadOutput:
                       obj_logits=obj_logits, cls_logits=cls_logits, reg_max=params.reg_max)
 
 
-@dataclass
-class HeadGrads:
-    w_obj: np.ndarray
-    b_obj: np.ndarray
-    w_box: np.ndarray
-    b_box: np.ndarray
-    w_cls: np.ndarray
-    b_cls: np.ndarray
-
-
 def head_backward(feat: np.ndarray, params: HeadParams, g_obj: np.ndarray,
                   g_box: np.ndarray, g_cls: np.ndarray):
-    """Gradients wrt head params and the input feature map (logit-space grads in)."""
-    grads = HeadGrads(
+    """Gradients wrt head params (as a HeadParams) and the input feature map
+    (logit-space grads in)."""
+    grads = replace(
+        params,
         w_obj=np.einsum("ohw,chw->oc", g_obj, feat),
         b_obj=g_obj.sum(axis=(1, 2)),
         w_box=np.einsum("ohw,chw->oc", g_box, feat),
@@ -144,11 +136,6 @@ def iou(a: BBox, b: BBox) -> float:
     inter = iw * ih
     union = float(a.area) + float(b.area) - inter
     return inter / union
-
-
-def ciou_loss(pred: BBox, gt: BBox) -> float:
-    loss, _ = ciou_loss_with_grad(np.array([pred.cx, pred.cy, pred.w, pred.h]), gt)
-    return loss
 
 
 def ciou_loss_with_grad(pred: np.ndarray, gt: BBox, alpha: float | None = None):
@@ -239,11 +226,6 @@ def ciou_alpha(pred: np.ndarray, gt: BBox) -> float:
     return 0.0 if (1.0 - iou_v) + v == 0 else float(v / ((1.0 - iou_v) + v))
 
 
-def dfl_loss(dist_logits: np.ndarray, target: float) -> float:
-    loss, _ = dfl_loss_with_grad(dist_logits, target)
-    return loss
-
-
 def dfl_loss_with_grad(dist_logits: np.ndarray, target: float):
     """Distribution focal loss over one side's bins; grad is wrt the logits."""
     reg_max = dist_logits.shape[0] - 1
@@ -326,11 +308,6 @@ def _decoded_box(dist_probs: np.ndarray, row: int, col: int, grid: tuple[int, in
     x2, y2 = ccx + e[2] / w, ccy + e[3] / h
     box = np.array([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1])
     return box, e
-
-
-def detect_loss(out: HeadOutput, targets: Targets, weights: DetectLossWeights) -> DetectLoss:
-    loss, _ = detect_loss_with_grads(out, targets, weights)
-    return loss
 
 
 def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLossWeights,

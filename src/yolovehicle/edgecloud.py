@@ -430,52 +430,57 @@ def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
     """
     if policy.mode != "always_edge" and transport is None and cloud_addr is None:
         raise ValueError(f"policy {policy.mode!r} requires a cloud address")
+    owned = None
     if transport is None and cloud_addr is not None:
-        transport = SocketTransport(cloud_addr, timeout_ms)
-    stats = NodeStats()
-    results = []
-    for frame_id, image in frames:
-        start = time.perf_counter()
-        score = haze_score(image)
-        route = decide_route(score, policy)
-        degraded = False
-        if route is Route.CLOUD:
-            try:
-                request = encode_message(WireMessage(
-                    MSG_FRAME_REQUEST,
-                    encode_frame_payload(image_to_frame_payload(frame_id, image))))
-                sent = time.perf_counter()
-                raw = transport.request(request)
-                rtt_ms = (time.perf_counter() - sent) * 1000.0
-                reply = decode_message(raw)
-                if reply.msg_type != MSG_DETECTION_RESPONSE:
-                    raise ConnectionError(
-                        f"cloud answered with type {reply.msg_type:#04x}")
-                rid, dets, compute_ms = decode_detection_response(reply.payload)
-                if rid != frame_id:
-                    raise ConnectionError(
-                        f"response for frame {rid}, expected {frame_id}")
-                stats.cloud_compute_ms.append(compute_ms)
-                stats.cloud_network_ms.append(rtt_ms - compute_ms)
-            except Exception as e:
-                _log(f"frame {frame_id}: cloud route failed ({e}); "
-                     "degraded to edge")
-                route, degraded = Route.EDGE, True
-        if route is Route.EDGE:
-            dets, _ = md.detect_frame(image, text, bundle,
-                                      obj_thresh=obj_thresh, nms_iou=nms_iou)
-        elapsed = (time.perf_counter() - start) * 1000.0 + added_delay_ms
-        stats.frames += 1
-        stats.edge += route is Route.EDGE
-        stats.cloud += route is Route.CLOUD
-        stats.degraded += degraded
-        stats.latency_ms.append(elapsed)
-        stats.haze_scores.append(score)
-        results.append((frame_id, route, dets, degraded))
-        if emit is not None:
-            # zeroed timing keeps seeded reruns byte-identical on disk
-            emit(det.detections_to_jsonl(
-                dets, frame_id, elapsed if timing_in_output else 0.0))
+        transport = owned = SocketTransport(cloud_addr, timeout_ms)
+    try:
+        stats = NodeStats()
+        results = []
+        for frame_id, image in frames:
+            start = time.perf_counter()
+            score = haze_score(image)
+            route = decide_route(score, policy)
+            degraded = False
+            if route is Route.CLOUD:
+                try:
+                    request = encode_message(WireMessage(
+                        MSG_FRAME_REQUEST,
+                        encode_frame_payload(image_to_frame_payload(frame_id, image))))
+                    sent = time.perf_counter()
+                    raw = transport.request(request)
+                    rtt_ms = (time.perf_counter() - sent) * 1000.0
+                    reply = decode_message(raw)
+                    if reply.msg_type != MSG_DETECTION_RESPONSE:
+                        raise ConnectionError(
+                            f"cloud answered with type {reply.msg_type:#04x}")
+                    rid, dets, compute_ms = decode_detection_response(reply.payload)
+                    if rid != frame_id:
+                        raise ConnectionError(
+                            f"response for frame {rid}, expected {frame_id}")
+                    stats.cloud_compute_ms.append(compute_ms)
+                    stats.cloud_network_ms.append(rtt_ms - compute_ms)
+                except Exception as e:
+                    _log(f"frame {frame_id}: cloud route failed ({e}); "
+                         "degraded to edge")
+                    route, degraded = Route.EDGE, True
+            if route is Route.EDGE:
+                dets, _ = md.detect_frame(image, text, bundle,
+                                          obj_thresh=obj_thresh, nms_iou=nms_iou)
+            elapsed = (time.perf_counter() - start) * 1000.0 + added_delay_ms
+            stats.frames += 1
+            stats.edge += route is Route.EDGE
+            stats.cloud += route is Route.CLOUD
+            stats.degraded += degraded
+            stats.latency_ms.append(elapsed)
+            stats.haze_scores.append(score)
+            results.append((frame_id, route, dets, degraded))
+            if emit is not None:
+                # zeroed timing keeps seeded reruns byte-identical on disk
+                emit(det.detections_to_jsonl(
+                    dets, frame_id, elapsed if timing_in_output else 0.0))
+    finally:
+        if owned is not None:  # a transport passed in stays open for its owner
+            owned.close()
     return stats.check(), results
 
 

@@ -137,17 +137,9 @@ def text_encode(text: TextInput, params: TextEncoderParams) -> TextFeature:
 
 
 @dataclass
-class ConvLayer:
-    w: np.ndarray  # [O, C, kh, kw]
-    b: np.ndarray  # [O]
-    stride: int
-    pad: int = 1
-
-
-@dataclass
 class BackboneParams:
-    stem: list[ConvLayer]          # two stride-2 convs -> /4
-    stages: list[list[ConvLayer]]  # three stages, each /2 -> strides 8/16/32
+    stem: list[tc.ConvLayer]          # two stride-2 convs -> /4
+    stages: list[list[tc.ConvLayer]]  # three stages, each /2 -> strides 8/16/32
     channels: int = 8
 
 
@@ -161,29 +153,26 @@ class MultiScaleFeatures:
         return [self.f1, self.f2, self.f3]
 
 
-def _conv_layer(rng: tc.Rng, c_in: int, c_out: int, stride: int) -> ConvLayer:
-    return ConvLayer(
-        w=tc.init_uniform(rng, (c_out, c_in, 3, 3), c_in * 9),
-        b=np.zeros(c_out, tc.DTYPE),
-        stride=stride,
-    )
-
-
 def init_backbone(rng: tc.Rng, channels: int = 8) -> BackboneParams:
-    stem = [_conv_layer(rng, 3, channels, 2), _conv_layer(rng, channels, channels, 2)]
+    stem = [tc.init_conv(rng, 3, channels, 2), tc.init_conv(rng, channels, channels, 2)]
     stages = [
-        [_conv_layer(rng, channels, channels, 2), _conv_layer(rng, channels, channels, 1)]
+        [tc.init_conv(rng, channels, channels, 2), tc.init_conv(rng, channels, channels)]
         for _ in range(3)
     ]
     return BackboneParams(stem=stem, stages=stages, channels=channels)
 
 
-def _run_layers(x: np.ndarray, layers: list[ConvLayer], cache: list | None = None) -> np.ndarray:
+def _run_layers(x: np.ndarray, layers: list[tc.ConvLayer], cache: list | None = None) -> np.ndarray:
+    """Conv + leaky ReLU per layer; a cache gets one list of
+    (input, pre-activation, layer) records for the whole run."""
+    records = []
     for layer in layers:
-        pre = tc.conv2d(x, layer.w, stride=layer.stride, pad=layer.pad) + layer.b[:, None, None]
+        pre = tc.conv_layer(x, layer)
         if cache is not None:
-            cache.append((x, pre, layer))
+            records.append((x, pre, layer))
         x = tc.leaky_relu(pre)
+    if cache is not None:
+        cache.append(records)
     return x
 
 
@@ -206,27 +195,21 @@ def backbone_extract(image: np.ndarray, params: BackboneParams) -> MultiScaleFea
     return backbone_features(image, params)
 
 
+def _layers_backward(records: list, g: np.ndarray) -> np.ndarray:
+    for x, pre, layer in reversed(records):
+        g, _ = tc.conv_layer_backward(x, layer, tc.leaky_relu_backward(pre, g))
+    return g
+
+
 def backbone_backward_input(cache: list, grads: list[np.ndarray]) -> np.ndarray:
     """Gradient wrt the input image given per-scale output grads (weights fixed).
 
-    cache is the list filled by backbone_features; grads has one entry per
-    scale, aligned with MultiScaleFeatures.scales().
+    cache is the list filled by backbone_features: the stem's records, then
+    one list per stage; grads has one entry per scale, aligned with
+    MultiScaleFeatures.scales().
     """
-    # stage boundaries: stem layers first, then 2 layers per stage
-    n_stem = len(cache) - sum(1 for _ in grads) * 2
+    stem, *stages = cache
     g = None
-    li = len(cache) - 1
-    for s in reversed(range(len(grads))):
-        g_stage = grads[s] if g is None else g + grads[s]
-        for _ in range(2):
-            x, pre, layer = cache[li]
-            li -= 1
-            gpre = tc.leaky_relu_backward(pre, g_stage)
-            g_stage, _ = tc.conv2d_backward(x, layer.w, gpre, stride=layer.stride, pad=layer.pad)
-        g = g_stage
-    for _ in range(n_stem):
-        x, pre, layer = cache[li]
-        li -= 1
-        gpre = tc.leaky_relu_backward(pre, g)
-        g, _ = tc.conv2d_backward(x, layer.w, gpre, stride=layer.stride, pad=layer.pad)
-    return g
+    for records, g_scale in reversed(list(zip(stages, grads))):
+        g = _layers_backward(records, g_scale if g is None else g + g_scale)
+    return _layers_backward(stem, g)

@@ -9,7 +9,7 @@ feature map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,17 +96,6 @@ def finalize(fused: np.ndarray, target_shape: tuple[int, int, int],
 # full fusion pass with parameter gradients
 
 
-@dataclass
-class FusionGrads:
-    w_img: np.ndarray
-    b_img: np.ndarray
-    w_text: np.ndarray
-    b_text: np.ndarray
-    w_gate: np.ndarray
-    b_gate: np.ndarray
-    w_out: np.ndarray | None = None
-
-
 def fuse_forward(features: MultiScaleFeatures, text: TextFeature, params: FusionParams,
                  target_shape: tuple[int, int, int]):
     """Returns (FusedFeature, cache) where cache feeds fuse_backward.
@@ -127,7 +116,9 @@ def fuse_forward(features: MultiScaleFeatures, text: TextFeature, params: Fusion
     return result, cache
 
 
-def fuse_backward(cache, grad_output: np.ndarray) -> FusionGrads:
+def fuse_backward(cache, grad_output: np.ndarray) -> FusionParams:
+    """Parameter gradients as a FusionParams; w_out is None when the params
+    have no output projection."""
     params, pooled, a, tp, tk, zcat, g, att, att_cache, text, final, target_shape = cache
     gflat = grad_output.reshape(1, -1)
     gw_out = None
@@ -149,7 +140,8 @@ def fuse_backward(cache, grad_output: np.ndarray) -> FusionGrads:
     gq, gk, gv = tc.multi_head_attention_backward(att_cache, gatt)
     ga = ga + gq
     gtk = gk + gv
-    return FusionGrads(
+    return replace(
+        params,
         w_img=ga.T @ pooled,
         b_img=ga.copy(),
         w_text=gtp.T @ text.pooled + gtk.T @ text.tokens,

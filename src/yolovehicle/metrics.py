@@ -22,7 +22,6 @@ from .detection import BBox, iou
 @dataclass
 class MatchConfig:
     iou_threshold: float = 0.5
-    class_agnostic: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold <= 1.0:
@@ -72,7 +71,7 @@ def match_detections(preds: list[BBox], gts: list[BBox],
         for j, g in enumerate(gts):
             if taken[j]:
                 continue
-            if not cfg.class_agnostic and g.class_id != p.class_id:
+            if g.class_id != p.class_id:
                 continue
             v = iou(p, g)
             if v >= cfg.iou_threshold and v > best_iou:

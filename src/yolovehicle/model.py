@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -154,8 +153,8 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
             hgrads, g_feat = det.head_backward(fused.output, bundle.head,
                                                g_obj, g_box, g_cls)
             fgrads = fu.fuse_backward(cache, g_feat)
-            for name, g in chain(tc.param_items(fgrads, "fusion"),
-                                 tc.param_items(hgrads, "head")):
+            for name, g in [*tc.param_items(fgrads, "fusion"),
+                            *tc.param_items(hgrads, "head")]:
                 grads[name] += g / n_scenes
             totals += np.array([loss.total, loss.l_cls, loss.l_bbox, loss.l_dfl])
         totals /= n_scenes

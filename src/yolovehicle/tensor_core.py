@@ -183,6 +183,31 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     return gxp, grad_k
 
 
+@dataclasses.dataclass
+class ConvLayer:
+    w: np.ndarray  # [O, C, kh, kw]
+    b: np.ndarray  # [O]
+    stride: int = 1
+    pad: int = 1
+
+
+def init_conv(rng: Rng, c_in: int, c_out: int, stride: int = 1) -> ConvLayer:
+    """A 3x3 layer: uniform weights with fan-in c_in * 9, zero bias."""
+    return ConvLayer(w=init_uniform(rng, (c_out, c_in, 3, 3), c_in * 9),
+                     b=np.zeros(c_out, DTYPE), stride=stride)
+
+
+def conv_layer(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    return conv2d(x, layer.w, stride=layer.stride, pad=layer.pad) + layer.b[:, None, None]
+
+
+def conv_layer_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
+    """Returns (grad_x, grads), grads a ConvLayer holding the weight and bias
+    gradients."""
+    grad_x, grad_w = conv2d_backward(x, layer.w, grad_out, stride=layer.stride, pad=layer.pad)
+    return grad_x, dataclasses.replace(layer, w=grad_w, b=grad_out.sum(axis=(1, 2)))
+
+
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """[C,H,W] -> [1,C] channel means."""
     if x.ndim != 3:
@@ -358,9 +383,11 @@ def _unpack(fmt: str, buf: bytes, pos: int):
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
+    # the rank is checked first: np.ascontiguousarray turns a 0-d array into
+    # a 1-long vector
+    if not 1 <= np.ndim(arr) <= 4:
+        raise ValueError(f"TSR supports rank 1-4, got rank {np.ndim(arr)}")
     arr = np.ascontiguousarray(arr, dtype=DTYPE)
-    if not 1 <= arr.ndim <= 4:
-        raise ValueError(f"TSR supports rank 1-4, got rank {arr.ndim}")
     head = _TSR_MAGIC + struct.pack("<B", arr.ndim)
     head += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return head + arr.astype("<f4").tobytes()

@@ -184,7 +184,7 @@ class TestAttentionCorrectness:
         ref, _ = tc.multi_head_attention(tokens @ p.wq.T, tokens @ p.wk.T,
                                          tokens @ p.wv.T, p.heads)
         ref = (ref @ p.wo.T).T.reshape(4, 4, 4)
-        assert np.allclose(dh.wmsa_forward(x, p), ref, atol=1e-5)
+        assert np.allclose(dh.wmsa_forward(x, p)[0], ref, atol=1e-5)
         ok("attention: row sums 1±1e-5, cross/windowed attention match "
            "brute force within 1e-5")
 
@@ -221,18 +221,19 @@ class TestLossSanity:
             cx, cy = (float(a) for a in rng.uniform(0.2, 0.8, (2,)))
             w, h = (float(a) for a in rng.uniform(0.05, 0.4, (2,)))
             box = det.BBox(cx, cy, w, h)
-            assert det.ciou_loss(box, box) == 0.0
+            assert det.ciou_loss_with_grad(np.array([cx, cy, w, h]), box)[0] == 0.0
             ox, oy = (float(a) for a in rng.uniform(-0.1, 0.1, (2,)))
             other = det.BBox(cx + ox, cy + oy, w * 1.1, h * 0.9)
-            assert det.ciou_loss(box, other) >= (1.0 - det.iou(box, other)) - 1e-12
+            assert (det.ciou_loss_with_grad(np.array([cx, cy, w, h]), other)[0]
+                    >= (1.0 - det.iou(box, other)) - 1e-12)
 
         uniform = np.zeros(8)
-        assert det.dfl_loss(uniform, 3.5) == math.log(8.0)
+        assert det.dfl_loss_with_grad(uniform, 3.5)[0] == math.log(8.0)
 
         params, feat, targets = detect_scene(36)
         out = det.head_forward(feat, params)
-        a = det.detect_loss(out, targets, det.DetectLossWeights(0.6, 7.0, 0.4))
-        b = det.detect_loss(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8))
+        a = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(0.6, 7.0, 0.4))[0]
+        b = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8))[0]
         assert abs(b.total - 2.0 * a.total) < 1e-9
         ok("losses: box loss zero at identity and >= 1-IoU, uniform "
            "distribution loss = ln(bins), objective linear in its weights")

@@ -29,14 +29,14 @@ class TestCab:
         p.w2 = np.zeros_like(p.w2)
         p.b2 = np.full_like(p.b2, 100.0)
         x = tc.Rng(81).uniform(-1, 1, (4, 3, 3))
-        assert np.allclose(dh.cab_forward(x, p), x, atol=1e-5)
+        assert np.allclose(dh.cab_forward(x, p)[0], x, atol=1e-5)
 
     def test_zero_gate_logits_halve(self):
         p = self.make(82)
         p.w2 = np.zeros_like(p.w2)
         p.b2 = np.zeros_like(p.b2)
         x = tc.Rng(83).uniform(-1, 1, (4, 3, 3))
-        assert np.array_equal(dh.cab_forward(x, p), x * np.float32(0.5))
+        assert np.array_equal(dh.cab_forward(x, p)[0], x * np.float32(0.5))
 
     def test_hand_composition_2x2x2(self):
         p = self.make(84, channels=2)
@@ -44,7 +44,7 @@ class TestCab:
         pooled = tc.global_avg_pool(x)
         gate = tc.sigmoid(tc.leaky_relu(pooled @ p.w1.T + p.b1) @ p.w2.T + p.b2)
         expected = x * gate[0][:, None, None]
-        assert np.allclose(dh.cab_forward(x, p), expected, atol=1e-6)
+        assert np.allclose(dh.cab_forward(x, p)[0], expected, atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -69,12 +69,12 @@ class TestWmsa:
         q, k, v = tokens @ p.wq.T, tokens @ p.wk.T, tokens @ p.wv.T
         ref, _ = tc.multi_head_attention(q, k, v, p.heads)
         ref = (ref @ p.wo.T).T.reshape(4, 4, 4)
-        assert np.allclose(dh.wmsa_forward(x, p), ref, atol=1e-5)
+        assert np.allclose(dh.wmsa_forward(x, p)[0], ref, atol=1e-5)
 
     def test_constant_input_constant_output(self):
         p = self.make(89)
         x = np.full((4, 8, 8), 0.37, np.float32)
-        y = dh.wmsa_forward(x, p)
+        y = dh.wmsa_forward(x, p)[0]
         assert np.allclose(y, y[:, :1, :1], atol=1e-5)
 
     def test_uniform_attention_is_window_mean(self):
@@ -86,7 +86,7 @@ class TestWmsa:
         p.wv = np.eye(4, dtype=np.float32)
         p.wo = np.eye(4, dtype=np.float32)
         x = tc.Rng(91).uniform(-1, 1, (4, 4, 8))
-        y = dh.wmsa_forward(x, p)
+        y = dh.wmsa_forward(x, p)[0]
         for wi in range(2):
             block = x[:, :, wi * 4:(wi + 1) * 4]
             mean = block.mean(axis=(1, 2))
@@ -98,7 +98,7 @@ class TestWmsa:
         x = tc.Rng(92).uniform(-1, 1, (4, 4, 4))
         plain = self.make(93, window=4, shift=False)
         shifted = self.make(93, window=4, shift=True)
-        assert np.allclose(dh.wmsa_forward(x, plain), dh.wmsa_forward(x, shifted), atol=1e-5)
+        assert np.allclose(dh.wmsa_forward(x, plain)[0], dh.wmsa_forward(x, shifted)[0], atol=1e-5)
 
     def test_indivisible_window(self):
         with pytest.raises(ValueError):
@@ -111,20 +111,20 @@ class TestAttentionConvBlock:
         rng = tc.Rng(96)
         for h, w in ((4, 4), (4, 8), (8, 12), (12, 4)):
             x = rng.uniform(-1, 1, (4, h, w))
-            assert dh.attention_conv_block(x, block).shape == (4, h, w)
+            assert dh.block_forward(x, block)[0].shape == (4, h, w)
 
     def test_zero_input_zero_output(self):
         block = dh.init_block(tc.Rng(97), channels=4)
-        y = dh.attention_conv_block(np.zeros((4, 4, 4), np.float32), block)
+        y = dh.block_forward(np.zeros((4, 4, 4), np.float32), block)[0]
         assert np.allclose(y, 0.0, atol=1e-7)
 
     def test_branchwise_oracle_composition(self):
         block = dh.init_block(tc.Rng(98), channels=4)
         x = tc.Rng(99).uniform(-1, 1, (4, 4, 4))
         s = tc.leaky_relu(tc.conv2d(x, block.stem.w, 1, 1) + block.stem.b[:, None, None])
-        u = dh.cab_forward(s, block.cab) + dh.wmsa_forward(s, block.wmsa)
+        u = dh.cab_forward(s, block.cab)[0] + dh.wmsa_forward(s, block.wmsa)[0]
         ref = tc.conv2d(u, block.out.w, 1, 1) + block.out.b[:, None, None]
-        assert np.allclose(dh.attention_conv_block(x, block), ref, atol=1e-5)
+        assert np.allclose(dh.block_forward(x, block)[0], ref, atol=1e-5)
 
 
 class TestDehazeForward:
@@ -195,12 +195,12 @@ class TestPatchNce:
             feat[i, i // 4, i % 4] = 1.0
         w = dh.DehazeLossWeights(nce_temperature=1.0, patch_count=n)
         expected = -math.log(math.e / (math.e + n - 1))
-        assert abs(dh.patch_nce_loss(feat, feat, w) - expected) < 1e-9
+        assert abs(dh.patch_nce_loss_with_grad(feat, feat, w)[0] - expected) < 1e-9
 
     def test_identical_features_uniform(self):
         feat = np.tile(np.array([0.3, -0.7, 0.2], np.float32)[:, None, None], (1, 4, 4))
         w = dh.DehazeLossWeights(patch_count=8)
-        assert abs(dh.patch_nce_loss(feat, feat, w) - math.log(8)) < 1e-9
+        assert abs(dh.patch_nce_loss_with_grad(feat, feat, w)[0] - math.log(8)) < 1e-9
 
     def test_nonnegative(self):
         rng = tc.Rng(108)
@@ -208,19 +208,19 @@ class TestPatchNce:
         for _ in range(10):
             a = rng.uniform(-1, 1, (4, 4, 4))
             b = rng.uniform(-1, 1, (4, 4, 4))
-            assert dh.patch_nce_loss(a, b, w) >= 0.0
+            assert dh.patch_nce_loss_with_grad(a, b, w)[0] >= 0.0
 
     def test_seed_changes_sampling(self):
         rng = tc.Rng(109)
         a = rng.uniform(-1, 1, (4, 8, 8))
         b = rng.uniform(-1, 1, (4, 8, 8))
         w = dh.DehazeLossWeights(patch_count=4)
-        vals = {round(dh.patch_nce_loss(a, b, w, seed=s), 12) for s in range(8)}
+        vals = {round(dh.patch_nce_loss_with_grad(a, b, w, seed=s)[0], 12) for s in range(8)}
         assert len(vals) > 1
 
     def test_too_few_locations(self):
         with pytest.raises(ValueError):
-            dh.patch_nce_loss(np.ones((2, 1, 1)), np.ones((2, 1, 1)), dh.DehazeLossWeights())
+            dh.patch_nce_loss_with_grad(np.ones((2, 1, 1)), np.ones((2, 1, 1)), dh.DehazeLossWeights())
 
     def test_grad_check(self):
         rng = tc.Rng(110)
@@ -239,12 +239,12 @@ class TestScp:
     def test_restored_equals_clear_zero(self):
         clear = make_image(111)
         hazy = dh.synthesize_haze(clear, 0.5)
-        assert dh.scp_loss(clear, clear, hazy) == 0.0
+        assert dh.scp_loss_with_grad(clear, clear, hazy)[0] == 0.0
 
     def test_restored_equals_hazy_blows_up(self):
         clear = make_image(112)
         hazy = dh.synthesize_haze(clear, 0.5)
-        assert dh.scp_loss(hazy, clear, hazy) > 1e3
+        assert dh.scp_loss_with_grad(hazy, clear, hazy)[0] > 1e3
 
     def test_termwise_oracle(self):
         rng = tc.Rng(113)
@@ -257,11 +257,11 @@ class TestScp:
             float(np.abs(a.astype(np.float64) - b).sum())
             / (float(np.abs(a.astype(np.float64) - d).sum()) + dh.SCP_EPS)
             for a, b, d in zip(fr.scales(), fc.scales(), fh.scales()))
-        assert abs(dh.scp_loss(r, c, h) - ref) < 1e-6
+        assert abs(dh.scp_loss_with_grad(r, c, h)[0] - ref) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            dh.scp_loss(make_image(0), make_image(1), make_image(2, h=16))
+            dh.scp_loss_with_grad(make_image(0), make_image(1), make_image(2, h=16))
 
     def test_grad_check(self):
         from gradutil import coord_subset_grad_check

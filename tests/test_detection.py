@@ -7,6 +7,10 @@ from yolovehicle import detection as det
 from yolovehicle import tensor_core as tc
 
 
+def ciou(pred, gt):
+    return det.ciou_loss_with_grad(np.array([pred.cx, pred.cy, pred.w, pred.h]), gt)[0]
+
+
 class TestHeadForward:
     def test_zero_weights_give_uniform_outputs(self):
         params = det.init_head(tc.Rng(1), channels=8, n_classes=3)
@@ -66,12 +70,12 @@ class TestIou:
 class TestCiou:
     def test_identical_is_zero(self):
         b = det.BBox(0.4, 0.6, 0.25, 0.15)
-        assert det.ciou_loss(b, b) == 0.0
+        assert ciou(b, b) == 0.0
 
     def test_aspect_term_strictly_positive(self):
         pred = det.BBox(0.5, 0.5, 0.4, 0.1)
         gt = det.BBox(0.5, 0.5, 0.2, 0.2)
-        assert det.ciou_loss(pred, gt) > 1.0 - det.iou(pred, gt)
+        assert ciou(pred, gt) > 1.0 - det.iou(pred, gt)
 
     def test_concrete_pair_stepwise_oracle(self):
         pred = det.BBox(0.45, 0.5, 0.2, 0.3)
@@ -86,18 +90,18 @@ class TestCiou:
         v = (4 / math.pi ** 2) * (math.atan(0.25 / 0.2) - math.atan(0.2 / 0.3)) ** 2
         alpha = v / ((1 - iou_v) + v)
         expected = 1 - iou_v + rho2 / (cw ** 2 + ch ** 2) + alpha * v
-        assert abs(det.ciou_loss(pred, gt) - expected) < 1e-9
+        assert abs(ciou(pred, gt) - expected) < 1e-9
 
     def test_degenerate_gt_rejected(self):
         with pytest.raises(ValueError):
-            det.ciou_loss(det.BBox(0.5, 0.5, 0.1, 0.1), det.BBox(0.5, 0.5, 0.0, 0.1))
+            ciou(det.BBox(0.5, 0.5, 0.1, 0.1), det.BBox(0.5, 0.5, 0.0, 0.1))
 
     def test_lower_bound_everywhere_sampled(self):
         rng = tc.Rng(11)
         for _ in range(200):
             pred = det.BBox(*rng.uniform(0.2, 0.8, (2,)), *rng.uniform(0.05, 0.4, (2,)))
             gt = det.BBox(*rng.uniform(0.2, 0.8, (2,)), *rng.uniform(0.05, 0.4, (2,)))
-            assert det.ciou_loss(pred, gt) >= 1.0 - det.iou(pred, gt) - 1e-12
+            assert ciou(pred, gt) >= 1.0 - det.iou(pred, gt) - 1e-12
 
     def test_alpha_matches_definition(self):
         pred = np.array([0.45, 0.5, 0.2, 0.3])
@@ -140,29 +144,29 @@ class TestDfl:
     def test_one_hot_saturated(self):
         logits = np.zeros(8)
         logits[3] = 100.0
-        assert det.dfl_loss(logits, 3.0) < 1e-6
+        assert det.dfl_loss_with_grad(logits, 3.0)[0] < 1e-6
 
     def test_uniform_logits_ln_bins(self):
         for t in range(8):
-            assert abs(det.dfl_loss(np.zeros(8), float(t)) - math.log(8)) < 1e-9
+            assert abs(det.dfl_loss_with_grad(np.zeros(8), float(t))[0] - math.log(8)) < 1e-9
 
     def test_fractional_hand_eval(self):
         logits = np.array([0.1, -0.3, 0.2, 0.5, -0.1, 0.0, 0.4, -0.2])
         p = np.exp(logits - logits.max())
         p /= p.sum()
         expected = -(0.5 * math.log(p[2]) + 0.5 * math.log(p[3]))
-        assert abs(det.dfl_loss(logits, 2.5) - expected) < 1e-9
+        assert abs(det.dfl_loss_with_grad(logits, 2.5)[0] - expected) < 1e-9
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            det.dfl_loss(np.zeros(8), 7.5)
+            det.dfl_loss_with_grad(np.zeros(8), 7.5)
 
     def test_nonnegative(self):
         rng = tc.Rng(13)
         for _ in range(50):
             logits = rng.uniform(-2, 2, (8,))
             t = float(rng.uniform(0, 7))
-            assert det.dfl_loss(logits, t) >= 0
+            assert det.dfl_loss_with_grad(logits, t)[0] >= 0
 
     def test_grad_check(self):
         rng = tc.Rng(14)
@@ -227,26 +231,26 @@ class TestDetectLoss:
         out.obj_logits = np.full_like(out.obj_logits, -50.0)
         out.obj = tc.sigmoid(out.obj_logits)
         targets = det.assign_targets([], (2, 2))
-        loss = det.detect_loss(out, targets, det.DetectLossWeights())
+        loss = det.detect_loss_with_grads(out, targets, det.DetectLossWeights())[0]
         assert loss.total < 1e-6
         assert loss.l_bbox == 0.0 and loss.l_dfl == 0.0
 
     def test_weight_zeroing(self):
         _, _, out, targets = self.make_scene()
-        loss = det.detect_loss(out, targets, det.DetectLossWeights(1.0, 0.0, 0.0))
+        loss = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(1.0, 0.0, 0.0))[0]
         assert loss.total == loss.l_cls
 
     def test_weighted_sum_of_independent_terms(self):
         _, _, out, targets = self.make_scene()
         w = det.DetectLossWeights()
-        loss = det.detect_loss(out, targets, w)
+        loss = det.detect_loss_with_grads(out, targets, w)[0]
         expected = w.lambda_cls * loss.l_cls + w.lambda_bbox * loss.l_bbox + w.lambda_dfl * loss.l_dfl
         assert abs(loss.total - expected) < 1e-9
 
     def test_linear_in_weights(self):
         _, _, out, targets = self.make_scene()
-        a = det.detect_loss(out, targets, det.DetectLossWeights(0.6, 7.0, 0.4)).total
-        b = det.detect_loss(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8)).total
+        a = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(0.6, 7.0, 0.4))[0].total
+        b = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8))[0].total
         assert abs(b - 2 * a) < 1e-9
 
     def test_invalid_weights(self):

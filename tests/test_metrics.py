@@ -48,8 +48,6 @@ class TestMatchDetections:
         gt = BBox(0.5, 0.5, 0.4, 0.4, class_id=1)
         pred = BBox(0.5, 0.5, 0.4, 0.4, class_id=2, score=0.9)
         assert mx.match_detections([pred], [gt], mx.MatchConfig(0.5)) == [False]
-        agnostic = mx.MatchConfig(0.5, class_agnostic=True)
-        assert mx.match_detections([pred], [gt], agnostic) == [True]
 
     def test_highest_iou_gt_chosen(self):
         near = BBox(0.5, 0.5, 0.4, 0.4)

@@ -4,9 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from yolovehicle import dehaze as dh
+from yolovehicle import detection as det
+from yolovehicle import fusion as fu
 from yolovehicle import model as md
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
+from yolovehicle.encoders import MultiScaleFeatures, TextFeature
 
 
 class TestBundle:
@@ -148,6 +152,55 @@ class TestTrainToy:
             md.train_toy(seed=0, steps=1001)
         with pytest.raises(ValueError):
             md.train_toy(seed=0, steps=0)
+
+
+def names_and_shapes(items):
+    return [(name, np.shape(value)) for name, value in items]
+
+
+class TestGradientTrees:
+    """Every backward pass names its gradients the way tc.param_items names
+    the parameters, in the same order and with the same shapes."""
+
+    def test_head_backward(self):
+        params = det.init_head(tc.Rng(60), channels=8)
+        feat = tc.Rng(61).uniform(-1, 1, (8, 4, 4))
+        out = det.head_forward(feat, params)
+        grads, _ = det.head_backward(feat, params, out.obj_logits, out.box, out.cls_logits)
+        assert (names_and_shapes(tc.param_items(grads))
+                == names_and_shapes(tc.param_items(params)))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 4, 4)])
+    def test_fuse_backward(self, shape):
+        params = fu.init_fusion(tc.Rng(62), channels=8, output_shape=shape)
+        rng = tc.Rng(63)
+        feats = MultiScaleFeatures(*[rng.uniform(-1, 1, (8, s, s)) for s in (8, 4, 2)])
+        text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
+                           tokens=rng.uniform(-1, 1, (3, 512)))
+        _, cache = fu.fuse_forward(feats, text, params, shape)
+        grads = fu.fuse_backward(cache, rng.uniform(-1, 1, shape))
+        assert (params.w_out is None) == (shape == (8, 8, 8))
+        assert (names_and_shapes(tc.param_items(grads))
+                == names_and_shapes(tc.param_items(params)))
+
+    def test_conv_layer_backward(self):
+        layer = tc.init_conv(tc.Rng(64), 3, 4, stride=2)
+        x = tc.Rng(65).uniform(-1, 1, (3, 8, 8))
+        y = tc.conv_layer(x, layer)
+        gx, grads = tc.conv_layer_backward(x, layer, np.ones_like(y))
+        assert gx.shape == x.shape
+        assert (names_and_shapes(tc.param_items(grads))
+                == names_and_shapes(tc.param_items(layer)))
+
+    def test_dehaze_losses_with_grads(self):
+        gen = dh.init_generator(tc.Rng(66), channels=4)
+        disc = dh.init_discriminator(tc.Rng(67), channels=4)
+        clear = tc.Rng(68).uniform(0.2, 0.8, (3, 8, 8))
+        _, _, grads = dh.dehaze_losses_with_grads(
+            gen, disc, dh.synthesize_haze(clear, 0.5), clear,
+            dh.DehazeLossWeights(patch_count=8))
+        assert (names_and_shapes(grads.items())
+                == names_and_shapes(tc.param_items(gen)))
 
 
 class TestPpm:

@@ -278,6 +278,9 @@ class TestTsrFormat:
     def test_rank_outside_one_to_four_rejected(self):
         with pytest.raises(ValueError, match="rank 5"):
             tc.tensor_to_bytes(np.zeros((1, 1, 1, 1, 1), np.float32))
+        for scalar in (np.zeros(()), np.float32(1.0)):
+            with pytest.raises(ValueError, match="rank 0"):
+                tc.tensor_to_bytes(scalar)
         buf = tc.tensor_to_bytes(np.zeros(2, np.float32))
         for rank in (0, 5):
             with pytest.raises(ValueError, match=f"bad TSR rank {rank}"):
