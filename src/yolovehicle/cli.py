@@ -3,9 +3,9 @@ serve-edge, serve-cloud.
 
 Exit codes: 0 success, 1 runtime failure (one-line diagnostic on stderr),
 2 usage error. All output files are written atomically (temp + rename).
-Passing --seed makes the primary output files byte-identical across runs:
-weights are derived from the seed where applicable and per-line timing
-fields are zeroed.
+Passing --seed, or seed= in the config file, makes the primary output files
+byte-identical across runs: weights are derived from the seed where
+applicable and per-line timing fields are zeroed.
 """
 
 from __future__ import annotations
@@ -116,10 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args) -> dict:
+    """Defaults, overridden by the config file, overridden by flags.
+
+    cfg["seed"] is None unless --seed or the file's seed= fixes it: the
+    schema default is not a fixed seed.
+    """
     file_values = cfgmod.load_config(args.config) if getattr(args, "config", None) else {}
     flags = {k: getattr(args, k) for k in cfgmod.SCHEMA
              if getattr(args, k, None) is not None}
-    return cfgmod.merge(file_values, flags)
+    cfg = cfgmod.merge(file_values, flags)
+    if "seed" not in file_values and "seed" not in flags:
+        cfg["seed"] = None
+    return cfg
 
 
 def _load_bundle(cfg, args):
@@ -129,8 +137,8 @@ def _load_bundle(cfg, args):
     explicit = getattr(args, "weights", None) is not None
     if os.path.exists(path):
         return md.load_bundle(path)
-    if not explicit and args.seed is not None:
-        return md.init_bundle(args.seed)
+    if not explicit and cfg["seed"] is not None:
+        return md.init_bundle(cfg["seed"])
     raise FileNotFoundError(f"weights archive not found: {path}")
 
 
@@ -152,7 +160,7 @@ def cmd_detect(args) -> int:
                                dehaze_first=args.pro,
                                obj_thresh=cfg["obj_thresh"],
                                nms_iou=cfg["nms_iou"])
-    out_ms = 0.0 if args.seed is not None else ms
+    out_ms = 0.0 if cfg["seed"] is not None else ms
     atomic_write(args.output, det.detections_to_jsonl(dets, 0, out_ms))
     print(f"{len(dets)} detections -> {args.output}")
     return 0
@@ -169,7 +177,7 @@ def cmd_dehaze(args) -> int:
 
 def cmd_train_toy(args) -> int:
     cfg = effective_config(args)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = cfg["seed"] if cfg["seed"] is not None else cfgmod.defaults()["seed"]
     weights = det.DetectLossWeights(lambda_cls=cfg["lambda1"],
                                     lambda_bbox=cfg["lambda2"],
                                     lambda_dfl=cfg["lambda3"])
@@ -203,10 +211,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _edge_kwargs(args, cfg):
+def _edge_kwargs(cfg):
     policy = ec.OffloadPolicy(cfg["mode"], cfg["tau"])
     kwargs = {"obj_thresh": cfg["obj_thresh"], "nms_iou": cfg["nms_iou"],
-              "text": cfg["text"], "timing_in_output": args.seed is None}
+              "text": cfg["text"], "timing_in_output": cfg["seed"] is None}
     if policy.mode != "always_edge":
         if not cfg["cloud"]:
             raise ValueError(f"policy {policy.mode!r} requires --cloud")
@@ -218,7 +226,7 @@ def _edge_kwargs(args, cfg):
 def cmd_bench(args) -> int:
     cfg = effective_config(args)
     bundle = _load_bundle(cfg, args)
-    policy, kwargs = _edge_kwargs(args, cfg)
+    policy, kwargs = _edge_kwargs(cfg)
     lines = []
     _, _, report = ec.run_bench(_ppm_paths(args.input_dir), policy, bundle,
                                 repetitions=args.repetitions,
@@ -240,7 +248,7 @@ def cmd_bench(args) -> int:
 def cmd_serve_edge(args) -> int:
     cfg = effective_config(args)
     bundle = _load_bundle(cfg, args)
-    policy, kwargs = _edge_kwargs(args, cfg)
+    policy, kwargs = _edge_kwargs(cfg)
     paths = _ppm_paths(args.input_dir)
     frames = [(i, read_ppm(p)) for i, p in enumerate(paths)]
     lines = []

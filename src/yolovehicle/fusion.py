@@ -118,21 +118,26 @@ def fuse_forward(features: MultiScaleFeatures, text: TextFeature, params: Fusion
 
 def fuse_backward(cache, grad_output: np.ndarray) -> FusionParams:
     """Parameter gradients as a FusionParams; w_out is None when the params
-    have no output projection."""
+    have no output projection.
+
+    The outer products of two row vectors are broadcast products rather
+    than (n, 1) @ (1, m) matmuls: each entry is one correctly rounded
+    product either way, and the broadcast skips the GEMM set-up.
+    """
     params, pooled, a, tp, tk, zcat, g, att, att_cache, text, final, target_shape = cache
     gflat = grad_output.reshape(1, -1)
     gw_out = None
     if int(np.prod(target_shape)) == final.shape[1]:
         gfinal = gflat
     else:
-        gw_out = gflat.T @ final
+        gw_out = gflat.T * final
         gfinal = gflat @ params.w_out
     gfused = gfinal  # PE is an additive constant
     gg = gfused * (a - att)
     ga = gfused * g
     gatt = gfused * (1.0 - g)
     gzg = tc.sigmoid_backward(g, gg)
-    gw_gate = gzg.T @ zcat
+    gw_gate = gzg.T * zcat
     gb_gate = gzg.copy()
     gzcat = gzg @ params.w_gate
     ga = ga + gzcat[:, : a.shape[1]]
@@ -142,9 +147,9 @@ def fuse_backward(cache, grad_output: np.ndarray) -> FusionParams:
     gtk = gk + gv
     return replace(
         params,
-        w_img=ga.T @ pooled,
+        w_img=ga.T * pooled,
         b_img=ga.copy(),
-        w_text=gtp.T @ text.pooled + gtk.T @ text.tokens,
+        w_text=gtp.T * text.pooled + gtk.T @ text.tokens,
         b_text=gtp + gtk.sum(axis=0, keepdims=True),
         w_gate=gw_gate,
         b_gate=gb_gate,

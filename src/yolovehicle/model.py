@@ -33,10 +33,17 @@ class ModelBundle:
         return self.head.n_classes
 
 
-def init_bundle(seed: int, channels: int = 8, n_classes: int = 3,
-                reg_max: int = 7, gen_channels: int = 8, n_blocks: int = 2,
-                window: int = 4, heads: int = 2) -> ModelBundle:
-    rng = tc.Rng(seed)
+class _ZeroRng:
+    """Stands in for tc.Rng where only the names and shapes of the weights
+    are needed: every draw is zeros, and nothing is drawn."""
+
+    def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
+        return np.zeros(shape, tc.DTYPE)
+
+
+def _build_bundle(rng, channels: int, n_classes: int, reg_max: int,
+                  gen_channels: int, n_blocks: int, window: int,
+                  heads: int) -> ModelBundle:
     return ModelBundle(
         text=enc.init_text_encoder(rng),
         backbone=enc.init_backbone(rng, channels),
@@ -44,6 +51,13 @@ def init_bundle(seed: int, channels: int = 8, n_classes: int = 3,
         head=det.init_head(rng, FEATURE_SHAPE[0], n_classes, reg_max),
         gen=dh.init_generator(rng, gen_channels, n_blocks, window, heads),
     )
+
+
+def init_bundle(seed: int, channels: int = 8, n_classes: int = 3,
+                reg_max: int = 7, gen_channels: int = 8, n_blocks: int = 2,
+                window: int = 4, heads: int = 2) -> ModelBundle:
+    return _build_bundle(tc.Rng(seed), channels, n_classes, reg_max,
+                         gen_channels, n_blocks, window, heads)
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
@@ -61,8 +75,11 @@ def load_bundle(path) -> ModelBundle:
     if "meta" not in tensors:
         raise ValueError(f"weights archive {path} has no meta record")
     channels, n_classes, reg_max, gc, nb, window, heads = (int(v) for v in tensors["meta"])
-    bundle = init_bundle(0, channels=channels, n_classes=n_classes, reg_max=reg_max,
-                         gen_channels=gc, n_blocks=nb, window=window, heads=heads)
+    # a zero-filled template: its names and shapes check the archive, and
+    # every tensor in it is then replaced by the stored one
+    bundle = _build_bundle(_ZeroRng(), channels=channels, n_classes=n_classes,
+                           reg_max=reg_max, gen_channels=gc, n_blocks=nb,
+                           window=window, heads=heads)
     expected = dict(tc.param_items(bundle))
     stored = set(tensors) - {"meta"}
     if expected.keys() != stored:
@@ -153,9 +170,11 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
             hgrads, g_feat = det.head_backward(fused.output, bundle.head,
                                                g_obj, g_box, g_cls)
             fgrads = fu.fuse_backward(cache, g_feat)
+            # the scene's gradients are fresh arrays: divide them in place
             for name, g in [*tc.param_items(fgrads, "fusion"),
                             *tc.param_items(hgrads, "head")]:
-                grads[name] += g / n_scenes
+                g /= n_scenes
+                grads[name] += g
             totals += np.array([loss.total, loss.l_cls, loss.l_bbox, loss.l_dfl])
         totals /= n_scenes
         rows.append((step, *[float(v) for v in totals]))

@@ -26,12 +26,25 @@ class Adam:
         out = {}
         for name, p in params.items():
             g = np.asarray(grads[name], dtype=np.float64)
-            m = self.m.get(name, np.zeros_like(g))
-            v = self.v.get(name, np.zeros_like(g))
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self.m[name] = m
-            self.v[name] = v
-            step = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            out[name] = (p.astype(np.float64) - step).astype(p.dtype)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(g)
+                self.v[name] = np.zeros_like(g)
+            # the moments are owned here and updated in place, with the same
+            # roundings as beta1 * m + (1 - beta1) * g and
+            # beta2 * v + (1 - beta2) * g * g
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps), one temporary per term
+            step = m / bc1
+            step *= self.lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            new = p.astype(np.float64)
+            new -= step
+            out[name] = new.astype(p.dtype)
         return out

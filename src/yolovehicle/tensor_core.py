@@ -103,7 +103,19 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
 
 
 def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * y * (1.0 - y)
+    """grad_out * y * (1 - y), with subnormal results flushed to a zero of
+    the same sign.
+
+    A saturated sigmoid gives gradients below the dtype's smallest normal
+    (about 1.2e-38 in float32), and every later product with them takes the
+    processor's slow subnormal path. They, and the products they enter,
+    lie far below half an ulp of the gradients they are summed with, so
+    train_toy's losses and trained weights come out bit-identical with and
+    without the flush.
+    """
+    g = np.asarray(grad_out * y * (1.0 - y))
+    tiny = np.finfo(g.dtype).tiny
+    return np.where(np.abs(g) < tiny, g * 0.0, g)
 
 
 def leaky_relu(v: np.ndarray, slope: float = 0.01) -> np.ndarray:

@@ -288,3 +288,49 @@ class TestConfigPrecedence:
                     "--seed", "1", "--output", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert "nonsense" in capsys.readouterr().err
+
+    def test_config_seed_acts_as_seed_flag(self, tmp_path, image_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no weights.bin here
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=3\n")
+        outs = {name: tmp_path / f"{name}.jsonl"
+                for name in ("config", "flag", "flag_over_config", "other")}
+        common = ["detect", "--image", image_path, "--obj-thresh", "0.3"]
+        assert run(common + ["--config", str(cfg),
+                             "--output", str(outs["config"])]) == 0
+        assert run(common + ["--seed", "3", "--output", str(outs["flag"])]) == 0
+        assert run(common + ["--config", str(cfg), "--seed", "5",
+                             "--output", str(outs["flag_over_config"])]) == 0
+        assert run(common + ["--seed", "5", "--output", str(outs["other"])]) == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["flag_over_config"].read_bytes() == outs["other"].read_bytes()
+        # the two seeds give different weights, so the checks above can fail
+        assert outs["flag"].read_bytes() != outs["other"].read_bytes()
+
+    def test_schema_default_seed_is_not_a_fixed_seed(self, tmp_path, image_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tau=0.5\n")
+        assert run(["detect", "--image", image_path, "--config", str(cfg),
+                    "--output", str(tmp_path / "o.jsonl")]) == 1
+        assert "weights archive not found: weights.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--image", "x.ppm"],
+        ["dehaze", "--image", "x.ppm"],
+        ["train-toy"],
+        ["bench", "--input-dir", "x"],
+        ["serve-edge", "--input-dir", "x"],
+        ["serve-cloud"],
+    ])
+    def test_every_seeded_command_reads_config_seed(self, tmp_path, argv):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=3\n")
+        parser = cli.build_parser()
+        assert cli.effective_config(parser.parse_args(argv))["seed"] is None
+        assert cli.effective_config(
+            parser.parse_args(argv + ["--config", str(cfg)]))["seed"] == 3
+        assert cli.effective_config(
+            parser.parse_args(argv + ["--config", str(cfg), "--seed", "4"]))["seed"] == 4

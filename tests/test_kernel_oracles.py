@@ -2,18 +2,25 @@
 
 The references are the straightforward forms of each kernel: a per-channel
 loop im2col/col2im, a three-line softmax, attention over the whole batch at
-once and a dehaze forward built from those. The fast kernels do the same
-arithmetic in the same order, so every comparison is array_equal.
+once, a dehaze forward built from those, the unflushed sigmoid gradient, a
+fusion backward with matmul outer products and an out-of-place Adam. The
+fast kernels do the same arithmetic in the same order, so every comparison
+is array_equal; the one exception is the sigmoid gradient's flush of
+subnormal results to zero, which the saturated-gate tests pin down.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from yolovehicle import dehaze as dh
+from yolovehicle import fusion as fu
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
+from yolovehicle.encoders import MultiScaleFeatures, TextFeature
+from yolovehicle.optim import Adam
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +109,62 @@ def ref_dehaze_forward(hazy, gen):
         u = s * gate[0][:, None, None] + ref_wmsa(s, b.wmsa)
         f = conv(u, b.out)
     return tc.clamp01(hazy + conv(f, gen.head))
+
+
+def ref_sigmoid_backward(y, grad_out):
+    return grad_out * y * (1.0 - y)
+
+
+def ref_fuse_backward(cache, grad_output, sigmoid_backward=ref_sigmoid_backward):
+    """fuse_backward with (n, 1) @ (1, m) matmul outer products."""
+    params, pooled, a, tp, tk, zcat, g, att, att_cache, text, final, target_shape = cache
+    gflat = grad_output.reshape(1, -1)
+    gw_out = None
+    if int(np.prod(target_shape)) == final.shape[1]:
+        gfinal = gflat
+    else:
+        gw_out = gflat.T @ final
+        gfinal = gflat @ params.w_out
+    gg = gfinal * (a - att)
+    ga = gfinal * g
+    gatt = gfinal * (1.0 - g)
+    gzg = sigmoid_backward(g, gg)
+    gzcat = gzg @ params.w_gate
+    ga = ga + gzcat[:, : a.shape[1]]
+    gtp = gzcat[:, a.shape[1]:]
+    gq, gk, gv = tc.multi_head_attention_backward(att_cache, gatt)
+    ga = ga + gq
+    gtk = gk + gv
+    return replace(
+        params,
+        w_img=ga.T @ pooled,
+        b_img=ga.copy(),
+        w_text=gtp.T @ text.pooled + gtk.T @ text.tokens,
+        b_text=gtp + gtk.sum(axis=0, keepdims=True),
+        w_gate=gzg.T @ zcat,
+        b_gate=gzg.copy(),
+        w_out=gw_out,
+    )
+
+
+def ref_adam_steps(params, grad_seq, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Textbook Adam, out of place; returns the parameters after each step
+    and the final moments."""
+    m = {k: np.zeros(p.shape, np.float64) for k, p in params.items()}
+    v = {k: np.zeros(p.shape, np.float64) for k, p in params.items()}
+    history = []
+    for t, grads in enumerate(grad_seq, 1):
+        bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+        new = {}
+        for name, p in params.items():
+            g = np.asarray(grads[name], dtype=np.float64)
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            step = lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+            new[name] = (p.astype(np.float64) - step).astype(p.dtype)
+        params = new
+        history.append(params)
+    return history, m, v
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +262,112 @@ def test_dehaze_forward_equals_reference_composition(h, w):
     assert any(b.wmsa.shift for b in gen.blocks)
     hazy = dh.synthesize_haze(tc.Rng(970 + h).uniform(0, 1, (3, h, w)), 0.3)
     assert np.array_equal(dh.dehaze_forward(hazy, gen), ref_dehaze_forward(hazy, gen))
+
+
+def is_subnormal(x):
+    return (x != 0) & (np.abs(x) < np.finfo(x.dtype).tiny)
+
+
+def test_sigmoid_backward_equals_three_line_form():
+    rng = tc.Rng(980)
+    y64 = tc.sigmoid(rng.uniform(-30, 30, (64, 64)).astype(np.float64))
+    g64 = rng.uniform(-1, 1, (64, 64)).astype(np.float64)
+    assert np.array_equal(tc.sigmoid_backward(y64, g64), ref_sigmoid_backward(y64, g64))
+    y32 = tc.sigmoid(rng.uniform(-12, 12, (64, 64)))
+    g32 = rng.uniform(-1, 1, (64, 64))
+    ref = ref_sigmoid_backward(y32, g32)
+    assert ref.dtype == np.float32 and not is_subnormal(ref).any()
+    out = tc.sigmoid_backward(y32, g32)
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_sigmoid_backward_flushes_subnormals_to_signed_zero():
+    y = np.array([1e-38, 1e-38, 0.5, 1.0, 1.0, 1e-38], np.float32)
+    g = np.array([0.5, -0.5, 1e-30, 1.0, -1.0, 2.0], np.float32)
+    ref = ref_sigmoid_backward(y, g)
+    assert is_subnormal(ref).tolist() == [True, True, False, False, False, False]
+    out = tc.sigmoid_backward(y, g)
+    assert out.tolist() == [0.0, 0.0, *ref[2:].tolist()]
+    assert np.array_equal(np.signbit(out), np.signbit(ref))  # -0.0 stays -0.0
+
+
+def fusion_case(seed, output_shape=(8, 8, 8), b_gate=None):
+    rng = tc.Rng(seed)
+    params = fu.init_fusion(rng, 8, output_shape=output_shape)
+    if b_gate is not None:
+        params.b_gate = np.full((1, fu.FUSED_DIM), b_gate, np.float32)
+    feats = MultiScaleFeatures(*(rng.uniform(-1, 1, (8, s, s)) for s in (8, 4, 2)))
+    text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
+                       tokens=rng.uniform(-1, 1, (3, 512)))
+    _, cache = fu.fuse_forward(feats, text, params, output_shape)
+    return cache, rng.uniform(-1, 1, output_shape)
+
+
+@pytest.mark.parametrize("output_shape", [(8, 8, 8), (4, 4, 4)])
+@pytest.mark.parametrize("seed", [990, 991, 992])
+def test_fuse_backward_equals_matmul_reference(seed, output_shape):
+    cache, grad = fusion_case(seed, output_shape)
+    out = dict(tc.param_items(fu.fuse_backward(cache, grad)))
+    ref = dict(tc.param_items(ref_fuse_backward(cache, grad)))
+    assert out.keys() == ref.keys()
+    assert ("w_out" in out) == (output_shape != (8, 8, 8))
+    for name in ref:
+        assert out[name].dtype == ref[name].dtype, name
+        assert np.array_equal(out[name], ref[name]), name
+
+
+@pytest.mark.parametrize("b_gate", [-87.0, -100.0])
+@pytest.mark.parametrize("seed", [993, 994, 995, 996])
+def test_fuse_backward_saturated_gate_flushes_only_subnormal_gate_grads(seed, b_gate):
+    cache, grad = fusion_case(seed, b_gate=b_gate)
+    out = fu.fuse_backward(cache, grad)
+    ref = ref_fuse_backward(cache, grad)
+    # the gate gradient: subnormal entries of the reference are zeros now,
+    # every other entry is unchanged
+    flushed = is_subnormal(ref.b_gate)
+    assert flushed.sum() > 300
+    assert np.all(out.b_gate[flushed] == 0)
+    assert np.array_equal(out.b_gate[~flushed], ref.b_gate[~flushed])
+    # w_gate is the outer product gzg.T * zcat: a flushed row is zero, and
+    # the other rows keep their bits, subnormal products included
+    rows = flushed[0]
+    assert np.all(out.w_gate[rows] == 0)
+    assert np.array_equal(out.w_gate[~rows], ref.w_gate[~rows])
+    # the flushed values vanish in the sums that carry them to the image
+    # and text projections
+    for name in ("w_img", "b_img", "w_text", "b_text"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+    # with the same flush in the reference, the broadcast outer products
+    # equal the matmul ones everywhere
+    flushed_ref = ref_fuse_backward(cache, grad, tc.sigmoid_backward)
+    for (name, a), (_, b) in zip(tc.param_items(out), tc.param_items(flushed_ref)):
+        assert np.array_equal(a, b), name
+
+
+def test_adam_equals_out_of_place_reference():
+    rng = tc.Rng(997)
+    params = {"w": rng.uniform(-1, 1, (16, 24)), "b": np.zeros(24, np.float32),
+              "d": rng.uniform(-1, 1, (5,)).astype(np.float64)}
+    grad_seq = [{"w": rng.uniform(-1, 1, (16, 24)).astype(np.float64),
+                 "b": rng.uniform(-1e-3, 1e-3, (24,)),  # float32, cast inside
+                 "d": rng.uniform(-1, 1, (5,)).astype(np.float64)}
+                for _ in range(5)]
+    before = ({k: v.copy() for k, v in params.items()},
+              [{k: v.copy() for k, v in g.items()} for g in grad_seq])
+    history, ref_m, ref_v = ref_adam_steps(params, grad_seq)
+    opt = Adam(lr=0.01)
+    current = params
+    for grads, ref in zip(grad_seq, history):
+        current = opt.step(current, grads)
+        for name in ref:
+            assert current[name].dtype == ref[name].dtype, name
+            assert np.array_equal(current[name], ref[name]), name
+    for name in params:
+        assert np.array_equal(opt.m[name], ref_m[name])
+        assert np.array_equal(opt.v[name], ref_v[name])
+    # the step reads its inputs and owns only its moments
+    for name in params:
+        assert np.array_equal(params[name], before[0][name])
+        for g, g0 in zip(grad_seq, before[1]):
+            assert np.array_equal(g[name], g0[name])
