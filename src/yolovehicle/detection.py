@@ -139,13 +139,13 @@ def iou(a: BBox, b: BBox) -> float:
 
 
 def ciou_loss_with_grad(pred: np.ndarray, gt: BBox, alpha: float | None = None):
-    """CIoU loss and its gradient wrt pred = [cx, cy, w, h].
+    """CIoU loss, its gradient wrt pred = [cx, cy, w, h], and the
+    aspect-ratio weight alpha the loss used.
 
-    The aspect-ratio weight alpha is treated as a constant during the
-    gradient, matching the usual CIoU training convention. Passing alpha
-    pins it in the forward value too, which makes the loss exactly the
-    function the gradient differentiates (used by the gradient-check
-    oracle).
+    Alpha is treated as a constant during the gradient, matching the usual
+    CIoU training convention. Passing the returned alpha back in pins it in
+    the forward value, which makes the loss exactly the function the
+    gradient differentiates (used by the gradient-check oracle).
     """
     if gt.w <= 0 or gt.h <= 0:
         raise ValueError(f"degenerate ground-truth box w={gt.w} h={gt.h}")
@@ -214,16 +214,7 @@ def ciou_loss_with_grad(pred: np.ndarray, gt: BBox, alpha: float | None = None):
 
     loss = 1.0 - iou_v + rho2 / c2 + alpha * v
     grad = -g_iou + g_dist + alpha * g_v
-    return float(loss), grad
-
-
-def ciou_alpha(pred: np.ndarray, gt: BBox) -> float:
-    """The aspect-ratio weight alpha at this prediction (held constant in grads)."""
-    p = BBox(*(float(v) for v in pred))
-    iou_v = iou(p, gt)
-    delta = math.atan2(float(gt.w), float(gt.h)) - math.atan2(p.w, p.h)
-    v = (4.0 / math.pi ** 2) * delta * delta
-    return 0.0 if (1.0 - iou_v) + v == 0 else float(v / ((1.0 - iou_v) + v))
+    return float(loss), grad, alpha
 
 
 def dfl_loss_with_grad(dist_logits: np.ndarray, target: float):
@@ -347,8 +338,7 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLos
             box, e = _decoded_box(probs, r, c, grid)
             gt = targets.boxes[(r, c)]
             pinned = None if frozen_alphas is None else frozen_alphas[(r, c)]
-            closs, cg = ciou_loss_with_grad(box, gt, alpha=pinned)
-            alphas[(r, c)] = pinned if pinned is not None else ciou_alpha(box, gt)
+            closs, cg, alphas[(r, c)] = ciou_loss_with_grad(box, gt, alpha=pinned)
             l_bbox += closs
             # chain box params -> expected distances -> bin logits
             gcx, gcy, gw, gh = cg

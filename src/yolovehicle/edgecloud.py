@@ -25,7 +25,7 @@ from scipy import ndimage
 from . import detection as det
 from . import model as md
 from .metrics import TimingRecord, throughput
-from .ppm import read_ppm
+from .ppm import image_to_rgb8, read_ppm, rgb8_to_image
 
 MAGIC = b"\x59\x56"
 VERSION = 0x01
@@ -83,10 +83,9 @@ def encode_message(msg: WireMessage) -> bytes:
     return header + msg.payload + crc
 
 
-def decode_message(buf: bytes) -> WireMessage:
-    """Decodes exactly one frame; raises a typed WireError, never crashes."""
-    if len(buf) < HEADER.size:
-        raise BadLength(f"frame shorter than header: {len(buf)} bytes")
+def _check_header(buf: bytes):
+    """Magic, version and declared length, in that order; returns
+    (msg_type, payload_len)."""
     magic, version, msg_type, payload_len = HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
@@ -94,6 +93,14 @@ def decode_message(buf: bytes) -> WireMessage:
         raise BadVersion(f"unsupported version {version:#04x}")
     if payload_len > MAX_PAYLOAD:
         raise BadLength(f"declared payload too large: {payload_len} bytes")
+    return msg_type, payload_len
+
+
+def decode_message(buf: bytes) -> WireMessage:
+    """Decodes exactly one frame; raises a typed WireError, never crashes."""
+    if len(buf) < HEADER.size:
+        raise BadLength(f"frame shorter than header: {len(buf)} bytes")
+    msg_type, payload_len = _check_header(buf)
     if len(buf) != HEADER.size + payload_len + 4:
         raise BadLength(f"frame is {len(buf)} bytes, expected "
                         f"{HEADER.size + payload_len + 4}")
@@ -146,17 +153,13 @@ def decode_frame_payload(buf: bytes) -> FramePayload:
 
 
 def image_to_frame_payload(frame_id: int, image: np.ndarray) -> FramePayload:
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected a 3xHxW image, got {image.shape}")
+    pixels = image_to_rgb8(image)
     _, h, w = image.shape
-    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    return FramePayload(frame_id, w, h, 3, pixels.transpose(1, 2, 0).tobytes())
+    return FramePayload(frame_id, w, h, 3, pixels)
 
 
 def frame_payload_to_image(frame: FramePayload) -> np.ndarray:
-    arr = np.frombuffer(frame.pixels, dtype=np.uint8)
-    arr = arr.reshape(frame.height, frame.width, 3).transpose(2, 0, 1)
-    return arr.astype(np.float32) / 255.0
+    return rgb8_to_image(frame.pixels, frame.height, frame.width)
 
 
 _RESP_HEAD = struct.Struct("<QdI")
@@ -267,17 +270,13 @@ class LoopbackTransport:
     """In-process stand-in for the socket link; same framed contract."""
 
     def __init__(self, bundle: md.ModelBundle, text: str = "car, truck, bus",
-                 obj_thresh: float = 0.5, nms_iou: float = 0.5,
-                 fail: bool = False):
+                 obj_thresh: float = 0.5, nms_iou: float = 0.5):
         self.bundle = bundle
         self.text = text
         self.obj_thresh = obj_thresh
         self.nms_iou = nms_iou
-        self.fail = fail
 
     def request(self, data: bytes) -> bytes:
-        if self.fail:
-            raise ConnectionError("loopback transport forced offline")
         return handle_request(data, self.bundle, self.text,
                               self.obj_thresh, self.nms_iou)
 
@@ -297,12 +296,12 @@ def _recv_exact(sock, n: int) -> bytes:
 
 
 def _recv_frame(sock) -> bytes:
-    """One length-delimited frame off the stream. Resynchronization relies
-    on the length field, so it is read before the header is validated."""
+    """One length-delimited frame off the stream. The declared length is
+    trusted only after the magic and version check out, so a peer that
+    speaks another protocol gets a typed error at once instead of a read
+    that waits for bytes it will never send."""
     head = _recv_exact(sock, HEADER.size)
-    (payload_len,) = struct.unpack_from("<I", head, 4)
-    if payload_len > MAX_PAYLOAD:
-        raise BadLength(f"declared payload too large: {payload_len} bytes")
+    _, payload_len = _check_header(head)
     return head + _recv_exact(sock, payload_len + 4)
 
 
@@ -342,7 +341,8 @@ class _CloudHandler(socketserver.BaseRequestHandler):
             except ConnectionError:
                 return
             except WireError as e:
-                # framing is unrecoverable without a trusted length field
+                # the stream cannot be resynchronised without a trusted
+                # header: answer once and close
                 self.request.sendall(encode_error(e))
                 return
             except OSError:
@@ -417,9 +417,9 @@ def _log(message: str) -> None:
 
 def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
                transport=None, cloud_addr: str | None = None,
-               timeout_ms: float = 1000.0, added_delay_ms: float = 0.0,
-               text: str = "car, truck, bus", obj_thresh: float = 0.5,
-               nms_iou: float = 0.5, emit=None, timing_in_output: bool = True):
+               timeout_ms: float = 1000.0, text: str = "car, truck, bus",
+               obj_thresh: float = 0.5, nms_iou: float = 0.5, emit=None,
+               timing_in_output: bool = True):
     """Processes (frame_id, image) pairs under the offload policy.
 
     Edge route runs detection directly; Cloud route ships the frame to the
@@ -466,7 +466,7 @@ def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
             if route is Route.EDGE:
                 dets, _ = md.detect_frame(image, text, bundle,
                                           obj_thresh=obj_thresh, nms_iou=nms_iou)
-            elapsed = (time.perf_counter() - start) * 1000.0 + added_delay_ms
+            elapsed = (time.perf_counter() - start) * 1000.0
             stats.frames += 1
             stats.edge += route is Route.EDGE
             stats.cloud += route is Route.CLOUD

@@ -17,9 +17,6 @@ from . import fusion as fu
 from . import tensor_core as tc
 from .optim import Adam
 
-FEATURE_SHAPE = (8, 8, 8)
-
-
 @dataclass
 class ModelBundle:
     text: enc.TextEncoderParams
@@ -41,31 +38,28 @@ class _ZeroRng:
         return np.zeros(shape, tc.DTYPE)
 
 
-def _build_bundle(rng, channels: int, n_classes: int, reg_max: int,
-                  gen_channels: int, n_blocks: int, window: int,
-                  heads: int) -> ModelBundle:
+def _build_bundle(rng) -> ModelBundle:
+    """The one architecture: every command builds it, every archive holds it."""
     return ModelBundle(
         text=enc.init_text_encoder(rng),
-        backbone=enc.init_backbone(rng, channels),
-        fusion=fu.init_fusion(rng, channels, output_shape=FEATURE_SHAPE),
-        head=det.init_head(rng, FEATURE_SHAPE[0], n_classes, reg_max),
-        gen=dh.init_generator(rng, gen_channels, n_blocks, window, heads),
+        backbone=enc.init_backbone(rng, channels=8),
+        fusion=fu.init_fusion(rng, channels=8),
+        head=det.init_head(rng, fu.FEATURE_SHAPE[0], n_classes=3, reg_max=7),
+        gen=dh.init_generator(rng, channels=8, n_blocks=2, window=4, heads=2),
     )
 
 
-def init_bundle(seed: int, channels: int = 8, n_classes: int = 3,
-                reg_max: int = 7, gen_channels: int = 8, n_blocks: int = 2,
-                window: int = 4, heads: int = 2) -> ModelBundle:
-    return _build_bundle(tc.Rng(seed), channels, n_classes, reg_max,
-                         gen_channels, n_blocks, window, heads)
+# the archive's stamp of that architecture: backbone channels, classes,
+# reg_max, generator channels, generator blocks, window and attention heads
+META = np.array([8, 3, 7, 8, 2, 4, 2], np.float32)
+
+
+def init_bundle(seed: int) -> ModelBundle:
+    return _build_bundle(tc.Rng(seed))
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    meta = np.array([bundle.backbone.channels, bundle.head.n_classes,
-                     bundle.head.reg_max, bundle.gen.blocks[0].stem.w.shape[0],
-                     len(bundle.gen.blocks), bundle.gen.window,
-                     bundle.gen.blocks[0].wmsa.heads], dtype=np.float32)
-    tensors = {"meta": meta}
+    tensors = {"meta": META}
     tensors.update(tc.param_items(bundle))
     tc.save_archive(path, tensors)
 
@@ -74,12 +68,12 @@ def load_bundle(path) -> ModelBundle:
     tensors = tc.load_archive(path)
     if "meta" not in tensors:
         raise ValueError(f"weights archive {path} has no meta record")
-    channels, n_classes, reg_max, gc, nb, window, heads = (int(v) for v in tensors["meta"])
+    if not np.array_equal(tensors["meta"], META):
+        raise ValueError(f"weights archive {path} has meta "
+                         f"{tensors['meta'].tolist()}, expected {META.tolist()}")
     # a zero-filled template: its names and shapes check the archive, and
     # every tensor in it is then replaced by the stored one
-    bundle = _build_bundle(_ZeroRng(), channels=channels, n_classes=n_classes,
-                           reg_max=reg_max, gen_channels=gc, n_blocks=nb,
-                           window=window, heads=heads)
+    bundle = _build_bundle(_ZeroRng())
     expected = dict(tc.param_items(bundle))
     stored = set(tensors) - {"meta"}
     if expected.keys() != stored:
@@ -107,8 +101,8 @@ def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
         image = dh.dehaze_forward(image, bundle.gen)
     feats = enc.backbone_extract(image, bundle.backbone)
     tf = enc.text_encode(enc.TextInput(text), bundle.text)
-    fused, _ = fu.fuse_forward(feats, tf, bundle.fusion, FEATURE_SHAPE)
-    out = det.head_forward(fused.output, bundle.head)
+    fmap, _ = fu.fuse_forward(feats, tf, bundle.fusion)
+    out = det.head_forward(fmap, bundle.head)
     dets = det.decode_detections(out, obj_thresh, nms_iou)
     return dets, (time.perf_counter() - start) * 1000.0
 
@@ -135,9 +129,12 @@ def make_toy_scene(rng: tc.Rng, n_classes: int = 3, size: int = 64):
     return np.clip(image, 0.0, 1.0), gts
 
 
+TOY_SCENES = 8  # the synthetic scenes train_toy overfits
+
+
 def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
               weights: det.DetectLossWeights | None = None,
-              text: str = "car, truck, bus", n_scenes: int = 8, log=None):
+              text: str = "car, truck, bus", log=None):
     """Overfits fusion + head on a handful of synthetic scenes.
 
     Text encoder and backbone stay fixed, so per-scene features are computed
@@ -149,10 +146,10 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
     weights = weights or det.DetectLossWeights()
     bundle = init_bundle(seed)
     rng = tc.Rng(seed + 1)
-    scenes = [make_toy_scene(rng, bundle.n_classes) for _ in range(n_scenes)]
+    scenes = [make_toy_scene(rng, bundle.n_classes) for _ in range(TOY_SCENES)]
     feats = [enc.backbone_extract(img, bundle.backbone) for img, _ in scenes]
     tf = enc.text_encode(enc.TextInput(text), bundle.text)
-    grid = FEATURE_SHAPE[1:]
+    grid = fu.FEATURE_SHAPE[1:]
     targets = [det.assign_targets(gts, grid, bundle.head.reg_max)
                for _, gts in scenes]
 
@@ -164,19 +161,19 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
         grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
         totals = np.zeros(4)
         for f, t in zip(feats, targets):
-            fused, cache = fu.fuse_forward(f, tf, bundle.fusion, FEATURE_SHAPE)
-            out = det.head_forward(fused.output, bundle.head)
+            fmap, cache = fu.fuse_forward(f, tf, bundle.fusion)
+            out = det.head_forward(fmap, bundle.head)
             loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(out, t, weights)
-            hgrads, g_feat = det.head_backward(fused.output, bundle.head,
+            hgrads, g_feat = det.head_backward(fmap, bundle.head,
                                                g_obj, g_box, g_cls)
             fgrads = fu.fuse_backward(cache, g_feat)
             # the scene's gradients are fresh arrays: divide them in place
             for name, g in [*tc.param_items(fgrads, "fusion"),
                             *tc.param_items(hgrads, "head")]:
-                g /= n_scenes
+                g /= TOY_SCENES
                 grads[name] += g
             totals += np.array([loss.total, loss.l_cls, loss.l_bbox, loss.l_dfl])
-        totals /= n_scenes
+        totals /= TOY_SCENES
         rows.append((step, *[float(v) for v in totals]))
         if log is not None:
             log("%d,%.6f,%.6f,%.6f,%.6f" % rows[-1])

@@ -25,6 +25,21 @@ def _read_header_token(buf: bytes, pos: int):
     return buf[start:pos], pos
 
 
+def image_to_rgb8(image: np.ndarray) -> bytes:
+    """A 3xHxW image in [0, 1] as row-major 8-bit RGB: H rows of W pixels of
+    3 bytes, each sample rounded to the nearest of 256 levels."""
+    if image.ndim != 3 or image.shape[0] != 3:
+        raise ValueError(f"expected a 3xHxW image, got {image.shape}")
+    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+    return pixels.transpose(1, 2, 0).tobytes()
+
+
+def rgb8_to_image(pixels: bytes, height: int, width: int) -> np.ndarray:
+    """The inverse of image_to_rgb8: a 3xHxW float32 image in [0, 1]."""
+    arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width, 3)
+    return arr.transpose(2, 0, 1).astype(np.float32) / 255.0
+
+
 def image_from_ppm_bytes(buf: bytes) -> np.ndarray:
     magic, pos = _read_header_token(buf, 0)
     if magic != b"P6":
@@ -42,16 +57,13 @@ def image_from_ppm_bytes(buf: bytes) -> np.ndarray:
     data = buf[pos:pos + w * h * 3]
     if len(data) != w * h * 3:
         raise ValueError(f"pixel data truncated: {len(data)} of {w * h * 3} bytes")
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
-    return (arr.transpose(2, 0, 1).astype(np.float32) / 255.0)
+    return rgb8_to_image(data, h, w)
 
 
 def image_to_ppm_bytes(image: np.ndarray) -> bytes:
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected a 3xHxW image, got {image.shape}")
+    pixels = image_to_rgb8(image)
     _, h, w = image.shape
-    pixels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
-    return b"P6\n%d %d\n255\n" % (w, h) + pixels.transpose(1, 2, 0).tobytes()
+    return b"P6\n%d %d\n255\n" % (w, h) + pixels
 
 
 def read_ppm(path) -> np.ndarray:

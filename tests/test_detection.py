@@ -108,14 +108,29 @@ class TestCiou:
         gt = det.BBox(0.55, 0.52, 0.25, 0.2)
         iou_v = det.iou(det.BBox(*pred), gt)
         v = (4 / math.pi ** 2) * (math.atan(0.25 / 0.2) - math.atan(0.2 / 0.3)) ** 2
-        assert abs(det.ciou_alpha(pred, gt) - v / ((1 - iou_v) + v)) < 1e-12
+        _, _, alpha = det.ciou_loss_with_grad(pred, gt)
+        assert abs(alpha - v / ((1 - iou_v) + v)) < 1e-12
 
     def test_pinned_alpha_changes_only_aspect_term(self):
         pred = np.array([0.45, 0.5, 0.2, 0.3])
         gt = det.BBox(0.55, 0.52, 0.25, 0.2)
-        free, _ = det.ciou_loss_with_grad(pred, gt)
-        pinned, _ = det.ciou_loss_with_grad(pred, gt, alpha=det.ciou_alpha(pred, gt))
+        free, _, alpha = det.ciou_loss_with_grad(pred, gt)
+        pinned, _, same = det.ciou_loss_with_grad(pred, gt, alpha=alpha)
         assert abs(free - pinned) < 1e-12
+        assert same == alpha
+
+    def test_returned_alpha_reproduces_the_loss_bit_for_bit(self):
+        # pair 13 of this stream is one where an alpha recomputed from the
+        # boxes' w * h areas, rather than the loss's own corner differences,
+        # moves the loss by an ulp
+        rng = np.random.default_rng(0)
+        for i in range(40):
+            pred = rng.uniform(0.05, 0.9, 4)
+            gt = det.BBox(*rng.uniform(0.05, 0.9, 4))
+            free, grad, alpha = det.ciou_loss_with_grad(pred, gt)
+            pinned, pgrad, _ = det.ciou_loss_with_grad(pred, gt, alpha=alpha)
+            assert pinned == free, i
+            assert np.array_equal(pgrad, grad), i
 
     def test_grad_check(self):
         # the aspect weight is held constant during differentiation, so the
@@ -131,10 +146,10 @@ class TestCiou:
             gc = gt.corners()
             if min(abs(p - g) for p in pc for g in gc) < 5e-3:
                 continue
-            alpha = det.ciou_alpha(pred0, gt)
+            alpha = det.ciou_loss_with_grad(pred0, gt)[2]
 
             def f(p, gt=gt, alpha=alpha):
-                return det.ciou_loss_with_grad(p, gt, alpha=alpha)
+                return det.ciou_loss_with_grad(p, gt, alpha=alpha)[:2]
 
             assert tc.grad_check(f, pred0.astype(np.float64)) < 1e-3
             checked += 1
@@ -258,6 +273,26 @@ class TestDetectLoss:
             det.DetectLossWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             det.DetectLossWeights(-1.0, 1.0, 1.0)
+
+    def test_frozen_alphas_reproduce_the_total_bit_for_bit(self):
+        # a seeded scene whose decoded box is one of the rare pairs where an
+        # alpha recomputed with other arithmetic moves the total by an ulp
+        rng = np.random.default_rng(2874)
+        zero, zero_cls = np.zeros((1, 8, 8)), np.zeros((3, 8, 8))
+        out = det.HeadOutput(obj=zero, box=rng.uniform(-3, 3, (32, 8, 8)),
+                             cls=zero_cls, obj_logits=zero,
+                             cls_logits=zero_cls, reg_max=7)
+        gt = det.BBox(*rng.uniform(0.1, 0.9, 2), *rng.uniform(0.05, 0.6, 2))
+        targets = det.assign_targets([gt], (8, 8))
+        weights = det.DetectLossWeights()
+        base, grads = det.detect_loss_with_grads(out, targets, weights)
+        again, again_grads = det.detect_loss_with_grads(
+            out, targets, weights, frozen_alphas=base.alphas)
+        assert again.total == base.total
+        assert again.l_bbox == base.l_bbox
+        assert again.alphas == base.alphas
+        for g, h in zip(grads, again_grads):
+            assert np.array_equal(g, h)
 
     def test_grad_check_wrt_head_params(self):
         from gradutil import coord_subset_grad_check

@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import numpy as np
@@ -14,6 +15,13 @@ def quantized_image(rng, size=32):
     """An image whose float values survive the 8-bit wire format exactly."""
     raw = np.clip(np.rint(rng.uniform(0.0, 1.0, (3, size, size)) * 255), 0, 255)
     return raw.astype(np.float32) / 255.0
+
+
+class DownTransport:
+    """A cloud link that is down: every request fails to connect."""
+
+    def request(self, data: bytes) -> bytes:
+        raise ConnectionError("cloud unreachable")
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +116,14 @@ class TestFramePayload:
         assert frame.channels == 3
         back = ec.frame_payload_to_image(frame)
         assert np.array_equal(back, img)
+
+    def test_frame_carries_the_ppm_pixels(self):
+        image = tc.Rng(44).uniform(0.0, 1.0, (3, 4, 6))
+        buf = ppm.image_to_ppm_bytes(image)
+        frame = ec.image_to_frame_payload(0, image)
+        assert buf == b"P6\n6 4\n255\n" + frame.pixels
+        assert np.array_equal(ec.frame_payload_to_image(frame),
+                              ppm.image_from_ppm_bytes(buf))
 
     def test_codec_roundtrip(self):
         frame = ec.FramePayload(77, 2, 3, 3, bytes(range(18)))
@@ -222,11 +238,37 @@ class TestSocketServer:
             bad[0] = 0x00
             err = ec.decode_message(t.request(bytes(bad)))
             assert err.msg_type == ec.MSG_ERROR
-            # connection survives: another valid ping on the same socket
+            assert err.payload[0] == ec.BadMagic.code
+            # a header that fails its check ends the connection: the length
+            # it declares is never trusted
+            with pytest.raises(OSError):
+                t.request(ec.encode_message(ec.WireMessage(ec.MSG_PING)))
+            # the server itself goes on: a new connection is served
             pong = ec.decode_message(t.request(
                 ec.encode_message(ec.WireMessage(ec.MSG_PING))))
             assert pong.msg_type == ec.MSG_PONG
             t.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    @pytest.mark.parametrize("head, error", [
+        (bytes(ec.HEADER.size), ec.BadMagic),
+        (ec.HEADER.pack(ec.MAGIC, ec.VERSION + 1, ec.MSG_PING, 0), ec.BadVersion),
+    ], ids=["zero_bytes", "next_version"])
+    def test_bad_header_is_answered_at_once(self, bundle, head, error):
+        # each header declares an empty payload; the server must not wait
+        # for the checksum of a frame whose magic or version is wrong
+        server = ec.CloudServer("127.0.0.1:0", bundle)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            with socket.create_connection((host, port), timeout=2.0) as sock:
+                sock.sendall(head)
+                err = ec.decode_message(ec._recv_frame(sock))
+            assert err.msg_type == ec.MSG_ERROR
+            assert err.payload[0] == error.code
         finally:
             server.shutdown()
             server.server_close()
@@ -279,10 +321,9 @@ class TestEdgeServe:
 
     def test_cloud_down_falls_back_degraded(self, bundle):
         frames = [(i, quantized_image(tc.Rng(60 + i))) for i in range(4)]
-        transport = ec.LoopbackTransport(bundle, fail=True)
         stats, results = ec.edge_serve(
             frames, ec.OffloadPolicy("always_cloud"), bundle,
-            transport=transport)
+            transport=DownTransport())
         assert stats.frames == 4
         assert stats.degraded == 4
         assert stats.edge == 4 and stats.cloud == 0

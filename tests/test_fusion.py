@@ -25,13 +25,16 @@ def params():
     return fu.init_fusion(tc.Rng(50), channels=8)
 
 
-def forward(feats, text, params, target_shape=(8, 8, 8)):
-    """fuse_forward's result plus the image projection a, the projected text
-    tp and tk, the gate g and the attention readout att, unpacked from the
-    cache as fuse_backward unpacks it."""
-    result, cache = fu.fuse_forward(feats, text, params, target_shape)
-    _, _, a, tp, tk, _, g, att, _, _, _, _ = cache
-    return result, a, tp, tk, g, att
+def forward(feats, text, params):
+    """The fused vector g * a + (1 - g) * att plus the image projection a,
+    the projected text tp and tk, the gate g and the attention readout att,
+    unpacked from the cache as fuse_backward unpacks it. Checks on the way
+    that fuse_forward's map is that vector plus PE0, laid out row-major."""
+    fmap, cache = fu.fuse_forward(feats, text, params)
+    _, _, a, tp, tk, _, g, att, _, _ = cache
+    fused = g * a + (1.0 - g) * att
+    assert np.array_equal(fmap, (fused + fu.PE0).reshape(fu.FEATURE_SHAPE))
+    return fused, a, tp, tk, g, att
 
 
 class TestProjectImage:
@@ -59,7 +62,7 @@ class TestProjectImage:
     def test_channel_mismatch(self, params):
         feats = make_pyramid(tc.Rng(55), channels=4)
         with pytest.raises(ValueError):
-            fu.fuse_forward(feats, make_text(tc.Rng(49)), params, (8, 8, 8))
+            fu.fuse_forward(feats, make_text(tc.Rng(49)), params)
 
 
 class TestProjectText:
@@ -117,7 +120,7 @@ class TestCrossAttention:
         p = fu.FusionParams(**{**params.__dict__})
         p.heads = 3
         with pytest.raises(ValueError):
-            fu.fuse_forward(make_pyramid(tc.Rng(47)), make_text(tc.Rng(49)), p, (8, 8, 8))
+            fu.fuse_forward(make_pyramid(tc.Rng(47)), make_text(tc.Rng(49)), p)
 
 
 class TestGatedFuse:
@@ -129,41 +132,41 @@ class TestGatedFuse:
         p.b_text = a.copy()
         # every text token projects to a, and T=1 attention returns its single
         # value row, so any gate gives a
-        result, a, _, _, _, _ = forward(feats, make_text(tc.Rng(46), t=1), p)
-        assert np.allclose(result.fused, a, atol=1e-5)
+        fused, a, _, _, _, _ = forward(feats, make_text(tc.Rng(46), t=1), p)
+        assert np.allclose(fused, a, atol=1e-5)
 
     def test_saturated_gate_returns_img(self, params):
         rng = tc.Rng(64)
         p = fu.FusionParams(**{**params.__dict__})
         p.w_gate = np.zeros_like(params.w_gate)
         p.b_gate = np.full((1, 512), 100.0, np.float32)
-        result, a, _, _, g, _ = forward(make_pyramid(rng), make_text(rng), p)
+        fused, a, _, _, g, _ = forward(make_pyramid(rng), make_text(rng), p)
         assert np.all(g == 1.0)
-        assert np.allclose(result.fused, a, atol=1e-5)
+        assert np.allclose(fused, a, atol=1e-5)
 
-    def test_small_instance_hand_eval(self):
-        # 4-dim scaled-down gated fusion evaluated by hand: a zero image
-        # weight makes the bias the image vector, an identity text weight
-        # passes the text through
+    def test_single_head_hand_eval(self):
+        # gated fusion evaluated by hand in float64: a zero image weight
+        # makes the bias the image vector, an identity text weight passes
+        # the text through
         rng = tc.Rng(65)
-        img = rng.uniform(-1, 1, (1, 4)).astype(np.float64)
-        tok = rng.uniform(-1, 1, (2, 4)).astype(np.float64)
-        tpool = rng.uniform(-1, 1, (1, 4)).astype(np.float64)
-        w_gate = rng.uniform(-1, 1, (4, 8)).astype(np.float64)
-        b_gate = rng.uniform(-1, 1, (1, 4)).astype(np.float64)
-        params = fu.FusionParams(w_img=np.zeros((4, 3)), b_img=img, w_text=np.eye(4),
-                                 b_text=np.zeros((1, 4)), w_gate=w_gate, b_gate=b_gate,
-                                 heads=1)
+        img = rng.uniform(-1, 1, (1, 512)).astype(np.float64)
+        tok = rng.uniform(-1, 1, (2, 512)).astype(np.float64)
+        tpool = rng.uniform(-1, 1, (1, 512)).astype(np.float64)
+        w_gate = rng.uniform(-0.05, 0.05, (512, 1024)).astype(np.float64)
+        b_gate = rng.uniform(-1, 1, (1, 512)).astype(np.float64)
+        params = fu.FusionParams(w_img=np.zeros((512, 3)), b_img=img,
+                                 w_text=np.eye(512), b_text=np.zeros((1, 512)),
+                                 w_gate=w_gate, b_gate=b_gate, heads=1)
         feats = make_pyramid(rng, channels=1)
-        result, _ = fu.fuse_forward(feats, TextFeature(pooled=tpool, tokens=tok),
-                                    params, (4, 1, 1))
+        fused, _, _, _, _, _ = forward(
+            feats, TextFeature(pooled=tpool, tokens=tok), params)
 
         g = 1 / (1 + np.exp(-(np.concatenate([img, tpool], axis=1) @ w_gate.T + b_gate)))
-        logits = img @ tok.T / 2.0
+        logits = img @ tok.T / math.sqrt(512)
         w = np.exp(logits - logits.max())
         w /= w.sum()
         att = w @ tok
-        assert np.allclose(result.fused, g * img + (1 - g) * att, atol=1e-9)
+        assert np.allclose(fused, g * img + (1 - g) * att, atol=1e-9)
 
     def test_convex_combination_bound(self, params):
         rng = tc.Rng(66)
@@ -171,61 +174,47 @@ class TestGatedFuse:
             feats = MultiScaleFeatures(*[rng.uniform(-2, 2, (8, s, s)) for s in (8, 4, 2)])
             text = TextFeature(pooled=rng.uniform(-2, 2, (1, 512)),
                                tokens=rng.uniform(-2, 2, (4, 512)))
-            result, a, _, _, _, att = forward(feats, text, params)
+            fused, a, _, _, _, att = forward(feats, text, params)
             lo = np.minimum(a, att) - 1e-5
             hi = np.maximum(a, att) + 1e-5
-            assert np.all(result.fused >= lo) and np.all(result.fused <= hi)
+            assert np.all(fused >= lo) and np.all(fused <= hi)
 
 
 class TestPositionalEncoding:
     def test_pos_zero_alternating(self):
-        pe = fu.positional_encoding(1)
-        assert np.array_equal(pe[0, 0::2], np.zeros(256, np.float32))
-        assert np.array_equal(pe[0, 1::2], np.ones(256, np.float32))
+        assert fu.PE0.dtype == np.float32 and fu.PE0.shape == (512,)
+        assert np.array_equal(fu.PE0[0::2], np.zeros(256, np.float32))
+        assert np.array_equal(fu.PE0[1::2], np.ones(256, np.float32))
 
-    def test_first_dim_is_sin_pos(self):
-        pe = fu.positional_encoding(5)
-        for pos in range(5):
-            assert abs(pe[pos, 0] - math.sin(pos)) < 1e-6
-            assert abs(pe[pos, 1] - math.cos(pos)) < 1e-6
-
-    def test_range(self):
-        pe = fu.positional_encoding(16)
-        assert np.all(pe >= -1.0) and np.all(pe <= 1.0)
-
-    def test_odd_dim_rejected(self):
-        with pytest.raises(ValueError):
-            fu.positional_encoding(4, dim=7)
-
-
-class TestFinalize:
     def test_zero_fused_gives_pe_row(self, params):
-        out = fu.finalize(np.zeros((1, 512), np.float32), (8, 8, 8), params)
-        assert np.array_equal(out.final, fu.positional_encoding(1))
+        p = fu.FusionParams(**{**params.__dict__})
+        for name in ("w_img", "b_img", "w_text", "b_text"):
+            setattr(p, name, np.zeros_like(getattr(params, name)))
+        fmap, _ = fu.fuse_forward(make_pyramid(tc.Rng(67)), make_text(tc.Rng(68)), p)
+        assert np.array_equal(fmap, fu.PE0.reshape(8, 8, 8))
 
-    def test_reshape_is_row_major_no_data_change(self, params):
-        fused = tc.Rng(67).uniform(-1, 1, (1, 512))
-        out = fu.finalize(fused, (8, 8, 8), params)
-        final32 = out.final.astype(np.float32)
-        assert np.array_equal(out.output.reshape(1, 512), final32)
-        assert sorted(out.output.reshape(-1)) == sorted(final32.reshape(-1))
+    def test_map_is_row_major_no_data_change(self, params):
+        fmap, cache = fu.fuse_forward(make_pyramid(tc.Rng(69)), make_text(tc.Rng(70)),
+                                      params)
+        _, _, a, _, _, _, g, att, _, _ = cache
+        row = g * a + (1.0 - g) * att + fu.PE0
+        assert fmap.shape == fu.FEATURE_SHAPE == (8, 8, 8)
+        assert fmap.dtype == np.float32
+        assert np.array_equal(fmap.reshape(1, 512), row)
+        assert np.array_equal(fmap[1, 2, 3], row[0, 1 * 64 + 2 * 8 + 3])
 
-    def test_mismatched_shape_without_projection(self, params):
-        with pytest.raises(ValueError):
-            fu.finalize(np.zeros((1, 512), np.float32), (4, 4, 4), params)
-
-    def test_subtracting_pe_recovers_fused_bit_exact(self, params):
-        fused = tc.Rng(68).uniform(-1, 1, (1, 512))
-        out = fu.finalize(fused, (8, 8, 8), params)
-        recovered = (out.final - fu.positional_encoding(1)).astype(np.float32)
-        assert np.array_equal(recovered, fused)
-
-    def test_projection_path(self):
-        params = fu.init_fusion(tc.Rng(69), channels=8, output_shape=(4, 4, 4))
-        assert params.w_out is not None
-        fused = tc.Rng(70).uniform(-1, 1, (1, 512))
-        out = fu.finalize(fused, (4, 4, 4), params)
-        assert out.output.shape == (4, 4, 4)
+    def test_float32_add_rounds_like_the_float64_sum(self):
+        # each PE0 entry is 0 or 1, so adding it in float32 gives the bits of
+        # the float64 sum rounded to float32, for tiny, huge and signed-zero
+        # entries alike
+        rng = np.random.default_rng(71)
+        for exp in range(-12, 8):
+            rows = (rng.uniform(-1, 1, (8, 512)) * 10.0 ** exp).astype(np.float32)
+            rows[0, :4] = [0.0, -0.0, -0.0, 0.0]
+            rows[1] = 3e7 * np.sign(rows[1])
+            ref = (rows.astype(np.float64) + fu.PE0).astype(np.float32)
+            assert np.array_equal(rows + fu.PE0, ref)
+            assert np.array_equal(np.signbit(rows + fu.PE0), np.signbit(ref))
 
 
 class TestFusionGradients:
@@ -243,27 +232,9 @@ class TestFusionGradients:
             def f(p, name=name):
                 trial = fu.FusionParams(**{**params.__dict__})
                 setattr(trial, name, p)
-                out, cache = fu.fuse_forward(feats, text, trial, (8, 8, 8))
+                out, cache = fu.fuse_forward(feats, text, trial)
                 grads = fu.fuse_backward(cache, w)
-                return float((out.output * w).sum()), getattr(grads, name)
+                return float((out * w).sum()), getattr(grads, name)
 
             err = coord_subset_grad_check(f, getattr(params, name), n=8, seed=seed)
             assert err < 1e-3, f"{name}: {err}"
-
-    def test_grad_check_output_projection(self):
-        from gradutil import coord_subset_grad_check
-
-        rng = tc.Rng(74)
-        feats = make_pyramid(rng, channels=4)
-        text = make_text(rng, t=2)
-        params = fu.init_fusion(tc.Rng(75), channels=4, output_shape=(4, 4, 4))
-        w = tc.Rng(76).uniform(-1, 1, (4, 4, 4)).astype(np.float64)
-
-        def f(p):
-            trial = fu.FusionParams(**{**params.__dict__})
-            trial.w_out = p
-            out, cache = fu.fuse_forward(feats, text, trial, (4, 4, 4))
-            grads = fu.fuse_backward(cache, w)
-            return float((out.output * w).sum()), grads.w_out
-
-        assert coord_subset_grad_check(f, params.w_out, n=8, seed=42) < 1e-3

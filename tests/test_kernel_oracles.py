@@ -117,17 +117,11 @@ def ref_sigmoid_backward(y, grad_out):
 
 def ref_fuse_backward(cache, grad_output, sigmoid_backward=ref_sigmoid_backward):
     """fuse_backward with (n, 1) @ (1, m) matmul outer products."""
-    params, pooled, a, tp, tk, zcat, g, att, att_cache, text, final, target_shape = cache
-    gflat = grad_output.reshape(1, -1)
-    gw_out = None
-    if int(np.prod(target_shape)) == final.shape[1]:
-        gfinal = gflat
-    else:
-        gw_out = gflat.T @ final
-        gfinal = gflat @ params.w_out
-    gg = gfinal * (a - att)
-    ga = gfinal * g
-    gatt = gfinal * (1.0 - g)
+    params, pooled, a, tp, tk, zcat, g, att, att_cache, text = cache
+    gfused = grad_output.reshape(1, -1)
+    gg = gfused * (a - att)
+    ga = gfused * g
+    gatt = gfused * (1.0 - g)
     gzg = sigmoid_backward(g, gg)
     gzcat = gzg @ params.w_gate
     ga = ga + gzcat[:, : a.shape[1]]
@@ -143,7 +137,6 @@ def ref_fuse_backward(cache, grad_output, sigmoid_backward=ref_sigmoid_backward)
         b_text=gtp + gtk.sum(axis=0, keepdims=True),
         w_gate=gzg.T @ zcat,
         b_gate=gzg.copy(),
-        w_out=gw_out,
     )
 
 
@@ -292,26 +285,24 @@ def test_sigmoid_backward_flushes_subnormals_to_signed_zero():
     assert np.array_equal(np.signbit(out), np.signbit(ref))  # -0.0 stays -0.0
 
 
-def fusion_case(seed, output_shape=(8, 8, 8), b_gate=None):
+def fusion_case(seed, b_gate=None):
     rng = tc.Rng(seed)
-    params = fu.init_fusion(rng, 8, output_shape=output_shape)
+    params = fu.init_fusion(rng, 8)
     if b_gate is not None:
         params.b_gate = np.full((1, fu.FUSED_DIM), b_gate, np.float32)
     feats = MultiScaleFeatures(*(rng.uniform(-1, 1, (8, s, s)) for s in (8, 4, 2)))
     text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
                        tokens=rng.uniform(-1, 1, (3, 512)))
-    _, cache = fu.fuse_forward(feats, text, params, output_shape)
-    return cache, rng.uniform(-1, 1, output_shape)
+    _, cache = fu.fuse_forward(feats, text, params)
+    return cache, rng.uniform(-1, 1, fu.FEATURE_SHAPE)
 
 
-@pytest.mark.parametrize("output_shape", [(8, 8, 8), (4, 4, 4)])
 @pytest.mark.parametrize("seed", [990, 991, 992])
-def test_fuse_backward_equals_matmul_reference(seed, output_shape):
-    cache, grad = fusion_case(seed, output_shape)
+def test_fuse_backward_equals_matmul_reference(seed):
+    cache, grad = fusion_case(seed)
     out = dict(tc.param_items(fu.fuse_backward(cache, grad)))
     ref = dict(tc.param_items(ref_fuse_backward(cache, grad)))
     assert out.keys() == ref.keys()
-    assert ("w_out" in out) == (output_shape != (8, 8, 8))
     for name in ref:
         assert out[name].dtype == ref[name].dtype, name
         assert np.array_equal(out[name], ref[name]), name

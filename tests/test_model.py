@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ class TestBundle:
         assert len(buf) == 3698118
         assert hashlib.sha256(buf).hexdigest() == \
             "74734ede72f5ef195eba2b90874327bd44803533b839af5f7abf8a8144dd2bb0"
+
+    def test_meta_stamps_the_one_architecture(self):
+        bundle = md.init_bundle(0)
+        arch = [bundle.backbone.channels, bundle.head.n_classes,
+                bundle.head.reg_max, bundle.gen.blocks[0].stem.w.shape[0],
+                len(bundle.gen.blocks), bundle.gen.window,
+                bundle.gen.blocks[0].wmsa.heads]
+        assert md.META.tolist() == arch == [8, 3, 7, 8, 2, 4, 2]
+        assert md.META.dtype == np.float32
+
+    @pytest.mark.parametrize("meta", [[8, 3, 7, 8, 2, 4, 4],
+                                      [16, 3, 7, 8, 2, 4, 2],
+                                      [8, 3, 7, 8, 2, 4],
+                                      [8, 3, 7, 8, 2, 4, 2, 0]])
+    def test_load_rejects_any_other_meta_naming_it(self, tmp_path, meta):
+        # the tensors are those of the one architecture; only the stamp lies
+        tensors = {"meta": np.array(meta, np.float32)}
+        tensors.update(tc.param_items(md.init_bundle(13)))
+        path = tmp_path / "other_meta.bin"
+        tc.save_archive(path, tensors)
+        shown = str([float(v) for v in meta])
+        with pytest.raises(ValueError, match=re.escape(shown)):
+            md.load_bundle(path)
 
     def test_load_rejects_wrong_shapes_naming_the_tensor(self, tmp_path):
         for name, shape in (("fusion.w_gate", (3, 3)), ("head.b_cls", (5,))):
@@ -170,16 +194,14 @@ class TestGradientTrees:
         assert (names_and_shapes(tc.param_items(grads))
                 == names_and_shapes(tc.param_items(params)))
 
-    @pytest.mark.parametrize("shape", [(8, 8, 8), (4, 4, 4)])
-    def test_fuse_backward(self, shape):
-        params = fu.init_fusion(tc.Rng(62), channels=8, output_shape=shape)
+    def test_fuse_backward(self):
+        params = fu.init_fusion(tc.Rng(62), channels=8)
         rng = tc.Rng(63)
         feats = MultiScaleFeatures(*[rng.uniform(-1, 1, (8, s, s)) for s in (8, 4, 2)])
         text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
                            tokens=rng.uniform(-1, 1, (3, 512)))
-        _, cache = fu.fuse_forward(feats, text, params, shape)
-        grads = fu.fuse_backward(cache, rng.uniform(-1, 1, shape))
-        assert (params.w_out is None) == (shape == (8, 8, 8))
+        _, cache = fu.fuse_forward(feats, text, params)
+        grads = fu.fuse_backward(cache, rng.uniform(-1, 1, fu.FEATURE_SHAPE))
         assert (names_and_shapes(tc.param_items(grads))
                 == names_and_shapes(tc.param_items(params)))
 
@@ -217,6 +239,18 @@ class TestPpm:
         image = (np.arange(3 * 4 * 4, dtype=np.float32).reshape(3, 4, 4) % 256) / 255.0
         again = ppm.image_from_ppm_bytes(ppm.image_to_ppm_bytes(image))
         assert np.array_equal(again, image)
+
+    def test_rgb8_layout_and_inverse(self):
+        # samples outside [0, 1] clip; pixels are row-major, R, G, B each
+        image = tc.Rng(20).uniform(-0.2, 1.2, (3, 2, 5))
+        levels = np.clip(np.rint(image * 255.0), 0, 255).astype(np.uint8)
+        pixels = ppm.image_to_rgb8(image)
+        assert len(pixels) == 2 * 5 * 3
+        assert pixels[:3] == levels[:, 0, 0].tobytes()
+        assert pixels[3 * (5 + 1):3 * (5 + 2)] == levels[:, 1, 1].tobytes()
+        back = ppm.rgb8_to_image(pixels, 2, 5)
+        assert back.dtype == np.float32
+        assert np.array_equal(back, levels.astype(np.float32) / 255.0)
 
     def test_header_layout(self):
         buf = ppm.image_to_ppm_bytes(np.zeros((3, 2, 5), np.float32))
