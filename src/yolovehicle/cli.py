@@ -152,6 +152,15 @@ def _ppm_paths(input_dir):
     return paths
 
 
+def _write_detections(path, cfg, rows):
+    """JSON-lines of (frame_id, detections, ms) rows; a fixed seed zeroes
+    the timing so that seeded reruns are byte-identical on disk."""
+    seeded = cfg["seed"] is not None
+    atomic_write(path, "".join(
+        det.detections_to_jsonl(dets, fid, 0.0 if seeded else ms)
+        for fid, dets, ms in rows))
+
+
 def cmd_detect(args) -> int:
     cfg = effective_config(args)
     bundle = _load_bundle(cfg, args)
@@ -160,8 +169,7 @@ def cmd_detect(args) -> int:
                                dehaze_first=args.pro,
                                obj_thresh=cfg["obj_thresh"],
                                nms_iou=cfg["nms_iou"])
-    out_ms = 0.0 if cfg["seed"] is not None else ms
-    atomic_write(args.output, det.detections_to_jsonl(dets, 0, out_ms))
+    _write_detections(args.output, cfg, [(0, dets, ms)])
     print(f"{len(dets)} detections -> {args.output}")
     return 0
 
@@ -211,30 +219,37 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _edge_kwargs(cfg):
+def _run_edge(cfg, bundle, input_dir, repetitions):
+    """ec.run_bench over the directory's images, over a cloud link that is
+    opened here and closed on the way out; returns (stats, report, rows)
+    with rows as _write_detections takes them."""
     policy = ec.OffloadPolicy(cfg["mode"], cfg["tau"])
-    kwargs = {"obj_thresh": cfg["obj_thresh"], "nms_iou": cfg["nms_iou"],
-              "text": cfg["text"], "timing_in_output": cfg["seed"] is None}
+    link = None
     if policy.mode != "always_edge":
         if not cfg["cloud"]:
             raise ValueError(f"policy {policy.mode!r} requires --cloud")
-        kwargs["cloud_addr"] = cfg["cloud"]
-        kwargs["timeout_ms"] = cfg["timeout_ms"]
-    return policy, kwargs
+        link = ec.SocketTransport(cfg["cloud"], cfg["timeout_ms"])
+    try:
+        stats, results, report = ec.run_bench(
+            _ppm_paths(input_dir), policy, bundle, repetitions=repetitions,
+            transport=link, text=cfg["text"], obj_thresh=cfg["obj_thresh"],
+            nms_iou=cfg["nms_iou"])
+    finally:
+        if link is not None:
+            link.close()
+    rows = [(fid, dets, ms) for (fid, _, dets, _), ms
+            in zip(results, stats.latency_ms)]
+    return stats, report, rows
 
 
 def cmd_bench(args) -> int:
     cfg = effective_config(args)
     bundle = _load_bundle(cfg, args)
-    policy, kwargs = _edge_kwargs(cfg)
-    lines = []
-    _, _, report = ec.run_bench(_ppm_paths(args.input_dir), policy, bundle,
-                                repetitions=args.repetitions,
-                                emit=lines.append, **kwargs)
+    _, report, rows = _run_edge(cfg, bundle, args.input_dir, args.repetitions)
     if os.path.exists(cfg["weights"]):
         report["model_size_bytes"] = os.path.getsize(cfg["weights"])
     if args.detections:
-        atomic_write(args.detections, "".join(lines))
+        _write_detections(args.detections, cfg, rows)
     atomic_write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
     split = ""
     if report["mean_cloud_compute_ms"] is not None:
@@ -248,13 +263,8 @@ def cmd_bench(args) -> int:
 def cmd_serve_edge(args) -> int:
     cfg = effective_config(args)
     bundle = _load_bundle(cfg, args)
-    policy, kwargs = _edge_kwargs(cfg)
-    paths = _ppm_paths(args.input_dir)
-    frames = [(i, read_ppm(p)) for i, p in enumerate(paths)]
-    lines = []
-    stats, _ = ec.edge_serve(frames, policy, bundle, emit=lines.append,
-                             **kwargs)
-    atomic_write(args.output, "".join(lines))
+    stats, _, rows = _run_edge(cfg, bundle, args.input_dir, 1)
+    _write_detections(args.output, cfg, rows)
     if args.stats:
         report = {"frames": stats.frames, "edge": stats.edge,
                   "cloud": stats.cloud, "degraded": stats.degraded,

@@ -419,19 +419,41 @@ def detections_to_jsonl(dets: list[BBox], frame_id: int, inference_ms: float) ->
     return "".join(line + "\n" for line in lines)
 
 
+def _record_to_detection(rec):
+    """(frame_id, BBox) from one decoded record; ValueError when it is
+    not an object, lacks a key, holds a non-number, a frame or class id
+    that is not a whole number, or a box side that is not finite and
+    positive."""
+    if not isinstance(rec, dict):
+        raise ValueError(f"expected a JSON object, got {rec!r}")
+    rec = {"score": 1.0, **rec}
+    for key in ("frame_id", "class_id", "cx", "cy", "w", "h", "score"):
+        if key not in rec:
+            raise ValueError(f"missing key {key!r}")
+        if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
+            raise ValueError(f"{key} is not a number: {rec[key]!r}")
+    for key in ("frame_id", "class_id"):
+        if isinstance(rec[key], float) and not rec[key].is_integer():
+            raise ValueError(f"{key} must be a whole number, got {rec[key]!r}")
+    for key in ("w", "h"):
+        if not (math.isfinite(rec[key]) and rec[key] > 0):
+            raise ValueError(f"{key} must be finite and positive, got {rec[key]!r}")
+    box = BBox(cx=float(rec["cx"]), cy=float(rec["cy"]), w=float(rec["w"]),
+               h=float(rec["h"]), class_id=int(rec["class_id"]),
+               score=float(rec["score"]))
+    return int(rec["frame_id"]), box
+
+
 def jsonl_to_detections(text: str):
-    """Parses the JSON-lines schema; returns list of (frame_id, BBox)."""
+    """Parses the JSON-lines schema; returns list of (frame_id, BBox). A bad
+    line raises ValueError naming its number."""
     out = []
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"bad JSON on line {ln}: {e}") from e
-        box = BBox(cx=float(rec["cx"]), cy=float(rec["cy"]), w=float(rec["w"]),
-                   h=float(rec["h"]), class_id=int(rec["class_id"]),
-                   score=float(rec.get("score", 1.0)))
-        out.append((int(rec["frame_id"]), box))
+            out.append(_record_to_detection(json.loads(line)))
+        except ValueError as e:  # JSONDecodeError included
+            raise ValueError(f"bad detection on line {ln}: {e}") from e
     return out

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from . import detection as det
 from . import model as md
-from .metrics import TimingRecord, throughput
 from .ppm import image_to_rgb8, read_ppm, rgb8_to_image
 
 MAGIC = b"\x59\x56"
@@ -200,13 +198,24 @@ def encode_error(exc: Exception) -> bytes:
 # haze scoring and routing
 
 
+def _min7(a: np.ndarray, axis: int) -> np.ndarray:
+    """7-wide running minimum along axis 0 or 1, which shrinks by 6:
+    minima over widths 2, then 4, then 7 (two width-4 windows 3 apart)."""
+    head = (slice(None),) * axis
+    for shift in (1, 2, 3):
+        a = np.minimum(a[head + (slice(None, -shift),)],
+                       a[head + (slice(shift, None),)])
+    return a
+
+
 def haze_score(image: np.ndarray) -> float:
     """Mean of the dark channel: 7x7 minimum filter (edge-replicated) over
     the per-pixel channel minimum. High for uniformly bright, washed-out
     frames, near zero whenever dark patches survive."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a 3xHxW image, got {image.shape}")
-    dark = ndimage.minimum_filter(image.min(axis=0), size=7, mode="nearest")
+    padded = np.pad(image.min(axis=0), 3, mode="edge")
+    dark = _min7(_min7(padded, 1), 0)  # a C-contiguous H x W map
     return float(dark.mean())
 
 
@@ -416,71 +425,58 @@ def _log(message: str) -> None:
 
 
 def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
-               transport=None, cloud_addr: str | None = None,
-               timeout_ms: float = 1000.0, text: str = "car, truck, bus",
-               obj_thresh: float = 0.5, nms_iou: float = 0.5, emit=None,
-               timing_in_output: bool = True):
+               transport=None, text: str = "car, truck, bus",
+               obj_thresh: float = 0.5, nms_iou: float = 0.5):
     """Processes (frame_id, image) pairs under the offload policy.
 
-    Edge route runs detection directly; Cloud route ships the frame to the
-    cloud node for the dehaze-then-detect pipeline. A failed cloud call
-    falls back to the edge route for that frame with the degraded flag.
+    Edge route runs detection directly; Cloud route ships the frame over
+    transport, a link the caller opens and closes, to the cloud node for
+    the dehaze-then-detect pipeline. A failed cloud call falls back to the
+    edge route for that frame with the degraded flag.
     Returns (NodeStats, results) where results are
     (frame_id, route, detections, degraded) tuples.
     """
-    if policy.mode != "always_edge" and transport is None and cloud_addr is None:
-        raise ValueError(f"policy {policy.mode!r} requires a cloud address")
-    owned = None
-    if transport is None and cloud_addr is not None:
-        transport = owned = SocketTransport(cloud_addr, timeout_ms)
-    try:
-        stats = NodeStats()
-        results = []
-        for frame_id, image in frames:
-            start = time.perf_counter()
-            score = haze_score(image)
-            route = decide_route(score, policy)
-            degraded = False
-            if route is Route.CLOUD:
-                try:
-                    request = encode_message(WireMessage(
-                        MSG_FRAME_REQUEST,
-                        encode_frame_payload(image_to_frame_payload(frame_id, image))))
-                    sent = time.perf_counter()
-                    raw = transport.request(request)
-                    rtt_ms = (time.perf_counter() - sent) * 1000.0
-                    reply = decode_message(raw)
-                    if reply.msg_type != MSG_DETECTION_RESPONSE:
-                        raise ConnectionError(
-                            f"cloud answered with type {reply.msg_type:#04x}")
-                    rid, dets, compute_ms = decode_detection_response(reply.payload)
-                    if rid != frame_id:
-                        raise ConnectionError(
-                            f"response for frame {rid}, expected {frame_id}")
-                    stats.cloud_compute_ms.append(compute_ms)
-                    stats.cloud_network_ms.append(rtt_ms - compute_ms)
-                except Exception as e:
-                    _log(f"frame {frame_id}: cloud route failed ({e}); "
-                         "degraded to edge")
-                    route, degraded = Route.EDGE, True
-            if route is Route.EDGE:
-                dets, _ = md.detect_frame(image, text, bundle,
-                                          obj_thresh=obj_thresh, nms_iou=nms_iou)
-            elapsed = (time.perf_counter() - start) * 1000.0
-            stats.frames += 1
-            stats.edge += route is Route.EDGE
-            stats.cloud += route is Route.CLOUD
-            stats.degraded += degraded
-            stats.latency_ms.append(elapsed)
-            stats.haze_scores.append(score)
-            results.append((frame_id, route, dets, degraded))
-            if emit is not None:
-                # zeroed timing keeps seeded reruns byte-identical on disk
-                emit(det.detections_to_jsonl(
-                    dets, frame_id, elapsed if timing_in_output else 0.0))
-    finally:
-        if owned is not None:  # a transport passed in stays open for its owner
-            owned.close()
+    if policy.mode != "always_edge" and transport is None:
+        raise ValueError(f"policy {policy.mode!r} requires a cloud link")
+    stats = NodeStats()
+    results = []
+    for frame_id, image in frames:
+        start = time.perf_counter()
+        score = haze_score(image)
+        route = decide_route(score, policy)
+        degraded = False
+        if route is Route.CLOUD:
+            try:
+                request = encode_message(WireMessage(
+                    MSG_FRAME_REQUEST,
+                    encode_frame_payload(image_to_frame_payload(frame_id, image))))
+                sent = time.perf_counter()
+                raw = transport.request(request)
+                rtt_ms = (time.perf_counter() - sent) * 1000.0
+                reply = decode_message(raw)
+                if reply.msg_type != MSG_DETECTION_RESPONSE:
+                    raise ConnectionError(
+                        f"cloud answered with type {reply.msg_type:#04x}")
+                rid, dets, compute_ms = decode_detection_response(reply.payload)
+                if rid != frame_id:
+                    raise ConnectionError(
+                        f"response for frame {rid}, expected {frame_id}")
+                stats.cloud_compute_ms.append(compute_ms)
+                stats.cloud_network_ms.append(rtt_ms - compute_ms)
+            except Exception as e:
+                _log(f"frame {frame_id}: cloud route failed ({e}); "
+                     "degraded to edge")
+                route, degraded = Route.EDGE, True
+        if route is Route.EDGE:
+            dets, _ = md.detect_frame(image, text, bundle,
+                                      obj_thresh=obj_thresh, nms_iou=nms_iou)
+        stats.frames += 1
+        stats.edge += route is Route.EDGE
+        stats.cloud += route is Route.CLOUD
+        stats.degraded += degraded
+        stats.latency_ms.append((time.perf_counter() - start) * 1000.0)
+        stats.haze_scores.append(score)
+        results.append((frame_id, route, dets, degraded))
     return stats.check(), results
 
 
@@ -501,14 +497,13 @@ def run_bench(image_paths, policy: OffloadPolicy, bundle: md.ModelBundle,
     start = time.perf_counter()
     stats, results = edge_serve(frames, policy, bundle, **kwargs)
     wall = time.perf_counter() - start
-    fps, mean_ms = throughput(TimingRecord(stats.latency_ms, wall))
     report = {
         "frames": stats.frames,
         "edge": stats.edge,
         "cloud": stats.cloud,
         "degraded": stats.degraded,
-        "fps": fps,
-        "mean_frame_ms": mean_ms,
+        "fps": stats.frames / wall,
+        "mean_frame_ms": float(np.mean(stats.latency_ms)),
         "wall_seconds": wall,
         "mean_haze_score": float(np.mean(stats.haze_scores)),
         # None when no frame was answered by the cloud

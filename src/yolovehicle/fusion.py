@@ -22,6 +22,7 @@ FUSED_DIM = math.prod(FEATURE_SHAPE)
 # the sinusoidal encoding at position 0: sin(0) = 0 in even dims, cos(0) = 1
 # in odd ones; adding 0 or 1 in float32 rounds as the float64 sum would
 PE0 = np.tile(np.array([0.0, 1.0], tc.DTYPE), FUSED_DIM // 2)
+HEADS = 4  # cross-attention heads, each over a 128-wide slice
 
 
 @dataclass
@@ -32,7 +33,6 @@ class FusionParams:
     b_text: np.ndarray  # [1, 512]
     w_gate: np.ndarray  # [512, 1024]
     b_gate: np.ndarray  # [1, 512]
-    heads: int = 4
 
 
 def init_fusion(rng: tc.Rng, channels: int) -> FusionParams:
@@ -65,7 +65,7 @@ def fuse_forward(features: MultiScaleFeatures, text: TextFeature, params: Fusion
     tk = text.tokens @ params.w_text.T + params.b_text
     zcat = np.concatenate([a, tp], axis=1)
     g = tc.sigmoid(zcat @ params.w_gate.T + params.b_gate)
-    att, att_cache = tc.multi_head_attention(a, tk, tk, params.heads)
+    att, att_cache = tc.multi_head_attention(a, tk, tk, HEADS)
     fused = g * a + (1.0 - g) * att
     cache = (params, pooled, a, tp, tk, zcat, g, att, att_cache, text)
     return (fused + PE0).reshape(FEATURE_SHAPE), cache

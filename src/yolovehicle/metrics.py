@@ -1,4 +1,4 @@
-"""Detection quality metrics (precision, recall, AP, mAP) and throughput.
+"""Detection quality metrics: greedy matching, per-class AP and mAP.
 
 Average precision uses all-point interpolation over the achievable operating
 points (one per distinct score threshold). A deliberately naive
@@ -12,7 +12,7 @@ not applicable (None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,26 +32,10 @@ class MatchConfig:
 class EvalResult:
     ap: dict            # class_id -> AP (classes with no gts and no preds are skipped)
     map: float
-    precision: np.ndarray  # cumulative, over all predictions sorted by score
-    recall: np.ndarray
     tp: dict            # class_id -> count
     fp: dict
     fn: dict
     tn: None = None     # not applicable in detection
-
-
-@dataclass
-class TimingRecord:
-    frame_ms: list[float]
-    wall_seconds: float
-
-    def __post_init__(self):
-        if any(t < 0 for t in self.frame_ms) or self.wall_seconds < 0:
-            raise ValueError("durations must be non-negative")
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.frame_ms)
 
 
 def match_detections(preds: list[BBox], gts: list[BBox],
@@ -163,7 +147,6 @@ def map_at(preds, gts, thresholds=(0.5, 0.75)) -> dict[float, EvalResult]:
                    | {b.class_id for f in gt_frames.values() for b in f})
         per_class_flags: dict = {k: ([], []) for k in classes}
         gt_counts = {k: 0 for k in classes}
-        all_flags, all_scores = [], []
         for fid in sorted(set(pred_frames) | set(gt_frames)):
             fp_boxes = pred_frames.get(fid, [])
             fg_boxes = gt_frames.get(fid, [])
@@ -171,8 +154,6 @@ def map_at(preds, gts, thresholds=(0.5, 0.75)) -> dict[float, EvalResult]:
             for box, fl in zip(fp_boxes, flags):
                 per_class_flags[box.class_id][0].append(fl)
                 per_class_flags[box.class_id][1].append(box.score)
-                all_flags.append(fl)
-                all_scores.append(box.score)
             for box in fg_boxes:
                 gt_counts[box.class_id] += 1
         ap = {}
@@ -185,24 +166,8 @@ def map_at(preds, gts, thresholds=(0.5, 0.75)) -> dict[float, EvalResult]:
             tp[k] = sum(flags_k)
             fp[k] = len(flags_k) - tp[k]
             fn[k] = gt_counts[k] - tp[k]
-        order = np.argsort(-np.asarray(all_scores, dtype=np.float64), kind="stable")
-        f = np.asarray(all_flags, dtype=np.float64)[order] if all_flags else np.zeros(0)
-        ctp, cfp = np.cumsum(f), np.cumsum(1.0 - f)
-        total_gt = sum(gt_counts.values())
-        precision = ctp / np.maximum(ctp + cfp, 1.0)
-        recall = ctp / total_gt if total_gt else np.zeros_like(ctp)
         results[thr] = EvalResult(
             ap=ap, map=float(np.mean(list(ap.values()))) if ap else 0.0,
-            precision=precision, recall=recall, tp=tp, fp=fp, fn=fn)
+            tp=tp, fp=fp, fn=fn)
     return results
 
-
-def throughput(rec: TimingRecord):
-    """(frames per second over the wall-clock span, mean per-frame ms)."""
-    if rec.frame_count < 1:
-        raise ValueError("need at least one frame")
-    if rec.wall_seconds <= 0:
-        raise ValueError("wall_seconds must be positive")
-    fps = rec.frame_count / rec.wall_seconds
-    mean_ms = float(np.mean(rec.frame_ms))
-    return fps, mean_ms

@@ -423,13 +423,12 @@ class TestThroughputConsistency:
         policy = ec.OffloadPolicy("always_edge")
         outputs = []
         for _ in range(2):
-            lines = []
-            _, _, report = ec.run_bench(paths, policy, bundle, repetitions=3,
-                                        emit=lines.append,
-                                        timing_in_output=False)
+            _, results, report = ec.run_bench(paths, policy, bundle,
+                                              repetitions=3)
             assert abs(report["fps"] - report["frames"] / report["wall_seconds"]) \
                 <= 0.05 * report["fps"]
-            outputs.append("".join(lines))
+            outputs.append("".join(det.detections_to_jsonl(dets, fid, 0.0)
+                                   for fid, _, dets, _ in results))
         assert outputs[0] == outputs[1]
         ok(f"throughput: reported fps self-consistent within 5% "
            f"({report['fps']:.1f} fps); seeded reruns byte-identical")

@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from yolovehicle import cli
 from yolovehicle import config as cfgmod
 from yolovehicle import detection as det
+from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
@@ -264,6 +267,50 @@ class TestServeEdge:
         report = json.loads(stats.read_text())
         assert report["frames"] == 3 and report["edge"] == 3
         assert len(report["haze_scores"]) == 3
+
+    def test_always_cloud_over_tcp(self, tmp_path, monkeypatch):
+        indir = tmp_path / "imgs"
+        indir.mkdir()
+        for i in range(3):
+            raw = np.clip(np.rint(tc.Rng(98 + i).uniform(0, 1, (3, 32, 32)) * 255),
+                          0, 255)
+            ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
+        bundle = md.init_bundle(9)
+        opened = []
+
+        class RecordedTransport(ec.SocketTransport):
+            def __init__(self, *args):
+                super().__init__(*args)
+                opened.append(self)
+
+        monkeypatch.setattr(ec, "SocketTransport", RecordedTransport)
+        server = ec.CloudServer("127.0.0.1:0", bundle)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            out = tmp_path / "dets.jsonl"
+            code = run(["serve-edge", "--input-dir", str(indir),
+                        "--mode", "always_cloud", "--cloud", server.addr,
+                        "--timeout-ms", "5000", "--seed", "9",
+                        "--output", str(out), "--stats", str(tmp_path / "s.json")])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 0
+        report = json.loads((tmp_path / "s.json").read_text())
+        assert report["cloud"] == 3 and report["degraded"] == 0
+        got = det.jsonl_to_detections(out.read_text())
+        want = []
+        for i in range(3):
+            image = ppm.read_ppm(indir / f"{i}.ppm")
+            dets, _ = md.detect_frame(image, "car, truck, bus", bundle,
+                                      dehaze_first=True)
+            want += [(i, d) for d in dets]
+        assert want and got == want
+        # the one link the command opened is closed; an unclosed socket
+        # would also raise a ResourceWarning when collected
+        assert len(opened) == 1 and opened[0].sock is None
+        gc.collect()
 
     def test_missing_directory_exit_one(self, tmp_path, capsys):
         assert run(["serve-edge", "--input-dir", str(tmp_path / "missing"),

@@ -395,6 +395,36 @@ class TestJsonl:
         back = det.jsonl_to_detections(line)
         assert back[0][1].score == 1.0
 
+    @pytest.mark.parametrize("bad, reason", [
+        ('[1, 2]', "JSON object"),
+        ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "w": 0.1, "h": 0.1}', "'cy'"),
+        ('{"frame_id": 0, "class_id": 0, "cx": "0.5", "cy": 0.5, "w": 0.1, "h": 0.1}',
+         "cx is not a number"),
+        ('{"frame_id": 0, "class_id": true, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}',
+         "class_id is not a number"),
+        ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1, '
+         '"score": null}', "score is not a number"),
+        ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": -1, "h": 0.1}',
+         "w must be finite and positive"),
+        ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0}',
+         "h must be finite and positive"),
+        ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": NaN, "h": 0.1}',
+         "w must be finite and positive"),
+        ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": Infinity}',
+         "h must be finite and positive"),
+        ('{"frame_id": Infinity, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}',
+         "frame_id must be a whole number"),
+        ('{"frame_id": 0, "class_id": 1.7, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}',
+         "class_id must be a whole number"),
+    ], ids=["array", "missing_key", "string_value", "bool_value", "null_score",
+            "negative_w", "zero_h", "nan_w", "infinite_h", "infinite_frame_id",
+            "fractional_class_id"])
+    def test_bad_record_reports_line(self, bad, reason):
+        good = '{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}'
+        with pytest.raises(ValueError, match="line 2") as info:
+            det.jsonl_to_detections(good + "\n" + bad + "\n")
+        assert reason in str(info.value)
+
     def test_bad_json_reports_line(self):
         with pytest.raises(ValueError, match="line 2"):
             det.jsonl_to_detections('{"frame_id":0,"class_id":0,"cx":0,"cy":0,"w":1,"h":1}\nnot json\n')

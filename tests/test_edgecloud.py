@@ -1,4 +1,7 @@
+import os
 import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -155,6 +158,22 @@ class TestHazeScore:
         img[:, 8:12, 8:12] = 0.0
         assert ec.haze_score(img) < 0.8
 
+    def test_no_module_loads_scipy(self):
+        # a fresh interpreter, so that no other test's imports count
+        code = ("import importlib, pkgutil, sys, yolovehicle\n"
+                "names = [m.name for m in pkgutil.iter_modules(yolovehicle.__path__)]\n"
+                "for name in names:\n"
+                "    importlib.import_module('yolovehicle.' + name)\n"
+                "print(' '.join(names))\n"
+                "print('scipy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(ec.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split("\n")
+        assert {"cli", "edgecloud", "metrics"} <= set(out[0].split())
+        assert out[1] == "False"
+
 
 class TestDecideRoute:
     def test_adaptive_above_tau_goes_cloud(self):
@@ -279,9 +298,13 @@ class TestSocketServer:
         thread.start()
         try:
             frames = [(i, quantized_image(tc.Rng(47 + i))) for i in range(3)]
-            stats, results = ec.edge_serve(
-                frames, ec.OffloadPolicy("always_cloud"), bundle,
-                cloud_addr=server.addr, timeout_ms=5000)
+            link = ec.SocketTransport(server.addr, 5000)
+            try:
+                stats, results = ec.edge_serve(
+                    frames, ec.OffloadPolicy("always_cloud"), bundle,
+                    transport=link)
+            finally:
+                link.close()
             assert stats.cloud == 3 and stats.edge == 0 and stats.degraded == 0
             for (fid, img), (rid, route, dets, degraded) in zip(frames, results):
                 assert rid == fid and route is ec.Route.CLOUD and not degraded
@@ -353,7 +376,7 @@ class TestEdgeServe:
                                    dehaze_first=True)
         assert results[0][2] == local
 
-    def test_requires_cloud_address(self, bundle):
+    def test_requires_cloud_link(self, bundle):
         with pytest.raises(ValueError):
             ec.edge_serve([], ec.OffloadPolicy("always_cloud"), bundle)
 
@@ -375,14 +398,13 @@ class TestRunBench:
         for i in range(2):
             ppm.write_ppm(tmp_path / f"{i}.ppm", quantized_image(tc.Rng(81 + i)))
         paths = sorted(tmp_path.glob("*.ppm"))
-        lines_a, lines_b = [], []
-        ec.run_bench(paths, ec.OffloadPolicy("always_edge"), bundle,
-                     repetitions=2, emit=lines_a.append,
-                     timing_in_output=False)
-        ec.run_bench(paths, ec.OffloadPolicy("always_edge"), bundle,
-                     repetitions=2, emit=lines_b.append,
-                     timing_in_output=False)
-        assert lines_a and "".join(lines_a) == "".join(lines_b)
+        outputs = []
+        for _ in range(2):
+            _, results, _ = ec.run_bench(paths, ec.OffloadPolicy("always_edge"),
+                                         bundle, repetitions=2)
+            outputs.append([(fid, route, dets) for fid, route, dets, _ in results])
+        assert [fid for fid, _, _ in outputs[0]] == [0, 1, 2, 3]
+        assert outputs[0] == outputs[1]
 
     def test_cloud_split_reported(self, bundle, tmp_path):
         path = tmp_path / "a.ppm"

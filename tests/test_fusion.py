@@ -37,6 +37,21 @@ def forward(feats, text, params):
     return fused, a, tp, tk, g, att
 
 
+def bruteforce_attention(q, kv):
+    """Softmax attention of the query row over the rows of kv, head by
+    head: fu.HEADS slices of 512 / fu.HEADS = 128 columns, scaled by the
+    square root of the slice width."""
+    d = 512 // fu.HEADS
+    out = []
+    for h in range(fu.HEADS):
+        qs, ks = q[:, h * d:(h + 1) * d], kv[:, h * d:(h + 1) * d]
+        logits = (qs @ ks.T) / math.sqrt(d)
+        w = np.exp(logits - logits.max())
+        w /= w.sum()
+        out.append(w @ ks)
+    return np.concatenate(out, axis=1)
+
+
 class TestProjectImage:
     def test_zero_features_zero_bias(self, params):
         feats = MultiScaleFeatures(*[np.zeros((8, s, s), np.float32) for s in (8, 4, 2)])
@@ -103,24 +118,13 @@ class TestCrossAttention:
         _, _, _, tk, _, att = forward(make_pyramid(tc.Rng(47)), text, params)
         assert np.allclose(att, tk[:1], atol=1e-5)
 
-    def test_single_head_matches_bruteforce(self, params):
-        p = fu.FusionParams(**{**params.__dict__})
-        p.heads = 1
+    def test_heads_match_bruteforce(self, params):
         rng = tc.Rng(62)
         for t in (2, 3, 5, 8):
             text = make_text(rng, t=t)
-            _, a, _, tk, _, att = forward(make_pyramid(rng), text, p)
-            q, kv = a.astype(np.float64), tk.astype(np.float64)
-            logits = (q @ kv.T) / math.sqrt(512)
-            w = np.exp(logits - logits.max())
-            w /= w.sum()
-            assert np.allclose(att, w @ kv, atol=1e-5)
-
-    def test_bad_head_count(self, params):
-        p = fu.FusionParams(**{**params.__dict__})
-        p.heads = 3
-        with pytest.raises(ValueError):
-            fu.fuse_forward(make_pyramid(tc.Rng(47)), make_text(tc.Rng(49)), p)
+            _, a, _, tk, _, att = forward(make_pyramid(rng), text, params)
+            ref = bruteforce_attention(a.astype(np.float64), tk.astype(np.float64))
+            assert np.allclose(att, ref, atol=1e-5)
 
 
 class TestGatedFuse:
@@ -144,7 +148,7 @@ class TestGatedFuse:
         assert np.all(g == 1.0)
         assert np.allclose(fused, a, atol=1e-5)
 
-    def test_single_head_hand_eval(self):
+    def test_hand_eval(self):
         # gated fusion evaluated by hand in float64: a zero image weight
         # makes the bias the image vector, an identity text weight passes
         # the text through
@@ -156,16 +160,13 @@ class TestGatedFuse:
         b_gate = rng.uniform(-1, 1, (1, 512)).astype(np.float64)
         params = fu.FusionParams(w_img=np.zeros((512, 3)), b_img=img,
                                  w_text=np.eye(512), b_text=np.zeros((1, 512)),
-                                 w_gate=w_gate, b_gate=b_gate, heads=1)
+                                 w_gate=w_gate, b_gate=b_gate)
         feats = make_pyramid(rng, channels=1)
         fused, _, _, _, _, _ = forward(
             feats, TextFeature(pooled=tpool, tokens=tok), params)
 
         g = 1 / (1 + np.exp(-(np.concatenate([img, tpool], axis=1) @ w_gate.T + b_gate)))
-        logits = img @ tok.T / math.sqrt(512)
-        w = np.exp(logits - logits.max())
-        w /= w.sum()
-        att = w @ tok
+        att = bruteforce_attention(img, tok)
         assert np.allclose(fused, g * img + (1 - g) * att, atol=1e-9)
 
     def test_convex_combination_bound(self, params):

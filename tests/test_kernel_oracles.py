@@ -3,9 +3,9 @@
 The references are the straightforward forms of each kernel: a per-channel
 loop im2col/col2im, a three-line softmax, attention over the whole batch at
 once, a dehaze forward built from those, the unflushed sigmoid gradient, a
-fusion backward with matmul outer products and an out-of-place Adam. The
-fast kernels do the same arithmetic in the same order, so every comparison
-is array_equal; the one exception is the sigmoid gradient's flush of
+fusion backward with matmul outer products, an out-of-place Adam and a
+whole-window dark channel. The fast kernels do the same arithmetic in the
+same order, so every comparison is exact; the one exception is the sigmoid gradient's flush of
 subnormal results to zero, which the saturated-gate tests pin down.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from yolovehicle import dehaze as dh
+from yolovehicle import edgecloud as ec
 from yolovehicle import fusion as fu
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
@@ -109,6 +110,14 @@ def ref_dehaze_forward(hazy, gen):
         u = s * gate[0][:, None, None] + ref_wmsa(s, b.wmsa)
         f = conv(u, b.out)
     return tc.clamp01(hazy + conv(f, gen.head))
+
+
+def ref_haze_score(image):
+    """Mean dark channel: every pixel's 7x7 window minimum, taken whole
+    over an edge-padded channel-minimum map, then averaged in float32."""
+    padded = np.pad(image.min(axis=0), 3, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (7, 7))
+    return float(np.ascontiguousarray(windows.min(axis=(-2, -1))).mean())
 
 
 def ref_sigmoid_backward(y, grad_out):
@@ -255,6 +264,30 @@ def test_dehaze_forward_equals_reference_composition(h, w):
     assert any(b.wmsa.shift for b in gen.blocks)
     hazy = dh.synthesize_haze(tc.Rng(970 + h).uniform(0, 1, (3, h, w)), 0.3)
     assert np.array_equal(dh.dehaze_forward(hazy, gen), ref_dehaze_forward(hazy, gen))
+
+
+def dark_patched(rng, h, w):
+    """A bright frame with small dark patches, each in one channel, at the
+    four corners and the four edge midpoints: the window minimum there
+    must replicate the edge, not wrap or zero-pad."""
+    image = rng.uniform(0.7, 1.0, (3, h, w))
+    spots = [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
+             (0, w // 2), (h // 2, 0), (h - 1, w // 2), (h // 2, w - 1)]
+    for k, (y, x) in enumerate(spots):
+        image[k % 3, max(y - 1, 0):y + 2, max(x - 1, 0):x + 2] = 0.05 * k
+    return image
+
+
+@pytest.mark.parametrize("h, w", [(1, 1), (2, 9), (5, 3), (7, 7), (33, 31),
+                                  (64, 64), (375, 1242)])
+@pytest.mark.parametrize("kind", ["random", "dark_patches"])
+def test_haze_score_equals_bruteforce_window_minimum(h, w, kind):
+    rng = tc.Rng(h * 10007 + w)
+    if kind == "random":
+        image = rng.uniform(0.0, 1.0, (3, h, w))
+    else:
+        image = dark_patched(rng, h, w)
+    assert ec.haze_score(image) == ref_haze_score(image)
 
 
 def is_subnormal(x):

@@ -178,6 +178,14 @@ class TestAttention:
         )
         assert np.allclose(out, ref, atol=1e-10)
 
+    def test_bad_head_count(self):
+        # 3 heads do not divide 512 columns
+        rng = tc.Rng(47)
+        q = rng.uniform(-1, 1, (1, 512))
+        kv = rng.uniform(-1, 1, (3, 512))
+        with pytest.raises(ValueError, match="head count 3 does not divide dim 512"):
+            tc.multi_head_attention(q, kv, kv, 3)
+
     def test_attention_backward_grad_check(self):
         rng = tc.Rng(34)
         q0 = rng.uniform(-1, 1, (2, 8)).astype(np.float64)
