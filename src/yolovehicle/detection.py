@@ -372,34 +372,70 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLos
 
 def decode_detections(out: HeadOutput, obj_thresh: float = 0.5,
                       nms_iou: float = 0.5) -> list[BBox]:
+    """Detections in descending score, after greedy per-class NMS.
+
+    Array code with the arithmetic of a per-cell loop: a cell is a candidate
+    unless its objectness, in float64, lies below obj_thresh; its box is the
+    `_decoded_box` expectation clipped to the unit square; candidates rank by
+    score, ties in row-major cell order; each kept box suppresses the later
+    same-class candidates whose `iou` with it exceeds nms_iou.
+    """
     if not (0 < obj_thresh < 1 and 0 < nms_iou < 1):
         raise ValueError("thresholds must lie in (0, 1)")
     _, h, w = out.obj.shape
     nb = out.reg_max + 1
-    candidates = []
-    for r in range(h):
-        for c in range(w):
-            score = float(out.obj[0, r, c])
-            if score < obj_thresh:
-                continue
-            probs = tc.softmax(out.box[:, r, c].reshape(4, nb).astype(np.float64), axis=1)
-            box, _ = _decoded_box(probs, r, c, (h, w))
-            x1 = max(box[0] - box[2] / 2, 0.0)
-            y1 = max(box[1] - box[3] / 2, 0.0)
-            x2 = min(box[0] + box[2] / 2, 1.0)
-            y2 = min(box[1] + box[3] / 2, 1.0)
-            bw = max(x2 - x1, 1e-6)
-            bh = max(y2 - y1, 1e-6)
-            cls_id = int(np.argmax(out.cls[:, r, c]))
-            candidates.append((score, r * w + c,
-                               BBox((x1 + x2) / 2, (y1 + y2) / 2, bw, bh, cls_id, score)))
-    candidates.sort(key=lambda t: (-t[0], t[1]))
-    kept: list[BBox] = []
-    for _, _, box in candidates:
-        if any(k.class_id == box.class_id and iou(k, box) > nms_iou for k in kept):
-            continue
-        kept.append(box)
-    return kept
+    # float64 first: numpy compares a float32 array with a Python float in
+    # float32, where np.float32(0.7) < 0.7 is false
+    obj64 = out.obj[0].astype(np.float64)
+    rows, cols = np.nonzero(~(obj64 < obj_thresh))
+    order = np.argsort(-obj64[rows, cols], kind="stable")
+    rows, cols = rows[order], cols[order]
+    scores = obj64[rows, cols]
+    logits = out.box.reshape(4, nb, h, w)[:, :, rows, cols]
+    probs = tc.softmax(np.moveaxis(logits, 2, 0).astype(np.float64, order="C"), axis=2)
+    e = probs @ np.arange(nb, dtype=np.float64)  # [n, 4] expected l, t, r, b
+    # (x, y) pairs: centre, corners and sides as _decoded_box takes them
+    grid = np.array([w, h], dtype=np.float64)
+    centre = (np.stack([cols, rows], axis=1) + 0.5) / grid
+    lo, hi = centre - e[:, :2] / grid, centre + e[:, 2:] / grid
+    mid, size = (lo + hi) / 2, hi - lo
+    # clipped as max(v, 0.0) and min(v, 1.0) do: v unless the bound wins
+    lo, hi = mid - size / 2, mid + size / 2
+    lo, hi = np.where(0.0 > lo, 0.0, lo), np.where(1.0 < hi, 1.0, hi)
+    mid, size = (lo + hi) / 2, hi - lo
+    size = np.where(1e-6 > size, 1e-6, size)
+    cls_ids = np.argmax(out.cls[:, rows, cols], axis=0)
+
+    kept = _greedy_nms(mid, size, cls_ids, nms_iou)
+    return [BBox(mid[i, 0], mid[i, 1], size[i, 0], size[i, 1], k, s) for i, k, s in
+            zip(kept, cls_ids[kept].tolist(), scores[kept].tolist())]
+
+
+def _greedy_nms(mid, size, cls_ids, nms_iou):
+    """Indices kept by greedy per-class NMS over [n, 2] box centres and
+    sides already in rank order.
+
+    One pass per kept box, over the candidates after it: memory stays
+    linear in the candidate count. The decisions are `iou`'s: np.minimum
+    and np.maximum may differ from min() and max() only in the sign of a
+    zero or in a NaN, and neither passes `iw > 0` nor `> nms_iou`. The
+    overlap is clamped at 0 in place of iou()'s early return, which keeps
+    the division defined and decides the same.
+    """
+    lo, hi = mid - size / 2, mid + size / 2
+    area = size[:, 0] * size[:, 1]
+    alive = np.ones(len(cls_ids), dtype=bool)
+    kept = []
+    while alive.any():
+        i = int(alive.argmax())  # the first live candidate: all before it are done
+        kept.append(i)
+        alive[i] = False
+        rest = slice(i + 1, None)
+        side = np.maximum(np.minimum(hi[rest], hi[i]) - np.maximum(lo[rest], lo[i]), 0.0)
+        inter = side[:, 0] * side[:, 1]
+        over = inter / (area[i] + area[rest] - inter) > nms_iou
+        alive[rest] &= ~over | (cls_ids[rest] != cls_ids[i])
+    return np.array(kept, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,15 @@ class TestConfig:
             cfgmod.parse_config_text("seed=1\ntau=1.5\n")
         with pytest.raises(ValueError, match=r":1: mode must be always_edge"):
             cfgmod.parse_config_text("mode=sometimes\n")
-        with pytest.raises(ValueError, match=r":1: timeout_ms must be non-negative"):
-            cfgmod.parse_config_text("timeout_ms=-1\n")
+        for text in ("timeout_ms=-1\n", "timeout_ms=0\n"):
+            with pytest.raises(ValueError, match=r":1: timeout_ms must be positive"):
+                cfgmod.parse_config_text(text)
+        # decode needs both thresholds strictly inside (0, 1)
+        for key in ("obj_thresh", "nms_iou"):
+            for value in ("0", "1", "-0.1", "1.5"):
+                with pytest.raises(ValueError, match=rf":1: {key} must lie in \(0, 1\)"):
+                    cfgmod.parse_config_text(f"{key}={value}\n")
+            assert cfgmod.parse_config_text(f"{key}=0.05\n") == {key: 0.05}
 
     def test_comments_and_blanks_ignored(self):
         got = cfgmod.parse_config_text("# top\n\ntau=0.3  # inline\n")
@@ -327,6 +334,36 @@ class TestConfigPrecedence:
         eff = cli.effective_config(args)
         assert eff["tau"] == 0.7
         assert eff["mode"] == "always_edge"
+
+    @pytest.fixture()
+    def no_weights(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("weights loaded before the flags were checked")
+        monkeypatch.setattr(cli, "_load_bundle", refuse)
+
+    def test_bad_threshold_flag_fails_before_the_model_runs(self, tmp_path, image_path,
+                                                            no_weights, capsys):
+        code = run(["detect", "--image", image_path, "--seed", "1",
+                    "--obj-thresh", "1.5", "--output", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--obj-thresh: obj_thresh must lie in (0, 1), got 1.5" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_negative_timeout_flag_fails_before_any_frame(self, tmp_path, no_weights,
+                                                          capsys):
+        indir = tmp_path / "imgs"
+        indir.mkdir()
+        ppm.write_ppm(indir / "0.ppm", np.full((3, 32, 32), 0.5, np.float32))
+        code = run(["serve-edge", "--input-dir", str(indir), "--mode", "always_cloud",
+                    "--cloud", "127.0.0.1:9", "--timeout-ms", "-5", "--seed", "1",
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--timeout-ms: timeout_ms must be positive, got -5.0" in err
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_bad_config_is_runtime_error(self, tmp_path, image_path, capsys):
         cfg = tmp_path / "c.cfg"

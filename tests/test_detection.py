@@ -371,6 +371,16 @@ class TestDecode:
         assert len(dets) == 1
         assert abs(dets[0].score - tc.sigmoid(np.array(3.0))) < 1e-6
 
+    def test_float32_objectness_at_threshold_compared_in_float64(self):
+        # np.float32(0.7) is 0.69999998..., below 0.7; numpy 2 would compare
+        # a float32 array with the Python float 0.7 in float32 and call them equal
+        out = self.saturated_output(grid=(2, 2))
+        self.set_cell(out, 0, 1, (1, 1, 1, 1), class_id=0)
+        out.obj = out.obj.astype(np.float32)
+        out.obj[0, 0, 1] = np.float32(0.7)
+        assert det.decode_detections(out, 0.7, 0.5) == []
+        assert len(det.decode_detections(out, float(np.float32(0.7)), 0.5)) == 1
+
     def test_decode_assign_roundtrip(self):
         out = self.saturated_output(grid=(4, 4))
         cells = [(0, 0, 1), (2, 3, 0), (3, 1, 2)]

@@ -3,10 +3,11 @@
 The references are the straightforward forms of each kernel: a per-channel
 loop im2col/col2im, a three-line softmax, attention over the whole batch at
 once, a dehaze forward built from those, the unflushed sigmoid gradient, a
-fusion backward with matmul outer products, an out-of-place Adam and a
-whole-window dark channel. The fast kernels do the same arithmetic in the
-same order, so every comparison is exact; the one exception is the sigmoid gradient's flush of
-subnormal results to zero, which the saturated-gate tests pin down.
+fusion backward with matmul outer products, an out-of-place Adam, a
+whole-window dark channel and the per-cell decode-and-NMS loop. The fast
+kernels do the same arithmetic in the same order, so every comparison is
+exact; the one exception is the sigmoid gradient's flush of subnormal
+results to zero, which the saturated-gate tests pin down.
 """
 
 import math
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 
 from yolovehicle import dehaze as dh
+from yolovehicle import detection as det
 from yolovehicle import edgecloud as ec
+from yolovehicle import encoders as enc
 from yolovehicle import fusion as fu
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
@@ -395,3 +398,166 @@ def test_adam_equals_out_of_place_reference():
         assert np.array_equal(params[name], before[0][name])
         for g, g0 in zip(grad_seq, before[1]):
             assert np.array_equal(g[name], g0[name])
+
+
+# ---------------------------------------------------------------------------
+# decode: the per-cell loop the array code replaced
+
+
+def ref_decode_detections(out, obj_thresh=0.5, nms_iou=0.5):
+    if not (0 < obj_thresh < 1 and 0 < nms_iou < 1):
+        raise ValueError("thresholds must lie in (0, 1)")
+    _, h, w = out.obj.shape
+    nb = out.reg_max + 1
+    candidates = []
+    for r in range(h):
+        for c in range(w):
+            score = float(out.obj[0, r, c])
+            if score < obj_thresh:
+                continue
+            probs = tc.softmax(out.box[:, r, c].reshape(4, nb).astype(np.float64), axis=1)
+            box, _ = det._decoded_box(probs, r, c, (h, w))
+            x1 = max(box[0] - box[2] / 2, 0.0)
+            y1 = max(box[1] - box[3] / 2, 0.0)
+            x2 = min(box[0] + box[2] / 2, 1.0)
+            y2 = min(box[1] + box[3] / 2, 1.0)
+            bw = max(x2 - x1, 1e-6)
+            bh = max(y2 - y1, 1e-6)
+            cls_id = int(np.argmax(out.cls[:, r, c]))
+            candidates.append((score, r * w + c,
+                               det.BBox((x1 + x2) / 2, (y1 + y2) / 2, bw, bh, cls_id, score)))
+    candidates.sort(key=lambda t: (-t[0], t[1]))
+    kept = []
+    for _, _, box in candidates:
+        if any(k.class_id == box.class_id and det.iou(k, box) > nms_iou for k in kept):
+            continue
+        kept.append(box)
+    return kept
+
+
+def head_output(obj, box, cls_logits, reg_max=7):
+    """A HeadOutput from objectness probabilities and raw logits."""
+    return det.HeadOutput(obj=obj, box=box, cls=tc.softmax(cls_logits, axis=0),
+                          obj_logits=np.zeros_like(obj), cls_logits=cls_logits,
+                          reg_max=reg_max)
+
+
+def random_head_output(seed, dtype, grid=(8, 8), n_classes=3, reg_max=7):
+    rng = tc.Rng(seed)
+    h, w = grid
+    obj = tc.sigmoid(rng.uniform(-3, 3, (1, h, w))).astype(dtype)
+    box = rng.uniform(-4, 4, (4 * (reg_max + 1), h, w)).astype(dtype)
+    cls_logits = rng.uniform(-2, 2, (n_classes, h, w)).astype(dtype)
+    return head_output(obj, box, cls_logits, reg_max)
+
+
+def decoded_fields(dets):
+    return [(b.cx, b.cy, b.w, b.h, b.class_id, b.score) for b in dets]
+
+
+DECODED_TYPES = (np.float64, np.float64, np.float64, np.float64, int, float)
+
+
+def assert_decode_equals_reference(out, obj_thresh, nms_iou):
+    got = det.decode_detections(out, obj_thresh, nms_iou)
+    want = ref_decode_detections(out, obj_thresh, nms_iou)
+    assert decoded_fields(got) == decoded_fields(want)
+    for fields in decoded_fields(got):
+        assert tuple(type(v) for v in fields) == DECODED_TYPES
+    # the loop's box sides are np.float64 too, except a side built from
+    # Python literals alone: a box clipped at both 0.0 and 1.0 (centre 0.5,
+    # side 1.0) or floored at 1e-6; JSON and the wire store both as doubles
+    for fields in decoded_fields(want):
+        for v, t in zip(fields, DECODED_TYPES):
+            assert type(v) is t or (type(v) is float and v in (0.5, 1.0, 1e-6))
+    return got
+
+
+THRESHOLDS = [(t, n) for t in (0.05, 0.5, 0.7, 0.9) for n in (0.1, 0.5, 0.9)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("obj_thresh, nms_iou", THRESHOLDS)
+def test_decode_equals_loop_reference_on_random_heads(dtype, obj_thresh, nms_iou):
+    for seed in range(20):
+        grid = (8, 8) if seed % 4 else (5, 11)
+        out = random_head_output(1000 + seed, dtype, grid)
+        assert_decode_equals_reference(out, obj_thresh, nms_iou)
+
+
+@pytest.fixture(scope="module")
+def toy_scene_heads():
+    bundle = md.init_bundle(0)
+    rng = tc.Rng(0)
+    text = enc.text_encode(enc.TextInput("car, truck, bus"), bundle.text)
+    heads = []
+    for _ in range(64):
+        image, _ = md.make_toy_scene(rng, size=64)
+        fmap, _ = fu.fuse_forward(enc.backbone_extract(image, bundle.backbone),
+                                  text, bundle.fusion)
+        heads.append(det.head_forward(fmap, bundle.head))
+    return heads
+
+
+@pytest.mark.parametrize("obj_thresh, nms_iou", THRESHOLDS)
+def test_decode_equals_loop_reference_on_toy_scenes(toy_scene_heads, obj_thresh, nms_iou):
+    for out in toy_scene_heads:
+        assert_decode_equals_reference(out, obj_thresh, nms_iou)
+
+
+def edge_case_head(case, dtype):
+    """An 8x8 head output with random logits and one property forced."""
+    out = random_head_output(77, dtype)
+    obj, box, cls_logits = out.obj, out.box, out.cls_logits
+    nb = out.reg_max + 1
+    if case == "exact_thresholds":
+        obj[0, ::2] = np.float32(0.7)
+        obj[0, 1::2] = np.float32(0.9)
+    elif case == "tied_scores":
+        # same score and class, boxes overlapping: order decides which stays
+        obj[0, 2:6, 2:6] = 0.8
+        cls_logits[:, 2:6, 2:6] = np.array([0.0, 3.0, 0.0])[:, None, None]
+    elif case == "clipped_borders":
+        # every border cell reaches 7 cells outward on every side
+        box[:] = -20.0
+        box[[nb - 1 + s * nb for s in range(4)]] = 20.0
+        obj[0] = 0.95
+    elif case == "zero_size_boxes":
+        # every distance saturates at bin 0: the sides floor at 1e-6
+        box[:] = -100.0
+        box[[s * nb for s in range(4)]] = 100.0
+    elif case == "argmax_ties":
+        cls_logits[:, ::2] = 0.0
+        cls_logits[:, 1::2] = np.array([-1.0, 2.0, 2.0])[:, None, None]
+    elif case == "iou_at_threshold":
+        # saturated bins give whole-cell distances, so the two boxes have
+        # IoU 0.5 exactly: (l, t, r, b) = (1, 1, 1, 1) at (2, 2), (2, 1, 0, 3) at (2, 3)
+        obj[:] = 0.01
+        for (r, c), dists, score in (((2, 2), (1, 1, 1, 1), 0.97),
+                                     ((2, 3), (2, 1, 0, 3), 0.96)):
+            obj[0, r, c] = score
+            box[:, r, c] = -100.0
+            box[[s * nb + d for s, d in enumerate(dists)], r, c] = 100.0
+            cls_logits[:, r, c] = (0.0, 0.0, 5.0)
+    elif case == "no_candidates":
+        obj[:] = 0.01
+    elif case == "all_candidates":
+        obj[:] = np.linspace(0.95, 0.99, 64).reshape(obj.shape)
+    return head_output(obj, box, cls_logits, out.reg_max)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["exact_thresholds", "tied_scores", "clipped_borders",
+                                  "zero_size_boxes", "argmax_ties", "iou_at_threshold",
+                                  "no_candidates", "all_candidates"])
+def test_decode_equals_loop_reference_on_edge_cases(case, dtype):
+    for obj_thresh, nms_iou in THRESHOLDS:
+        got = assert_decode_equals_reference(edge_case_head(case, dtype), obj_thresh, nms_iou)
+        if case == "no_candidates":
+            assert got == []
+        if case == "iou_at_threshold":
+            assert len(got) == (1 if nms_iou < 0.5 else 2)
+        if case == "zero_size_boxes":
+            assert got and all(b.w == b.h == 1e-6 for b in got)
+        if case == "clipped_borders":
+            assert all(0.0 <= b.cx - b.w / 2 and b.cx + b.w / 2 <= 1.0 for b in got)
