@@ -1,8 +1,9 @@
 """Command-line entry point: detect, dehaze, train-toy, eval, bench,
 serve-edge, serve-cloud.
 
-Exit codes: 0 success, 1 runtime failure (one-line diagnostic on stderr),
-2 usage error. All output files are written atomically (temp + rename).
+Exit codes: 0 success, 1 runtime failure or a setting out of its
+config.SCHEMA range (one-line diagnostic on stderr), 2 usage error. All
+output files are written atomically (temp + rename).
 Passing --seed, or seed= in the config file, makes the primary output files
 byte-identical across runs: weights are derived from the seed where
 applicable and per-line timing fields are zeroed.
@@ -25,29 +26,20 @@ from .ppm import image_to_ppm_bytes, read_ppm
 from .tensor_core import atomic_write
 
 
-def _add_common(p, *names):
-    if "config" in names:
-        p.add_argument("--config", help="key=value config file")
-    if "weights" in names:
-        p.add_argument("--weights", help="weights archive path")
-    if "seed" in names:
-        p.add_argument("--seed", type=int,
-                       help="fix all RNG streams; output becomes reproducible")
-    if "thresh" in names:
-        p.add_argument("--obj-thresh", dest="obj_thresh", type=float,
-                       help="objectness threshold (default 0.5)")
-        p.add_argument("--nms-iou", dest="nms_iou", type=float,
-                       help="NMS IoU threshold (default 0.5)")
-    if "policy" in names:
-        p.add_argument("--mode", choices=["always_edge", "always_cloud",
-                                          "adaptive"],
-                       help="offload policy (default adaptive)")
-        p.add_argument("--tau", type=float,
-                       help="haze threshold for adaptive routing (default 0.6)")
-    if "cloud" in names:
-        p.add_argument("--cloud", help="cloud node address host:port")
-        p.add_argument("--timeout-ms", dest="timeout_ms", type=float,
-                       help="cloud request timeout (default 1000)")
+def _add_settings(p, *keys):
+    """--config, plus one flag per config.SCHEMA key: the schema's parser,
+    its help and its default; an unset flag is None and leaves the key to
+    the file or the default."""
+    p.add_argument("--config", help="key=value config file")
+    for key in keys:
+        parser, default, _, text = cfgmod.SCHEMA[key]
+        p.add_argument("--" + key.replace("_", "-"), type=parser,
+                       help=f"{text} (default {default!r})")
+
+
+# the settings of the edge node's commands
+_EDGE_KEYS = ("weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
+              "cloud", "timeout_ms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,19 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="detect vehicles in one PPM image")
     p.add_argument("--image", required=True, help="input image (PPM P6)")
-    p.add_argument("--text", help="comma-separated phrases (default "
-                                  "'car, truck, bus')")
     p.add_argument("--output", default="detections.jsonl",
                    help="JSON-lines output path (default detections.jsonl)")
     p.add_argument("--pro", action="store_true",
                    help="run the dehazing front-end before detection")
-    _add_common(p, "config", "weights", "seed", "thresh")
+    _add_settings(p, "weights", "seed", "obj_thresh", "nms_iou", "text")
 
     p = sub.add_parser("dehaze", help="dehaze one PPM image")
     p.add_argument("--image", required=True, help="input image (PPM P6)")
     p.add_argument("--output", default="dehazed.ppm",
                    help="output image path (default dehazed.ppm)")
-    _add_common(p, "config", "weights", "seed")
+    _add_settings(p, "weights", "seed")
 
     p = sub.add_parser("train-toy",
                        help="overfit the detector on synthetic scenes")
@@ -80,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.01,
                    help="learning rate (default 0.01)")
     p.add_argument("--save", help="write the trained weights archive here")
-    _add_common(p, "config", "seed")
+    _add_settings(p, "seed")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--preds", required=True, help="predictions (JSON-lines)")
@@ -96,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="bench.json",
                    help="report path (default bench.json)")
     p.add_argument("--detections", help="also write detections (JSON-lines)")
-    _add_common(p, "config", "weights", "seed", "thresh", "policy", "cloud")
+    _add_settings(p, *_EDGE_KEYS)
 
     p = sub.add_parser("serve-edge", help="run the edge node over an image set")
     p.add_argument("--input-dir", dest="input_dir", required=True,
@@ -104,30 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="detections.jsonl",
                    help="JSON-lines output path (default detections.jsonl)")
     p.add_argument("--stats", help="also write a JSON stats report here")
-    _add_common(p, "config", "weights", "seed", "thresh", "policy", "cloud")
+    _add_settings(p, *_EDGE_KEYS)
 
     p = sub.add_parser("serve-cloud", help="run the cloud detection server")
     p.add_argument("--listen", default="127.0.0.1:5956",
                    help="listen address (default 127.0.0.1:5956)")
-    p.add_argument("--text", help="detection phrases served to all clients")
-    _add_common(p, "config", "weights", "seed", "thresh")
+    _add_settings(p, "weights", "seed", "obj_thresh", "nms_iou", "text")
 
     return parser
 
 
 def effective_config(args) -> dict:
-    """Defaults, overridden by the config file, overridden by flags.
-
-    cfg["seed"] is None unless --seed or the file's seed= fixes it: the
-    schema default is not a fixed seed.
-    """
-    file_values = cfgmod.load_config(args.config) if getattr(args, "config", None) else {}
-    flags = {k: getattr(args, k) for k in cfgmod.SCHEMA
-             if getattr(args, k, None) is not None}
-    cfg = cfgmod.merge(file_values, flags)
-    if "seed" not in file_values and "seed" not in flags:
-        cfg["seed"] = None
-    return cfg
+    """Defaults, overridden by the config file, overridden by flags."""
+    file_values = cfgmod.load_config(args.config) if args.config else {}
+    return cfgmod.merge(file_values,
+                        {k: getattr(args, k, None) for k in cfgmod.SCHEMA})
 
 
 def _load_bundle(cfg, args):
@@ -185,7 +166,7 @@ def cmd_dehaze(args) -> int:
 
 def cmd_train_toy(args) -> int:
     cfg = effective_config(args)
-    seed = cfg["seed"] if cfg["seed"] is not None else cfgmod.defaults()["seed"]
+    seed = 0 if cfg["seed"] is None else cfg["seed"]
     weights = det.DetectLossWeights(lambda_cls=cfg["lambda1"],
                                     lambda_bbox=cfg["lambda2"],
                                     lambda_dfl=cfg["lambda3"])

@@ -1,22 +1,24 @@
 """key=value configuration files with strict schema checking.
 
 Unknown keys are rejected with the offending line number; absent keys fall
-back to defaults; command-line flags override file values and pass the same
-range checks.
+back to defaults; command-line flags, built from the same schema, override
+file values and pass the same range checks.
 """
 
 from __future__ import annotations
 
+from math import inf
+
 
 def _non_negative(name, value):
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    if not 0 <= value < inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
     return value
 
 
 def _positive(name, value):
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < value < inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
 
 
@@ -39,26 +41,29 @@ def _mode(name, value):
     return value
 
 
-# name -> (parser, default, validator or None)
+# name -> (parser, default, validator or None, flag help)
 SCHEMA = {
-    "weights": (str, "weights.bin", None),
-    "mode": (str, "adaptive", _mode),
-    "tau": (float, 0.6, _unit_interval),
-    "lambda1": (float, 0.6, _non_negative),
-    "lambda2": (float, 7.0, _non_negative),
-    "lambda3": (float, 0.4, _non_negative),
-    "seed": (int, 0, None),
-    "obj_thresh": (float, 0.5, _open_unit_interval),
-    "nms_iou": (float, 0.5, _open_unit_interval),
-    "text": (str, "car, truck, bus", None),
-    "cloud": (str, "", None),
+    "weights": (str, "weights.bin", None, "weights archive path"),
+    "mode": (str, "adaptive", _mode,
+             "offload policy: always_edge, always_cloud or adaptive"),
+    "tau": (float, 0.6, _unit_interval, "haze threshold for adaptive routing"),
+    "lambda1": (float, 0.6, _non_negative, "classification loss weight"),
+    "lambda2": (float, 7.0, _non_negative, "box (CIoU) loss weight"),
+    "lambda3": (float, 0.4, _non_negative, "distribution focal loss weight"),
+    "seed": (int, None, None,
+             "fix all RNG streams so output is reproducible; unset, "
+             "train-toy trains from seed 0"),
+    "obj_thresh": (float, 0.5, _open_unit_interval, "objectness threshold"),
+    "nms_iou": (float, 0.5, _open_unit_interval, "NMS IoU threshold"),
+    "text": (str, "car, truck, bus", None, "comma-separated detection phrases"),
+    "cloud": (str, "", None, "cloud node address host:port"),
     # 0 would make the socket non-blocking, not patient
-    "timeout_ms": (float, 1000.0, _positive),
+    "timeout_ms": (float, 1000.0, _positive, "cloud request timeout in ms"),
 }
 
 
 def defaults() -> dict:
-    return {k: d for k, (_, d, _) in SCHEMA.items()}
+    return {k: entry[1] for k, entry in SCHEMA.items()}
 
 
 def _validated(key, value, where: str):
@@ -102,8 +107,9 @@ def load_config(path) -> dict:
 
 
 def merge(file_values: dict, flag_values: dict) -> dict:
-    """defaults, overridden by the file, overridden by explicit flags; a
-    flag value out of its key's range raises ValueError naming the flag."""
+    """defaults, overridden by the file, overridden by the flags that are not
+    None; a flag value out of its key's range raises ValueError naming the
+    flag."""
     eff = defaults()
     eff.update(file_values)
     for key, value in flag_values.items():

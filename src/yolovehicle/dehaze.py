@@ -6,12 +6,16 @@ perceptual contrast against the hazy input, identity).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor_core as tc
 from . import encoders
+
+WINDOW = 4  # attention window side, in pixels
+HEADS = 2   # attention heads per window
 
 
 @dataclass
@@ -28,8 +32,6 @@ class WmsaParams:
     wk: np.ndarray
     wv: np.ndarray
     wo: np.ndarray
-    window: int = 4
-    heads: int = 2
     shift: bool = False
 
 
@@ -46,10 +48,6 @@ class DehazeGenerator:
     stem: tc.ConvLayer               # 3x3, 3 -> C
     blocks: list[DehazeBlockParams]
     head: tc.ConvLayer               # 3x3, C -> 3
-
-    @property
-    def window(self) -> int:
-        return self.blocks[0].wmsa.window
 
 
 @dataclass
@@ -68,12 +66,12 @@ class DehazeLossWeights:
 
     def __post_init__(self):
         vals = (self.lambda_adv, self.lambda_patch, self.lambda_scp, self.lambda_ide)
-        if any(v < 0 for v in vals):
-            raise ValueError(f"loss weights must be non-negative: {vals}")
+        if not all(0 <= v < math.inf for v in vals):
+            raise ValueError(f"loss weights must be non-negative and finite: {vals}")
         if not any(v > 0 for v in vals):
             raise ValueError("at least one loss weight must be positive")
-        if self.nce_temperature <= 0:
-            raise ValueError("nce_temperature must be positive")
+        if not 0 < self.nce_temperature < math.inf:
+            raise ValueError("nce_temperature must be positive and finite")
 
 
 @dataclass
@@ -84,12 +82,11 @@ class DehazeLossComponents:
     ide: float
 
 
-def init_block(rng: tc.Rng, channels: int, window: int = 4, heads: int = 2,
-               shift: bool = False) -> DehazeBlockParams:
+def init_block(rng: tc.Rng, channels: int, shift: bool = False) -> DehazeBlockParams:
     if channels % 2:
         raise ValueError(f"channel count must be even for the squeeze, got {channels}")
-    if channels % heads:
-        raise ValueError(f"heads {heads} does not divide channels {channels}")
+    if channels % HEADS:
+        raise ValueError(f"heads {HEADS} does not divide channels {channels}")
     half = channels // 2
     return DehazeBlockParams(
         stem=tc.init_conv(rng, channels, channels),
@@ -104,15 +101,14 @@ def init_block(rng: tc.Rng, channels: int, window: int = 4, heads: int = 2,
             wk=tc.init_uniform(rng, (channels, channels), channels),
             wv=tc.init_uniform(rng, (channels, channels), channels),
             wo=tc.init_uniform(rng, (channels, channels), channels),
-            window=window, heads=heads, shift=shift,
+            shift=shift,
         ),
         out=tc.init_conv(rng, channels, channels),
     )
 
 
-def init_generator(rng: tc.Rng, channels: int = 8, n_blocks: int = 2,
-                   window: int = 4, heads: int = 2) -> DehazeGenerator:
-    blocks = [init_block(rng, channels, window, heads, shift=bool(i % 2))
+def init_generator(rng: tc.Rng, channels: int = 8, n_blocks: int = 2) -> DehazeGenerator:
+    blocks = [init_block(rng, channels, shift=bool(i % 2))
               for i in range(n_blocks)]
     return DehazeGenerator(stem=tc.init_conv(rng, 3, channels), blocks=blocks,
                            head=tc.init_conv(rng, channels, 3))
@@ -182,19 +178,19 @@ def wmsa_forward(x: np.ndarray, p: WmsaParams):
     edges, and those tokens attend to each other.
     """
     c, h, w = x.shape
-    if h % p.window or w % p.window:
-        raise ValueError(f"window {p.window} does not divide map {h}x{w}")
-    if c % p.heads:
-        raise ValueError(f"heads {p.heads} does not divide channels {c}")
-    s = p.window // 2 if p.shift else 0
+    if h % WINDOW or w % WINDOW:
+        raise ValueError(f"window {WINDOW} does not divide map {h}x{w}")
+    if c % HEADS:
+        raise ValueError(f"heads {HEADS} does not divide channels {c}")
+    s = WINDOW // 2 if p.shift else 0
     xs = np.roll(x, (-s, -s), axis=(1, 2)) if s else x
-    tokens = _partition(xs, p.window)              # [nW, T, C]
+    tokens = _partition(xs, WINDOW)                # [nW, T, C]
     # one [3C, C] projection over all tokens; q, k and v are column views of it
     qkv = tokens.reshape(-1, c) @ np.concatenate((p.wq, p.wk, p.wv)).T
     q, k, v = (qkv[:, i * c:(i + 1) * c].reshape(tokens.shape) for i in range(3))
-    att, mha_cache = tc.multi_head_attention(q, k, v, p.heads)
+    att, mha_cache = tc.multi_head_attention(q, k, v, HEADS)
     out_tokens = (att.reshape(-1, c) @ p.wo.T).reshape(tokens.shape)
-    y = _unpartition(out_tokens, x.shape, p.window)
+    y = _unpartition(out_tokens, x.shape, WINDOW)
     if s:
         y = np.roll(y, (s, s), axis=(1, 2))
     return y, (x.shape, s, tokens, att, mha_cache)
@@ -204,14 +200,14 @@ def wmsa_backward(cache, p: WmsaParams, gy: np.ndarray):
     shape, s, tokens, att, mha_cache = cache
     if s:
         gy = np.roll(gy, (-s, -s), axis=(1, 2))
-    g_out = _partition(gy, p.window)
+    g_out = _partition(gy, WINDOW)
     gq, gk, gv = tc.multi_head_attention_backward(mha_cache, g_out @ p.wo)
     g_tokens = gq @ p.wq + gk @ p.wk + gv @ p.wv
     grads = replace(p, wq=np.einsum("wtd,wtc->dc", gq, tokens),
                     wk=np.einsum("wtd,wtc->dc", gk, tokens),
                     wv=np.einsum("wtd,wtc->dc", gv, tokens),
                     wo=np.einsum("wtd,wtc->dc", g_out, att))
-    gx = _unpartition(g_tokens, shape, p.window)
+    gx = _unpartition(g_tokens, shape, WINDOW)
     if s:
         gx = np.roll(gx, (s, s), axis=(1, 2))
     return gx, grads

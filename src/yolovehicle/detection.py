@@ -1,9 +1,9 @@
 """Detection head, target assignment, the three-term detection loss, decoding.
 
 The head is three 1x1 convolutions over the fused feature map: objectness,
-per-side distance distributions (distribution-focal style, reg_max+1 bins per
-side), and class scores. Box regression distances are measured from the cell
-center in cell units.
+per-side distance distributions (distribution-focal style, REG_MAX + 1 bins
+per side), and class scores. Box regression distances are measured from the
+cell center in cell units.
 """
 
 from __future__ import annotations
@@ -16,20 +16,17 @@ import numpy as np
 
 from . import tensor_core as tc
 
+REG_MAX = 7  # largest box-side distance in cells; REG_MAX + 1 bins per side
+
 
 @dataclass
 class HeadParams:
     w_obj: np.ndarray  # [1, C]
     b_obj: np.ndarray  # [1]
-    w_box: np.ndarray  # [4*(reg_max+1), C]
+    w_box: np.ndarray  # [4*(REG_MAX+1), C]
     b_box: np.ndarray
     w_cls: np.ndarray  # [K, C]
     b_cls: np.ndarray
-    reg_max: int = 7
-
-    @property
-    def n_bins(self) -> int:
-        return self.reg_max + 1
 
     @property
     def n_classes(self) -> int:
@@ -39,11 +36,10 @@ class HeadParams:
 @dataclass
 class HeadOutput:
     obj: np.ndarray         # [1, H, W], sigmoid probabilities
-    box: np.ndarray         # [4*(reg_max+1), H, W], raw logits
+    box: np.ndarray         # [4*(REG_MAX+1), H, W], raw logits
     cls: np.ndarray         # [K, H, W], per-cell scores
     obj_logits: np.ndarray
     cls_logits: np.ndarray
-    reg_max: int
 
 
 @dataclass
@@ -72,14 +68,14 @@ class DetectLossWeights:
 
     def __post_init__(self):
         vals = (self.lambda_cls, self.lambda_bbox, self.lambda_dfl)
-        if any(v < 0 for v in vals):
-            raise ValueError(f"loss weights must be non-negative: {vals}")
+        if not all(0 <= v < math.inf for v in vals):
+            raise ValueError(f"loss weights must be non-negative and finite: {vals}")
         if not any(v > 0 for v in vals):
             raise ValueError("at least one loss weight must be positive")
 
 
-def init_head(rng: tc.Rng, channels: int, n_classes: int = 3, reg_max: int = 7) -> HeadParams:
-    nb = reg_max + 1
+def init_head(rng: tc.Rng, channels: int, n_classes: int = 3) -> HeadParams:
+    nb = REG_MAX + 1
     return HeadParams(
         w_obj=tc.init_uniform(rng, (1, channels), channels),
         b_obj=np.zeros(1, tc.DTYPE),
@@ -87,7 +83,6 @@ def init_head(rng: tc.Rng, channels: int, n_classes: int = 3, reg_max: int = 7) 
         b_box=np.zeros(4 * nb, tc.DTYPE),
         w_cls=tc.init_uniform(rng, (n_classes, channels), channels),
         b_cls=np.zeros(n_classes, tc.DTYPE),
-        reg_max=reg_max,
     )
 
 
@@ -100,7 +95,7 @@ def head_forward(feat: np.ndarray, params: HeadParams) -> HeadOutput:
     cls_logits = np.einsum("oc,chw->ohw", params.w_cls, feat) + params.b_cls[:, None, None]
     cls = tc.softmax(cls_logits, axis=0)
     return HeadOutput(obj=tc.sigmoid(obj_logits), box=box, cls=cls,
-                      obj_logits=obj_logits, cls_logits=cls_logits, reg_max=params.reg_max)
+                      obj_logits=obj_logits, cls_logits=cls_logits)
 
 
 def head_backward(feat: np.ndarray, params: HeadParams, g_obj: np.ndarray,
@@ -245,7 +240,7 @@ class Targets:
     boxes: dict = field(default_factory=dict)  # (row, col) -> BBox
 
 
-def assign_targets(gts: list[BBox], grid: tuple[int, int], reg_max: int = 7) -> Targets:
+def assign_targets(gts: list[BBox], grid: tuple[int, int]) -> Targets:
     h, w = grid
     t = Targets(obj=np.zeros((h, w), tc.DTYPE),
                 cls=np.full((h, w), -1, dtype=np.int64),
@@ -262,7 +257,7 @@ def assign_targets(gts: list[BBox], grid: tuple[int, int], reg_max: int = 7) -> 
         ccx, ccy = (col + 0.5) / w, (row + 0.5) / h
         x1, y1, x2, y2 = gt.corners()
         dists = [(ccx - x1) * w, (ccy - y1) * h, (x2 - ccx) * w, (y2 - ccy) * h]
-        t.dist[:, row, col] = np.clip(dists, 0.0, reg_max)
+        t.dist[:, row, col] = np.clip(dists, 0.0, REG_MAX)
     return t
 
 
@@ -307,7 +302,7 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLos
     h, w = targets.obj.shape
     if out.obj.shape[1:] != (h, w):
         raise ValueError(f"head grid {out.obj.shape[1:]} vs targets {(h, w)}")
-    nb = out.reg_max + 1
+    nb = REG_MAX + 1
     n_classes = out.cls_logits.shape[0]
     positives = sorted(targets.boxes.keys())
     n_pos = len(positives)
@@ -383,7 +378,7 @@ def decode_detections(out: HeadOutput, obj_thresh: float = 0.5,
     if not (0 < obj_thresh < 1 and 0 < nms_iou < 1):
         raise ValueError("thresholds must lie in (0, 1)")
     _, h, w = out.obj.shape
-    nb = out.reg_max + 1
+    nb = REG_MAX + 1
     # float64 first: numpy compares a float32 array with a Python float in
     # float32, where np.float32(0.7) < 0.7 is false
     obj64 = out.obj[0].astype(np.float64)

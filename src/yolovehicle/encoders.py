@@ -65,7 +65,6 @@ class TextEncoderParams:
     w_out: np.ndarray  # [512, d]
     b_out: np.ndarray  # [1, 512]
     layers: list[EncoderLayerParams]
-    heads: int = NUM_HEADS
 
 
 @dataclass
@@ -108,11 +107,11 @@ def tokenize(text: TextInput, vocab: dict[str, int]) -> list[list[int]]:
     return out
 
 
-def _encoder_layer(x: np.ndarray, lp: EncoderLayerParams, heads: int) -> np.ndarray:
+def _encoder_layer(x: np.ndarray, lp: EncoderLayerParams) -> np.ndarray:
     q = x @ lp.wq.T
     k = x @ lp.wk.T
     v = x @ lp.wv.T
-    attn, _ = tc.multi_head_attention(q, k, v, heads)
+    attn, _ = tc.multi_head_attention(q, k, v, NUM_HEADS)
     x = x + attn @ lp.wo.T
     hidden = tc.leaky_relu(x @ lp.w1.T + lp.b1)
     return x + hidden @ lp.w2.T + lp.b2
@@ -124,7 +123,7 @@ def text_encode(text: TextInput, params: TextEncoderParams) -> TextFeature:
     for ids in phrase_ids:
         x = params.embed[ids] if ids else np.zeros((1, MODEL_DIM), tc.DTYPE)
         for lp in params.layers:
-            x = _encoder_layer(x, lp, params.heads)
+            x = _encoder_layer(x, lp)
         phrase_vecs.append(x.mean(axis=0))
     rows = np.stack(phrase_vecs)  # [T, d]
     tokens = rows @ params.w_out.T + params.b_out
@@ -140,7 +139,6 @@ def text_encode(text: TextInput, params: TextEncoderParams) -> TextFeature:
 class BackboneParams:
     stem: list[tc.ConvLayer]          # two stride-2 convs -> /4
     stages: list[list[tc.ConvLayer]]  # three stages, each /2 -> strides 8/16/32
-    channels: int = 8
 
 
 @dataclass
@@ -159,7 +157,7 @@ def init_backbone(rng: tc.Rng, channels: int = 8) -> BackboneParams:
         [tc.init_conv(rng, channels, channels, 2), tc.init_conv(rng, channels, channels)]
         for _ in range(3)
     ]
-    return BackboneParams(stem=stem, stages=stages, channels=channels)
+    return BackboneParams(stem=stem, stages=stages)
 
 
 def _run_layers(x: np.ndarray, layers: list[tc.ConvLayer], cache: list | None = None) -> np.ndarray:

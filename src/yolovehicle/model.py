@@ -5,6 +5,7 @@ front-end), and the toy detection training loop.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -44,14 +45,14 @@ def _build_bundle(rng) -> ModelBundle:
         text=enc.init_text_encoder(rng),
         backbone=enc.init_backbone(rng, channels=8),
         fusion=fu.init_fusion(rng, channels=8),
-        head=det.init_head(rng, fu.FEATURE_SHAPE[0], n_classes=3, reg_max=7),
-        gen=dh.init_generator(rng, channels=8, n_blocks=2, window=4, heads=2),
+        head=det.init_head(rng, fu.FEATURE_SHAPE[0], n_classes=3),
+        gen=dh.init_generator(rng, channels=8, n_blocks=2),
     )
 
 
 # the archive's stamp of that architecture: backbone channels, classes,
-# reg_max, generator channels, generator blocks, window and attention heads
-META = np.array([8, 3, 7, 8, 2, 4, 2], np.float32)
+# REG_MAX, generator channels, generator blocks, window and attention heads
+META = np.array([8, 3, det.REG_MAX, 8, 2, dh.WINDOW, dh.HEADS], np.float32)
 
 
 def init_bundle(seed: int) -> ModelBundle:
@@ -143,6 +144,8 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
     """
     if steps < 1 or steps > 1000:
         raise ValueError(f"steps must lie in [1, 1000], got {steps}")
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     weights = weights or det.DetectLossWeights()
     bundle = init_bundle(seed)
     rng = tc.Rng(seed + 1)
@@ -150,8 +153,7 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
     feats = [enc.backbone_extract(img, bundle.backbone) for img, _ in scenes]
     tf = enc.text_encode(enc.TextInput(text), bundle.text)
     grid = fu.FEATURE_SHAPE[1:]
-    targets = [det.assign_targets(gts, grid, bundle.head.reg_max)
-               for _, gts in scenes]
+    targets = [det.assign_targets(gts, grid) for _, gts in scenes]
 
     opt = Adam(lr=lr)
     rows = []

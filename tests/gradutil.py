@@ -1,4 +1,5 @@
-"""Shared test helper: finite-difference checks on a random coordinate subset.
+"""Shared test helpers: finite-difference checks on a random coordinate
+subset, and a dehazing scene posed for them.
 
 Full parameter matrices are too large for per-coordinate central differences,
 so each check probes a deterministic random subset of coordinates; the
@@ -7,6 +8,7 @@ analytic gradient is still produced by the full backward pass.
 
 import numpy as np
 
+from yolovehicle import dehaze as dh
 from yolovehicle import tensor_core as tc
 
 
@@ -26,3 +28,28 @@ def coord_subset_grad_check(f_full, param, n=8, seed=0, eps=1e-4):
         return loss, np.asarray(grad, dtype=np.float64).reshape(-1)[idx]
 
     return tc.grad_check(g, base.reshape(-1)[idx].copy(), eps)
+
+
+def smooth_scene(gseed, cseed):
+    """A generator/discriminator/image triple posed away from every kink.
+
+    Finite differences are meaningless when a perturbation straddles a
+    non-smooth point, so the check operates where the loss is differentiable:
+    intermediate conv biases are shifted positive (leaky relus run in their
+    linear region), the head bias pulls the output well away from the input
+    (absolute-difference and clamp terms keep a margin), and the images are
+    separated enough that the perceptual-contrast denominator stays O(1).
+    """
+    gen = dh.init_generator(tc.Rng(gseed), channels=4)
+    gen.stem.b = np.full_like(gen.stem.b, 0.8)
+    for b in gen.blocks:
+        b.stem.b = np.full_like(b.stem.b, 0.8)
+        b.cab.b1 = np.full_like(b.cab.b1, 0.8)
+    gen.head.w = gen.head.w * np.float32(2.0)
+    gen.head.b = np.full_like(gen.head.b, -0.35)
+    disc = dh.init_discriminator(tc.Rng(gseed + 1), channels=4)
+    for c in disc.convs[:-1]:
+        c.b = np.full_like(c.b, 0.8)
+    clear = tc.Rng(cseed).uniform(0.45, 0.7, (3, 8, 8))
+    hazy = dh.synthesize_haze(clear, 0.5)
+    return gen, disc, hazy, clear

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from gradutil import coord_subset_grad_check
+from gradutil import coord_subset_grad_check, smooth_scene
 from yolovehicle import dehaze as dh
 from yolovehicle import detection as det
 from yolovehicle import edgecloud as ec
@@ -29,24 +29,6 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures",
 
 def ok(message):
     print(f"PASS {message}")
-
-
-def smooth_scene(gseed, cseed):
-    """Generator/discriminator/image triple posed away from the non-smooth
-    points of the composite restoration loss (see test_dehaze.smooth_scene)."""
-    gen = dh.init_generator(tc.Rng(gseed), channels=4)
-    gen.stem.b = np.full_like(gen.stem.b, 0.8)
-    for b in gen.blocks:
-        b.stem.b = np.full_like(b.stem.b, 0.8)
-        b.cab.b1 = np.full_like(b.cab.b1, 0.8)
-    gen.head.w = gen.head.w * np.float32(2.0)
-    gen.head.b = np.full_like(gen.head.b, -0.35)
-    disc = dh.init_discriminator(tc.Rng(gseed + 1), channels=4)
-    for c in disc.convs[:-1]:
-        c.b = np.full_like(c.b, 0.8)
-    clear = tc.Rng(cseed).uniform(0.45, 0.7, (3, 8, 8))
-    hazy = dh.synthesize_haze(clear, 0.5)
-    return gen, disc, hazy, clear
 
 
 def detect_scene(seed, grid=(2, 2)):
@@ -184,12 +166,11 @@ class TestAttentionCorrectness:
 
         p = dh.WmsaParams(
             wq=rng.uniform(-0.5, 0.5, (4, 4)), wk=rng.uniform(-0.5, 0.5, (4, 4)),
-            wv=rng.uniform(-0.5, 0.5, (4, 4)), wo=rng.uniform(-0.5, 0.5, (4, 4)),
-            window=4, heads=2)
+            wv=rng.uniform(-0.5, 0.5, (4, 4)), wo=rng.uniform(-0.5, 0.5, (4, 4)))
         x = rng.uniform(-1, 1, (4, 4, 4))
         tokens = x.reshape(4, 16).T
         ref, _ = tc.multi_head_attention(tokens @ p.wq.T, tokens @ p.wk.T,
-                                         tokens @ p.wv.T, p.heads)
+                                         tokens @ p.wv.T, dh.HEADS)
         ref = (ref @ p.wo.T).T.reshape(4, 4, 4)
         assert np.allclose(dh.wmsa_forward(x, p)[0], ref, atol=1e-5)
         ok("attention: row sums 1±1e-5, cross/windowed attention match "
@@ -292,6 +273,7 @@ class TestToyDetectionOverfit:
         start = time.perf_counter()
         rows, _ = md.train_toy(seed=0, steps=200)
         elapsed = time.perf_counter() - start
+        assert rows[0][0] == 1 and rows[-1][0] == 200
         assert rows[-1][1] < 0.2 * rows[0][1], (rows[0][1], rows[-1][1])
         prefix, _ = md.train_toy(seed=0, steps=10)
         assert prefix == rows[:10]

@@ -62,12 +62,21 @@ class TestConfig:
             cfgmod.parse_config_text("seed=1\ntau=1.5\n")
         with pytest.raises(ValueError, match=r":1: mode must be always_edge"):
             cfgmod.parse_config_text("mode=sometimes\n")
-        for text in ("timeout_ms=-1\n", "timeout_ms=0\n"):
+        for value in ("-1", "0", "inf", "nan"):
             with pytest.raises(ValueError, match=r":1: timeout_ms must be positive"):
-                cfgmod.parse_config_text(text)
+                cfgmod.parse_config_text(f"timeout_ms={value}\n")
+        # a NaN or infinite loss weight would train to NaN weights
+        for key in ("lambda1", "lambda2", "lambda3"):
+            for value in ("-0.5", "inf", "nan"):
+                with pytest.raises(ValueError,
+                                   match=rf":1: {key} must be non-negative and finite"):
+                    cfgmod.parse_config_text(f"{key}={value}\n")
+            assert cfgmod.parse_config_text(f"{key}=0\n") == {key: 0.0}
+        with pytest.raises(ValueError, match=r":1: tau must lie in \[0, 1\]"):
+            cfgmod.parse_config_text("tau=nan\n")
         # decode needs both thresholds strictly inside (0, 1)
         for key in ("obj_thresh", "nms_iou"):
-            for value in ("0", "1", "-0.1", "1.5"):
+            for value in ("0", "1", "-0.1", "1.5", "nan", "inf"):
                 with pytest.raises(ValueError, match=rf":1: {key} must lie in \(0, 1\)"):
                     cfgmod.parse_config_text(f"{key}={value}\n")
             assert cfgmod.parse_config_text(f"{key}=0.05\n") == {key: 0.05}
@@ -85,6 +94,20 @@ class TestConfig:
         assert eff["tau"] == 0.7
         assert eff["mode"] == "always_edge"
         assert eff["lambda2"] == 7.0  # untouched default
+
+
+_EDGE_KEYS = ("weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
+              "cloud", "timeout_ms")
+# the config keys each command takes as flags
+SETTINGS = {
+    "detect": ("weights", "seed", "obj_thresh", "nms_iou", "text"),
+    "dehaze": ("weights", "seed"),
+    "train-toy": ("seed",),
+    "eval": (),
+    "bench": _EDGE_KEYS,
+    "serve-edge": _EDGE_KEYS,
+    "serve-cloud": ("weights", "seed", "obj_thresh", "nms_iou", "text"),
+}
 
 
 class TestUsage:
@@ -108,6 +131,18 @@ class TestUsage:
             assert run([cmd, "--help"]) == 0, cmd
             out = capsys.readouterr().out
             assert "default" in out, cmd
+
+    @pytest.mark.parametrize("cmd", sorted(SETTINGS))
+    def test_setting_flags_show_their_schema_default(self, cmd, capsys):
+        assert run([cmd, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ("--config" in out) == bool(SETTINGS[cmd])
+        for key, (_, default, _, text) in cfgmod.SCHEMA.items():
+            flag = "--" + key.replace("_", "-")
+            if key in SETTINGS[cmd]:
+                assert f"{flag} {key.upper()} {text} (default {default!r})" in out
+            else:
+                assert f"{flag} " not in out, (cmd, flag)
 
 
 class TestDetect:
@@ -172,6 +207,22 @@ class TestTrainToy:
 
     def test_step_cap_is_runtime_error(self, capsys):
         assert run(["train-toy", "--steps", "1001", "--seed", "0"]) == 1
+
+    def test_no_seed_trains_from_seed_zero(self, capsys):
+        assert run(["train-toy", "--steps", "3"]) == 0
+        unseeded = capsys.readouterr().out
+        assert run(["train-toy", "--steps", "3", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == unseeded
+        assert len(unseeded.splitlines()) == 3
+
+    def test_nan_lr_fails_before_training(self, tmp_path, capsys):
+        weights = tmp_path / "w.bin"
+        assert run(["train-toy", "--lr", "nan", "--save", str(weights)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "lr must be positive and finite, got nan" in captured.err
+        assert os.listdir(tmp_path) == []
 
     def test_save_writes_loadable_archive(self, tmp_path, capsys):
         weights = tmp_path / "w.bin"
@@ -362,7 +413,17 @@ class TestConfigPrecedence:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "--timeout-ms: timeout_ms must be positive, got -5.0" in err
+        assert "--timeout-ms: timeout_ms must be positive and finite, got -5.0" in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_unknown_mode_fails_like_any_bad_flag(self, tmp_path, no_weights, capsys):
+        code = run(["serve-edge", "--input-dir", str(tmp_path), "--mode", "sometimes",
+                    "--seed", "1", "--output", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("--mode: mode must be always_edge, always_cloud or adaptive, "
+                "got 'sometimes'") in err
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_bad_config_is_runtime_error(self, tmp_path, image_path, capsys):

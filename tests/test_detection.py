@@ -227,7 +227,7 @@ class TestAssignTargets:
             assert t.boxes[(0, 0)].class_id == 1
 
     def test_distances_clamped(self):
-        t = det.assign_targets([det.BBox(0.5, 0.5, 1.0, 1.0)], (2, 2), reg_max=7)
+        t = det.assign_targets([det.BBox(0.5, 0.5, 1.0, 1.0)], (2, 2))
         assert np.all(t.dist >= 0) and np.all(t.dist <= 7)
 
 
@@ -273,6 +273,9 @@ class TestDetectLoss:
             det.DetectLossWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             det.DetectLossWeights(-1.0, 1.0, 1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                det.DetectLossWeights(bad, 1.0, 1.0)
 
     def test_frozen_alphas_reproduce_the_total_bit_for_bit(self):
         # a seeded scene whose decoded box is one of the rare pairs where an
@@ -281,7 +284,7 @@ class TestDetectLoss:
         zero, zero_cls = np.zeros((1, 8, 8)), np.zeros((3, 8, 8))
         out = det.HeadOutput(obj=zero, box=rng.uniform(-3, 3, (32, 8, 8)),
                              cls=zero_cls, obj_logits=zero,
-                             cls_logits=zero_cls, reg_max=7)
+                             cls_logits=zero_cls)
         gt = det.BBox(*rng.uniform(0.1, 0.9, 2), *rng.uniform(0.05, 0.6, 2))
         targets = det.assign_targets([gt], (8, 8))
         weights = det.DetectLossWeights()
@@ -321,20 +324,20 @@ class TestDetectLoss:
 
 
 class TestDecode:
-    def saturated_output(self, grid=(2, 2), n_classes=3, reg_max=7):
+    def saturated_output(self, grid=(2, 2), n_classes=3):
         h, w = grid
-        nb = reg_max + 1
+        nb = det.REG_MAX + 1
         obj_logits = np.full((1, h, w), -50.0)
         box = np.zeros((4 * nb, h, w))
         cls_logits = np.zeros((n_classes, h, w))
         return det.HeadOutput(obj=tc.sigmoid(obj_logits), box=box,
                               cls=tc.softmax(cls_logits, axis=0),
-                              obj_logits=obj_logits, cls_logits=cls_logits, reg_max=reg_max)
+                              obj_logits=obj_logits, cls_logits=cls_logits)
 
     def set_cell(self, out, r, c, dists, class_id):
         out.obj_logits[0, r, c] = 50.0
         out.obj = tc.sigmoid(out.obj_logits)
-        nb = out.reg_max + 1
+        nb = det.REG_MAX + 1
         for side, d in enumerate(dists):
             out.box[side * nb + int(d), r, c] = 100.0
         out.cls_logits[class_id, r, c] = 10.0
@@ -360,7 +363,7 @@ class TestDecode:
         # two cells decoding to the same large box, different scores
         for c, logit in ((0, 3.0), (1, 2.0)):
             out.obj_logits[0, 0, c] = logit
-            nb = out.reg_max + 1
+            nb = det.REG_MAX + 1
             ccx = (c + 0.5) / 2
             # aim both boxes at the full unit square via saturated distances
             for side in range(4):

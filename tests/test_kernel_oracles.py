@@ -91,13 +91,13 @@ def ref_leaky_relu(v, slope=0.01):
 
 
 def ref_wmsa(x, p):
-    s = p.window // 2 if p.shift else 0
+    s = dh.WINDOW // 2 if p.shift else 0
     xs = np.roll(x, (-s, -s), axis=(1, 2)) if s else x
-    tokens = dh._partition(xs, p.window)
+    tokens = dh._partition(xs, dh.WINDOW)
     q, k, v = tokens @ p.wq.T, tokens @ p.wk.T, tokens @ p.wv.T
-    heads = [tc.split_heads(a, p.heads) for a in (q, k, v)]
+    heads = [tc.split_heads(a, dh.HEADS) for a in (q, k, v)]
     att = tc.merge_heads(ref_attention(*heads)[0])
-    y = dh._unpartition(att @ p.wo.T, x.shape, p.window)
+    y = dh._unpartition(att @ p.wo.T, x.shape, dh.WINDOW)
     return np.roll(y, (s, s), axis=(1, 2)) if s else y
 
 
@@ -408,7 +408,7 @@ def ref_decode_detections(out, obj_thresh=0.5, nms_iou=0.5):
     if not (0 < obj_thresh < 1 and 0 < nms_iou < 1):
         raise ValueError("thresholds must lie in (0, 1)")
     _, h, w = out.obj.shape
-    nb = out.reg_max + 1
+    nb = det.REG_MAX + 1
     candidates = []
     for r in range(h):
         for c in range(w):
@@ -435,20 +435,19 @@ def ref_decode_detections(out, obj_thresh=0.5, nms_iou=0.5):
     return kept
 
 
-def head_output(obj, box, cls_logits, reg_max=7):
+def head_output(obj, box, cls_logits):
     """A HeadOutput from objectness probabilities and raw logits."""
     return det.HeadOutput(obj=obj, box=box, cls=tc.softmax(cls_logits, axis=0),
-                          obj_logits=np.zeros_like(obj), cls_logits=cls_logits,
-                          reg_max=reg_max)
+                          obj_logits=np.zeros_like(obj), cls_logits=cls_logits)
 
 
-def random_head_output(seed, dtype, grid=(8, 8), n_classes=3, reg_max=7):
+def random_head_output(seed, dtype, grid=(8, 8), n_classes=3):
     rng = tc.Rng(seed)
     h, w = grid
     obj = tc.sigmoid(rng.uniform(-3, 3, (1, h, w))).astype(dtype)
-    box = rng.uniform(-4, 4, (4 * (reg_max + 1), h, w)).astype(dtype)
+    box = rng.uniform(-4, 4, (4 * (det.REG_MAX + 1), h, w)).astype(dtype)
     cls_logits = rng.uniform(-2, 2, (n_classes, h, w)).astype(dtype)
-    return head_output(obj, box, cls_logits, reg_max)
+    return head_output(obj, box, cls_logits)
 
 
 def decoded_fields(dets):
@@ -509,7 +508,7 @@ def edge_case_head(case, dtype):
     """An 8x8 head output with random logits and one property forced."""
     out = random_head_output(77, dtype)
     obj, box, cls_logits = out.obj, out.box, out.cls_logits
-    nb = out.reg_max + 1
+    nb = det.REG_MAX + 1
     if case == "exact_thresholds":
         obj[0, ::2] = np.float32(0.7)
         obj[0, 1::2] = np.float32(0.9)
@@ -543,7 +542,7 @@ def edge_case_head(case, dtype):
         obj[:] = 0.01
     elif case == "all_candidates":
         obj[:] = np.linspace(0.95, 0.99, 64).reshape(obj.shape)
-    return head_output(obj, box, cls_logits, out.reg_max)
+    return head_output(obj, box, cls_logits)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
