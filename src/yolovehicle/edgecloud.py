@@ -214,7 +214,15 @@ def haze_score(image: np.ndarray) -> float:
     frames, near zero whenever dark patches survive."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise ValueError(f"expected a 3xHxW image, got {image.shape}")
-    padded = np.pad(image.min(axis=0), 3, mode="edge")
+    m = image.min(axis=0)
+    h, w = m.shape
+    # m with a 3-wide edge-replicated border
+    padded = np.empty((h + 6, w + 6), m.dtype)
+    padded[3:-3, 3:-3] = m
+    padded[3:-3, :3] = m[:, :1]
+    padded[3:-3, -3:] = m[:, -1:]
+    padded[:3] = padded[3]
+    padded[-3:] = padded[-4]
     dark = _min7(_min7(padded, 1), 0)  # a C-contiguous H x W map
     return float(dark.mean())
 

@@ -52,17 +52,34 @@ def pool_pyramid(features: MultiScaleFeatures) -> np.ndarray:
     return np.concatenate([tc.global_avg_pool(f) for f in features.scales()], axis=1)
 
 
-def fuse_forward(features: MultiScaleFeatures, text: TextFeature, params: FusionParams):
+@dataclass
+class ProjectedText:
+    """A text feature with its projections into the fused space: all of the
+    fusion forward that depends on the prompt and the weights alone, so it
+    can be computed once and read by every frame. Nothing writes into it."""
+    text: TextFeature
+    tp: np.ndarray  # [1, 512], the pooled feature projected
+    tk: np.ndarray  # [T, 512], one projected row per phrase
+
+
+def project_text(text: TextFeature, params: FusionParams) -> ProjectedText:
+    return ProjectedText(text=text,
+                         tp=text.pooled @ params.w_text.T + params.b_text,
+                         tk=text.tokens @ params.w_text.T + params.b_text)
+
+
+def fuse_forward(features: MultiScaleFeatures, projected: ProjectedText,
+                 params: FusionParams):
     """Returns (map, cache): map is (fused + PE0) laid out as FEATURE_SHAPE,
-    and cache feeds fuse_backward.
+    and cache feeds fuse_backward. projected is project_text's output for
+    the same params.
 
     a is the image projection, g the gate and att the cross-attention
     readout of the text tokens; fused = g * a + (1 - g) * att.
     """
     pooled = pool_pyramid(features)
     a = pooled @ params.w_img.T + params.b_img
-    tp = text.pooled @ params.w_text.T + params.b_text
-    tk = text.tokens @ params.w_text.T + params.b_text
+    tp, tk, text = projected.tp, projected.tk, projected.text
     zcat = np.concatenate([a, tp], axis=1)
     g = tc.sigmoid(zcat @ params.w_gate.T + params.b_gate)
     att, att_cache = tc.multi_head_attention(a, tk, tk, HEADS)

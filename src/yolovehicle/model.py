@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,10 @@ class ModelBundle:
     fusion: fu.FusionParams
     head: det.HeadParams
     gen: dh.DehazeGenerator
+    # (prompt, weights, fu.ProjectedText) of the last prompt detect_frame
+    # projected; not a parameter, so param_items and the archive skip it
+    _prompt_memo: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def n_classes(self) -> int:
@@ -93,6 +97,28 @@ def load_bundle(path) -> ModelBundle:
 # inference pipelines
 
 
+def _projected_prompt(text: str, bundle: ModelBundle) -> fu.ProjectedText:
+    """The prompt's projected text feature, from a one-slot memo on the bundle.
+
+    The entry is keyed by the prompt and by every object that went into it:
+    the text encoder's arrays, its vocab and the fusion's text projection,
+    held and compared by identity. set_param, load_bundle and training
+    replace arrays rather than write into them, so none of them can meet a
+    stale entry. The slot is read and replaced as one tuple, so threads
+    sharing a bundle need no lock.
+    """
+    weights = (bundle.text.vocab, bundle.fusion.w_text, bundle.fusion.b_text,
+               *(a for _, a in tc.param_items(bundle.text)))
+    memo = bundle._prompt_memo
+    if (memo is not None and memo[0] == text and len(memo[1]) == len(weights)
+            and all(a is b for a, b in zip(memo[1], weights))):
+        return memo[2]
+    projected = fu.project_text(enc.text_encode(enc.TextInput(text), bundle.text),
+                                bundle.fusion)
+    bundle._prompt_memo = (text, weights, projected)
+    return projected
+
+
 def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
                  dehaze_first: bool = False, obj_thresh: float = 0.5,
                  nms_iou: float = 0.5):
@@ -101,8 +127,7 @@ def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
     if dehaze_first:
         image = dh.dehaze_forward(image, bundle.gen)
     feats = enc.backbone_extract(image, bundle.backbone)
-    tf = enc.text_encode(enc.TextInput(text), bundle.text)
-    fmap, _ = fu.fuse_forward(feats, tf, bundle.fusion)
+    fmap, _ = fu.fuse_forward(feats, _projected_prompt(text, bundle), bundle.fusion)
     out = det.head_forward(fmap, bundle.head)
     dets = det.decode_detections(out, obj_thresh, nms_iou)
     return dets, (time.perf_counter() - start) * 1000.0
@@ -139,8 +164,8 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
     """Overfits fusion + head on a handful of synthetic scenes.
 
     Text encoder and backbone stay fixed, so per-scene features are computed
-    once; each step runs only the fusion/head forward-backward. Returns
-    (step, total, cls, bbox, dfl) rows.
+    once; each step projects the prompt once and runs only the fusion/head
+    forward-backward. Returns (step, total, cls, bbox, dfl) rows.
     """
     if steps < 1 or steps > 1000:
         raise ValueError(f"steps must lie in [1, 1000], got {steps}")
@@ -162,8 +187,9 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
         params.update(tc.param_items(bundle.head, "head"))
         grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
         totals = np.zeros(4)
+        projected = fu.project_text(tf, bundle.fusion)
         for f, t in zip(feats, targets):
-            fmap, cache = fu.fuse_forward(f, tf, bundle.fusion)
+            fmap, cache = fu.fuse_forward(f, projected, bundle.fusion)
             out = det.head_forward(fmap, bundle.head)
             loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(out, t, weights)
             hgrads, g_feat = det.head_backward(fmap, bundle.head,

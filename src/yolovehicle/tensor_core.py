@@ -16,7 +16,7 @@ import struct
 import tempfile
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 DTYPE = np.float32
 
@@ -150,10 +150,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
         raise ValueError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    ho, wo = windows.shape[1:3]
-    return windows.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, ho * wo), ho, wo
+    if pad:
+        xp = np.zeros((c, hp, wp), x.dtype)
+        xp[:, pad : pad + h, pad : pad + w] = x
+    else:
+        xp = x
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    sc, sh, sw = xp.strides
+    # taps[c, i, j, y, x] = xp[c, i + stride * y, j + stride * x]; every
+    # index stays inside xp. One row-order copy makes the columns
+    # C-contiguous, so the matmul sees the same layout at every shape
+    taps = as_strided(xp, (c, kh, kw, ho, wo), (sc, sh, sw, stride * sh, stride * sw),
+                      writeable=False)
+    return np.ascontiguousarray(taps).reshape(c * kh * kw, ho * wo), ho, wo
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -420,7 +429,8 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
     end = pos + 4 * count
     if end > len(buf):
         raise ValueError("truncated TSR payload")
-    arr = np.frombuffer(buf[pos:end], dtype="<f4").reshape(dims).astype(DTYPE)
+    # read in place: a slice of buf would copy the payload once more
+    arr = np.frombuffer(buf, "<f4", count, pos).reshape(dims).astype(DTYPE)
     return arr, end
 
 

@@ -186,7 +186,7 @@ class TestFusionContracts:
                                          for s in (8, 4, 2)])
             text = TextFeature(pooled=rng.uniform(-2, 2, (1, 512)),
                                tokens=rng.uniform(-2, 2, (3, 512)))
-            fmap, cache = fu.fuse_forward(feats, text, params)
+            fmap, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
             _, _, img, _, _, _, g, att, _, _ = cache
             out = g * img + (1.0 - g) * att
             assert np.all(out >= np.minimum(img, att) - 1e-5)

@@ -30,7 +30,7 @@ def forward(feats, text, params):
     the projected text tp and tk, the gate g and the attention readout att,
     unpacked from the cache as fuse_backward unpacks it. Checks on the way
     that fuse_forward's map is that vector plus PE0, laid out row-major."""
-    fmap, cache = fu.fuse_forward(feats, text, params)
+    fmap, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
     _, _, a, tp, tk, _, g, att, _, _ = cache
     fused = g * a + (1.0 - g) * att
     assert np.array_equal(fmap, (fused + fu.PE0).reshape(fu.FEATURE_SHAPE))
@@ -77,7 +77,7 @@ class TestProjectImage:
     def test_channel_mismatch(self, params):
         feats = make_pyramid(tc.Rng(55), channels=4)
         with pytest.raises(ValueError):
-            fu.fuse_forward(feats, make_text(tc.Rng(49)), params)
+            fu.fuse_forward(feats, fu.project_text(make_text(tc.Rng(49)), params), params)
 
 
 class TestProjectText:
@@ -191,11 +191,13 @@ class TestPositionalEncoding:
         p = fu.FusionParams(**{**params.__dict__})
         for name in ("w_img", "b_img", "w_text", "b_text"):
             setattr(p, name, np.zeros_like(getattr(params, name)))
-        fmap, _ = fu.fuse_forward(make_pyramid(tc.Rng(67)), make_text(tc.Rng(68)), p)
+        fmap, _ = fu.fuse_forward(make_pyramid(tc.Rng(67)),
+                                  fu.project_text(make_text(tc.Rng(68)), p), p)
         assert np.array_equal(fmap, fu.PE0.reshape(8, 8, 8))
 
     def test_map_is_row_major_no_data_change(self, params):
-        fmap, cache = fu.fuse_forward(make_pyramid(tc.Rng(69)), make_text(tc.Rng(70)),
+        fmap, cache = fu.fuse_forward(make_pyramid(tc.Rng(69)),
+                                      fu.project_text(make_text(tc.Rng(70)), params),
                                       params)
         _, _, a, _, _, _, g, att, _, _ = cache
         row = g * a + (1.0 - g) * att + fu.PE0
@@ -233,7 +235,7 @@ class TestFusionGradients:
             def f(p, name=name):
                 trial = fu.FusionParams(**{**params.__dict__})
                 setattr(trial, name, p)
-                out, cache = fu.fuse_forward(feats, text, trial)
+                out, cache = fu.fuse_forward(feats, fu.project_text(text, trial), trial)
                 grads = fu.fuse_backward(cache, w)
                 return float((out * w).sum()), getattr(grads, name)
 

@@ -1,13 +1,14 @@
 """Fast kernels against plain reference kernels, bit for bit.
 
 The references are the straightforward forms of each kernel: a per-channel
-loop im2col/col2im, a three-line softmax, attention over the whole batch at
-once, a dehaze forward built from those, the unflushed sigmoid gradient, a
-fusion backward with matmul outer products, an out-of-place Adam, a
-whole-window dark channel and the per-cell decode-and-NMS loop. The fast
-kernels do the same arithmetic in the same order, so every comparison is
-exact; the one exception is the sigmoid gradient's flush of subnormal
-results to zero, which the saturated-gate tests pin down.
+loop im2col/col2im, the np.pad + sliding-window column build, a three-line
+softmax, attention over the whole batch at once, a dehaze forward built
+from those, the unflushed sigmoid gradient, a fusion backward with matmul
+outer products, an out-of-place Adam, a whole-window dark channel and the
+per-cell decode-and-NMS loop. The fast kernels do the same arithmetic in
+the same order, so every comparison is exact; the one exception is the
+sigmoid gradient's flush of subnormal results to zero, which the
+saturated-gate tests pin down.
 """
 
 import math
@@ -15,6 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from yolovehicle import dehaze as dh
 from yolovehicle import detection as det
@@ -197,6 +199,36 @@ def test_conv2d_forward_and_backward_equal_loop_reference(stride, pad, k, dtype,
     assert np.array_equal(gx, rgx) and np.array_equal(gk, rgk)
 
 
+def ref_im2col_windows(x, kh, kw, stride, pad):
+    """The np.pad + sliding_window_view construction that _im2col replaced."""
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    ho, wo = windows.shape[1:3]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(x.shape[0] * kh * kw, ho * wo), ho, wo
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_im2col_equals_sliding_window_construction(stride, dtype):
+    rng = np.random.default_rng(stride * 10 + np.dtype(dtype).itemsize)
+    for c in range(1, 9):
+        for h, w in [(1, 1), (5, 5), (7, 12), (16, 9), (13, 31)]:
+            x = rng.uniform(-1, 1, (c, h, w)).astype(dtype)
+            # a strided view of the same values, for the unpadded path
+            view = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 1, 2)), 1, 2)
+            for pad in (0, 1, 2):
+                for kh, kw in [(3, 3), (1, 1), (1, 3), (3, 2), (5, 4)]:
+                    if kh > h + 2 * pad or kw > w + 2 * pad:
+                        continue
+                    ref, ho, wo = ref_im2col_windows(x, kh, kw, stride, pad)
+                    for src in (x, view):
+                        cols, cho, cwo = tc._im2col(src, kh, kw, stride, pad)
+                        assert (cho, cwo) == (ho, wo)
+                        assert cols.dtype == ref.dtype
+                        assert cols.flags.c_contiguous
+                        assert np.array_equal(cols, ref)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17])
 def test_softmax_last_axis_equals_reference(n):
     rng = tc.Rng(920 + n)
@@ -329,7 +361,7 @@ def fusion_case(seed, b_gate=None):
     feats = MultiScaleFeatures(*(rng.uniform(-1, 1, (8, s, s)) for s in (8, 4, 2)))
     text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
                        tokens=rng.uniform(-1, 1, (3, 512)))
-    _, cache = fu.fuse_forward(feats, text, params)
+    _, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
     return cache, rng.uniform(-1, 1, fu.FEATURE_SHAPE)
 
 
@@ -493,7 +525,7 @@ def toy_scene_heads():
     for _ in range(64):
         image, _ = md.make_toy_scene(rng, size=64)
         fmap, _ = fu.fuse_forward(enc.backbone_extract(image, bundle.backbone),
-                                  text, bundle.fusion)
+                                  fu.project_text(text, bundle.fusion), bundle.fusion)
         heads.append(det.head_forward(fmap, bundle.head))
     return heads
 

@@ -1,12 +1,15 @@
 import hashlib
 import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from yolovehicle import dehaze as dh
 from yolovehicle import detection as det
+from yolovehicle import encoders as enc
 from yolovehicle import fusion as fu
 from yolovehicle import model as md
 from yolovehicle import ppm
@@ -143,6 +146,111 @@ class TestDetectFrame:
         assert a == b
 
 
+def uncached_detect(image, text, bundle):
+    """detect_frame's edge route composed by hand, with no prompt memo."""
+    projected = fu.project_text(enc.text_encode(enc.TextInput(text), bundle.text),
+                                bundle.fusion)
+    fmap, _ = fu.fuse_forward(enc.backbone_extract(image, bundle.backbone),
+                              projected, bundle.fusion)
+    return det.decode_detections(det.head_forward(fmap, bundle.head), 0.05, 0.5)
+
+
+def detect(image, text, bundle):
+    return md.detect_frame(image, text, bundle, obj_thresh=0.05)[0]
+
+
+class TestPromptMemo:
+    """detect_frame encodes and projects a prompt once per (prompt, weights)."""
+
+    @pytest.fixture
+    def counted_encodes(self, monkeypatch):
+        calls = []
+        encode = enc.text_encode
+
+        def counting(text, params):
+            calls.append(text.raw)
+            return encode(text, params)
+
+        monkeypatch.setattr(enc, "text_encode", counting)
+        return calls
+
+    def test_cold_warm_and_uncached_are_bit_identical(self, counted_encodes):
+        bundle = md.init_bundle(14)
+        names = [n for n, _ in tc.param_items(bundle)]
+        image, _ = md.make_toy_scene(tc.Rng(15))
+        cold = detect(image, "car, truck", bundle)
+        warm = detect(image, "car, truck", bundle)
+        assert counted_encodes == ["car, truck"]
+        assert cold and cold == warm == uncached_detect(image, "car, truck", bundle)
+        # the memo is no parameter: the registry and the archive skip it
+        assert [n for n, _ in tc.param_items(bundle)] == names
+
+    def test_switching_prompts_gives_each_prompt_its_own_result(self, counted_encodes):
+        bundle = md.init_bundle(14)
+        image, _ = md.make_toy_scene(tc.Rng(16))
+        a1 = detect(image, "car", bundle)
+        b = detect(image, "bus, truck", bundle)
+        a2 = detect(image, "car", bundle)
+        assert counted_encodes == ["car", "bus, truck", "car"]
+        assert a1 == a2 == uncached_detect(image, "car", bundle)
+        assert b == uncached_detect(image, "bus, truck", bundle)
+        assert a1 != b
+
+    @pytest.mark.parametrize("name", ["text.embed", "text.layers.1.w2",
+                                      "fusion.w_text", "fusion.b_text"])
+    def test_set_param_reaches_the_next_frame(self, name):
+        bundle = md.init_bundle(14)
+        image, _ = md.make_toy_scene(tc.Rng(17))
+        before = detect(image, "bus", bundle)
+        old = dict(tc.param_items(bundle))[name]
+        tc.set_param(bundle, name, old * 1.5 + 0.25)
+        after = detect(image, "bus", bundle)
+        assert after == uncached_detect(image, "bus", bundle)
+        assert after != before
+
+    def test_bundle_loaded_from_another_archive_never_sees_the_first_prompt(
+            self, tmp_path):
+        image, _ = md.make_toy_scene(tc.Rng(18))
+        for seed in (21, 22):
+            md.save_bundle(tmp_path / f"w{seed}.bin", md.init_bundle(seed))
+        first = md.load_bundle(tmp_path / "w21.bin")
+        seen = detect(image, "car", first)
+        second = md.load_bundle(tmp_path / "w22.bin")
+        assert detect(image, "car", second) == uncached_detect(image, "car", second)
+        assert detect(image, "car", second) != seen
+        assert detect(image, "car", first) == seen
+
+    def test_threads_sharing_a_bundle_get_the_serial_results(self):
+        images = [md.make_toy_scene(tc.Rng(30 + i))[0] for i in range(4)]
+        prompts = ["car", "bus, truck", "van"]
+        jobs = [(i, prompts[(i + k) % 3]) for i in range(4) for k in range(3)]
+        serial = md.init_bundle(14)
+        expected = [detect(images[i], p, serial) for i, p in jobs]
+        shared = md.init_bundle(14)
+        results = [[None] * len(jobs) for _ in range(4)]
+
+        def worker(t):
+            for j in range(len(jobs)):
+                # each thread walks the jobs from its own offset, so the
+                # threads keep replacing each other's memo entry
+                n = (j + 3 * t) % len(jobs)
+                i, p = jobs[n]
+                results[t][n] = detect(images[i], p, shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [expected] * 4
+
+
 class TestToyScenes:
     def test_shapes_and_range(self):
         rng = tc.Rng(18)
@@ -200,7 +308,7 @@ class TestGradientTrees:
         feats = MultiScaleFeatures(*[rng.uniform(-1, 1, (8, s, s)) for s in (8, 4, 2)])
         text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
                            tokens=rng.uniform(-1, 1, (3, 512)))
-        _, cache = fu.fuse_forward(feats, text, params)
+        _, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
         grads = fu.fuse_backward(cache, rng.uniform(-1, 1, fu.FEATURE_SHAPE))
         assert (names_and_shapes(tc.param_items(grads))
                 == names_and_shapes(tc.param_items(params)))
