@@ -1,5 +1,5 @@
 """Command-line entry point: detect, dehaze, train-toy, eval, bench,
-serve-edge, serve-cloud.
+serve-cloud.
 
 Exit codes: 0 success, 1 runtime failure or a setting out of its
 config.SCHEMA range (one-line diagnostic on stderr), 2 usage error. All
@@ -15,6 +15,9 @@ import argparse
 import json
 import os
 import sys
+import time
+
+import numpy as np
 
 from . import config as cfgmod
 from . import detection as det
@@ -35,11 +38,6 @@ def _add_settings(p, *keys):
         parser, default, _, text = cfgmod.SCHEMA[key]
         p.add_argument("--" + key.replace("_", "-"), type=parser,
                        help=f"{text} (default {default!r})")
-
-
-# the settings of the edge node's commands
-_EDGE_KEYS = ("weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
-              "cloud", "timeout_ms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="eval.json",
                    help="report path (default eval.json)")
 
-    p = sub.add_parser("bench", help="measure throughput over an image set")
+    p = sub.add_parser("bench", help="run the edge node over an image set "
+                                     "and measure its throughput")
     p.add_argument("--input-dir", dest="input_dir", required=True,
                    help="directory of PPM images")
     p.add_argument("--repetitions", type=int, default=1,
@@ -86,15 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="bench.json",
                    help="report path (default bench.json)")
     p.add_argument("--detections", help="also write detections (JSON-lines)")
-    _add_settings(p, *_EDGE_KEYS)
-
-    p = sub.add_parser("serve-edge", help="run the edge node over an image set")
-    p.add_argument("--input-dir", dest="input_dir", required=True,
-                   help="directory of PPM images")
-    p.add_argument("--output", default="detections.jsonl",
-                   help="JSON-lines output path (default detections.jsonl)")
-    p.add_argument("--stats", help="also write a JSON stats report here")
-    _add_settings(p, *_EDGE_KEYS)
+    _add_settings(p, "weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
+                  "cloud", "timeout_ms")
 
     p = sub.add_parser("serve-cloud", help="run the cloud detection server")
     p.add_argument("--listen", default="127.0.0.1:5956",
@@ -200,59 +192,63 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_edge(cfg, bundle, input_dir, repetitions):
-    """ec.run_bench over the directory's images, over a cloud link that is
-    opened here and closed on the way out; returns (stats, report, rows)
-    with rows as _write_detections takes them."""
+def _mean_or_none(values):
+    return float(np.mean(values)) if values else None
+
+
+def cmd_bench(args) -> int:
+    """The edge node over the directory's images, sorted by name and
+    repeated; frame ids run 0..n*repetitions-1 in that order."""
+    cfg = effective_config(args)
+    if args.repetitions < 1:
+        raise ValueError(f"--repetitions must be at least 1, got {args.repetitions}")
+    bundle = _load_bundle(cfg, args)
     policy = ec.OffloadPolicy(cfg["mode"], cfg["tau"])
+    images = [read_ppm(p) for p in _ppm_paths(args.input_dir)]
+    frames = [(rep * len(images) + i, image)
+              for rep in range(args.repetitions) for i, image in enumerate(images)]
     link = None
     if policy.mode != "always_edge":
         if not cfg["cloud"]:
             raise ValueError(f"policy {policy.mode!r} requires --cloud")
         link = ec.SocketTransport(cfg["cloud"], cfg["timeout_ms"])
     try:
-        stats, results, report = ec.run_bench(
-            _ppm_paths(input_dir), policy, bundle, repetitions=repetitions,
-            transport=link, text=cfg["text"], obj_thresh=cfg["obj_thresh"],
-            nms_iou=cfg["nms_iou"])
+        start = time.perf_counter()
+        stats, results = ec.edge_serve(
+            frames, policy, bundle, transport=link, text=cfg["text"],
+            obj_thresh=cfg["obj_thresh"], nms_iou=cfg["nms_iou"])
+        wall = time.perf_counter() - start
     finally:
         if link is not None:
             link.close()
-    rows = [(fid, dets, ms) for (fid, _, dets, _), ms
-            in zip(results, stats.latency_ms)]
-    return stats, report, rows
-
-
-def cmd_bench(args) -> int:
-    cfg = effective_config(args)
-    bundle = _load_bundle(cfg, args)
-    _, report, rows = _run_edge(cfg, bundle, args.input_dir, args.repetitions)
+    report = {
+        "frames": stats.frames,
+        "edge": stats.edge,
+        "cloud": stats.cloud,
+        "degraded": stats.degraded,
+        "fps": stats.frames / wall,
+        "mean_frame_ms": float(np.mean(stats.latency_ms)),
+        "wall_seconds": wall,
+        "haze_scores": stats.haze_scores,
+        "mean_haze_score": float(np.mean(stats.haze_scores)),
+        # None when no frame was answered by the cloud
+        "mean_cloud_compute_ms": _mean_or_none(stats.cloud_compute_ms),
+        "mean_cloud_network_ms": _mean_or_none(stats.cloud_network_ms),
+    }
     if os.path.exists(cfg["weights"]):
         report["model_size_bytes"] = os.path.getsize(cfg["weights"])
     if args.detections:
-        _write_detections(args.detections, cfg, rows)
+        _write_detections(args.detections, cfg, [
+            (fid, dets, ms)
+            for (fid, _, dets, _), ms in zip(results, stats.latency_ms)])
     atomic_write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
     split = ""
     if report["mean_cloud_compute_ms"] is not None:
         split = (f" (cloud frames: compute {report['mean_cloud_compute_ms']:.2f} ms"
                  f" + network {report['mean_cloud_network_ms']:.2f} ms)")
-    print(f"{report['frames']} frames, {report['fps']:.2f} fps, "
-          f"mean {report['mean_frame_ms']:.2f} ms{split} -> {args.output}")
-    return 0
-
-
-def cmd_serve_edge(args) -> int:
-    cfg = effective_config(args)
-    bundle = _load_bundle(cfg, args)
-    stats, _, rows = _run_edge(cfg, bundle, args.input_dir, 1)
-    _write_detections(args.output, cfg, rows)
-    if args.stats:
-        report = {"frames": stats.frames, "edge": stats.edge,
-                  "cloud": stats.cloud, "degraded": stats.degraded,
-                  "haze_scores": stats.haze_scores}
-        atomic_write(args.stats, json.dumps(report, indent=2) + "\n")
     print(f"{stats.frames} frames (edge {stats.edge}, cloud {stats.cloud}, "
-          f"degraded {stats.degraded}) -> {args.output}")
+          f"degraded {stats.degraded}), {report['fps']:.2f} fps, "
+          f"mean {report['mean_frame_ms']:.2f} ms{split} -> {args.output}")
     return 0
 
 
@@ -270,7 +266,6 @@ COMMANDS = {
     "train-toy": cmd_train_toy,
     "eval": cmd_eval,
     "bench": cmd_bench,
-    "serve-edge": cmd_serve_edge,
     "serve-cloud": cmd_serve_cloud,
 }
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from math import inf
 
+from .encoders import TextInput
+
 
 def _non_negative(name, value):
     if not 0 <= value < inf:
@@ -41,6 +43,15 @@ def _mode(name, value):
     return value
 
 
+def _prompt(name, value):
+    """The text encoder's own check: 1 to encoders.MAX_PHRASES phrases."""
+    try:
+        TextInput(value).validate()
+    except ValueError as e:
+        raise ValueError(f"{name} is not a usable prompt: {e}") from None
+    return value
+
+
 # name -> (parser, default, validator or None, flag help)
 SCHEMA = {
     "weights": (str, "weights.bin", None, "weights archive path"),
@@ -55,7 +66,7 @@ SCHEMA = {
              "train-toy trains from seed 0"),
     "obj_thresh": (float, 0.5, _open_unit_interval, "objectness threshold"),
     "nms_iou": (float, 0.5, _open_unit_interval, "NMS IoU threshold"),
-    "text": (str, "car, truck, bus", None, "comma-separated detection phrases"),
+    "text": (str, "car, truck, bus", _prompt, "comma-separated detection phrases"),
     "cloud": (str, "", None, "cloud node address host:port"),
     # 0 would make the socket non-blocking, not patient
     "timeout_ms": (float, 1000.0, _positive, "cloud request timeout in ms"),

@@ -453,8 +453,8 @@ def detections_to_jsonl(dets: list[BBox], frame_id: int, inference_ms: float) ->
 def _record_to_detection(rec):
     """(frame_id, BBox) from one decoded record; ValueError when it is
     not an object, lacks a key, holds a non-number, a frame or class id
-    that is not a whole number, or a box side that is not finite and
-    positive."""
+    that is not a whole number, a box side that is not finite and
+    positive, or a centre or score that is not finite."""
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {rec!r}")
     rec = {"score": 1.0, **rec}
@@ -469,6 +469,9 @@ def _record_to_detection(rec):
     for key in ("w", "h"):
         if not (math.isfinite(rec[key]) and rec[key] > 0):
             raise ValueError(f"{key} must be finite and positive, got {rec[key]!r}")
+    for key in ("cx", "cy", "score"):
+        if not math.isfinite(rec[key]):
+            raise ValueError(f"{key} must be finite, got {rec[key]!r}")
     box = BBox(cx=float(rec["cx"]), cy=float(rec["cy"]), w=float(rec["w"]),
                h=float(rec["h"]), class_id=int(rec["class_id"]),
                score=float(rec["score"]))
@@ -485,6 +488,8 @@ def jsonl_to_detections(text: str):
             continue
         try:
             out.append(_record_to_detection(json.loads(line)))
-        except ValueError as e:  # JSONDecodeError included
+        # JSONDecodeError included; an integer too large for a float
+        # overflows
+        except (ValueError, OverflowError) as e:
             raise ValueError(f"bad detection on line {ln}: {e}") from e
     return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import detection as det
 from . import model as md
-from .ppm import image_to_rgb8, read_ppm, rgb8_to_image
+from .ppm import image_to_rgb8, rgb8_to_image
 
 MAGIC = b"\x59\x56"
 VERSION = 0x01
@@ -486,36 +486,3 @@ def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
         stats.haze_scores.append(score)
         results.append((frame_id, route, dets, degraded))
     return stats.check(), results
-
-
-def _mean_or_none(values):
-    return float(np.mean(values)) if values else None
-
-
-def run_bench(image_paths, policy: OffloadPolicy, bundle: md.ModelBundle,
-              repetitions: int = 1, **kwargs):
-    """Drives edge_serve over the image set repeatedly; returns
-    (NodeStats, results, report dict)."""
-    paths = sorted(image_paths)
-    if not paths or repetitions < 1:
-        raise ValueError("need at least one image and one repetition")
-    images = [read_ppm(p) for p in paths]
-    frames = [(rep * len(images) + i, img)
-              for rep in range(repetitions) for i, img in enumerate(images)]
-    start = time.perf_counter()
-    stats, results = edge_serve(frames, policy, bundle, **kwargs)
-    wall = time.perf_counter() - start
-    report = {
-        "frames": stats.frames,
-        "edge": stats.edge,
-        "cloud": stats.cloud,
-        "degraded": stats.degraded,
-        "fps": stats.frames / wall,
-        "mean_frame_ms": float(np.mean(stats.latency_ms)),
-        "wall_seconds": wall,
-        "mean_haze_score": float(np.mean(stats.haze_scores)),
-        # None when no frame was answered by the cloud
-        "mean_cloud_compute_ms": _mean_or_none(stats.cloud_compute_ms),
-        "mean_cloud_network_ms": _mean_or_none(stats.cloud_network_ms),
-    }
-    return stats, results, report

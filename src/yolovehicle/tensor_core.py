@@ -20,7 +20,6 @@ from numpy.lib.stride_tricks import as_strided
 
 DTYPE = np.float32
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 

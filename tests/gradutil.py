@@ -1,5 +1,5 @@
 """Shared test helpers: finite-difference checks on a random coordinate
-subset, and a dehazing scene posed for them.
+subset, a dehazing scene posed for them, and a cloud link that is down.
 
 Full parameter matrices are too large for per-coordinate central differences,
 so each check probes a deterministic random subset of coordinates; the
@@ -53,3 +53,10 @@ def smooth_scene(gseed, cseed):
     clear = tc.Rng(cseed).uniform(0.45, 0.7, (3, 8, 8))
     hazy = dh.synthesize_haze(clear, 0.5)
     return gen, disc, hazy, clear
+
+
+class DownTransport:
+    """A cloud link that is down: every request fails to connect."""
+
+    def request(self, data: bytes) -> bytes:
+        raise ConnectionError("cloud unreachable")

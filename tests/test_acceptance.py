@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 
-from gradutil import coord_subset_grad_check, smooth_scene
+from gradutil import DownTransport, coord_subset_grad_check, smooth_scene
+from yolovehicle import cli
 from yolovehicle import dehaze as dh
 from yolovehicle import detection as det
 from yolovehicle import edgecloud as ec
@@ -37,13 +38,6 @@ def detect_scene(seed, grid=(2, 2)):
     gts = [det.BBox(0.3, 0.3, 0.25, 0.3, class_id=1),
            det.BBox(0.7, 0.6, 0.2, 0.2, class_id=0)]
     return params, feat, det.assign_targets(gts, grid)
-
-
-class DownTransport:
-    """A cloud link that is down: every request fails to connect."""
-
-    def request(self, data: bytes) -> bytes:
-        raise ConnectionError("cloud unreachable")
 
 
 class TestGradientSuite:
@@ -395,22 +389,26 @@ class TestProtocolRobustness:
 
 
 class TestThroughputConsistency:
-    def test_bench_self_consistency_and_determinism(self, tmp_path):
-        bundle = md.init_bundle(150)
+    def test_bench_self_consistency_and_determinism(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # no weights.bin here: --seed builds them
+        indir = tmp_path / "imgs"
+        indir.mkdir()
         for i in range(2):
             raw = np.clip(np.rint(tc.Rng(151 + i).uniform(0, 1, (3, 32, 32))
                                   * 255), 0, 255)
-            ppm.write_ppm(tmp_path / f"{i}.ppm", raw.astype(np.float32) / 255.0)
-        paths = sorted(tmp_path.glob("*.ppm"))
-        policy = ec.OffloadPolicy("always_edge")
+            ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
         outputs = []
-        for _ in range(2):
-            _, results, report = ec.run_bench(paths, policy, bundle,
-                                              repetitions=3)
+        for run in range(2):
+            report_path = tmp_path / f"bench{run}.json"
+            dets_path = tmp_path / f"dets{run}.jsonl"
+            assert cli.main(["bench", "--input-dir", str(indir),
+                             "--repetitions", "3", "--mode", "always_edge",
+                             "--seed", "150", "--output", str(report_path),
+                             "--detections", str(dets_path)]) == 0
+            report = json.loads(report_path.read_text())
             assert abs(report["fps"] - report["frames"] / report["wall_seconds"]) \
                 <= 0.05 * report["fps"]
-            outputs.append("".join(det.detections_to_jsonl(dets, fid, 0.0)
-                                   for fid, _, dets, _ in results))
+            outputs.append(dets_path.read_bytes())
         assert outputs[0] == outputs[1]
         ok(f"throughput: reported fps self-consistent within 5% "
            f"({report['fps']:.1f} fps); seeded reruns byte-identical")

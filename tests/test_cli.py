@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shlex
 import threading
 
 import numpy as np
@@ -13,6 +14,9 @@ from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run(argv):
@@ -74,6 +78,12 @@ class TestConfig:
             assert cfgmod.parse_config_text(f"{key}=0\n") == {key: 0.0}
         with pytest.raises(ValueError, match=r":1: tau must lie in \[0, 1\]"):
             cfgmod.parse_config_text("tau=nan\n")
+        # the text encoder takes 1 to encoders.MAX_PHRASES phrases
+        for value in (",", " , ,", ",".join(["bus"] * 17)):
+            with pytest.raises(ValueError, match=r":2: text is not a usable prompt"):
+                cfgmod.parse_config_text(f"seed=1\ntext={value}\n")
+        many = ",".join(["bus"] * 16)
+        assert cfgmod.parse_config_text(f"text={many}\n") == {"text": many}
         # decode needs both thresholds strictly inside (0, 1)
         for key in ("obj_thresh", "nms_iou"):
             for value in ("0", "1", "-0.1", "1.5", "nan", "inf"):
@@ -96,16 +106,14 @@ class TestConfig:
         assert eff["lambda2"] == 7.0  # untouched default
 
 
-_EDGE_KEYS = ("weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
-              "cloud", "timeout_ms")
 # the config keys each command takes as flags
 SETTINGS = {
     "detect": ("weights", "seed", "obj_thresh", "nms_iou", "text"),
     "dehaze": ("weights", "seed"),
     "train-toy": ("seed",),
     "eval": (),
-    "bench": _EDGE_KEYS,
-    "serve-edge": _EDGE_KEYS,
+    "bench": ("weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
+              "cloud", "timeout_ms"),
     "serve-cloud": ("weights", "seed", "obj_thresh", "nms_iou", "text"),
 }
 
@@ -127,7 +135,7 @@ class TestUsage:
     def test_help_exits_zero_everywhere(self, capsys):
         assert run(["--help"]) == 0
         for cmd in ("detect", "dehaze", "train-toy", "eval", "bench",
-                    "serve-edge", "serve-cloud"):
+                    "serve-cloud"):
             assert run([cmd, "--help"]) == 0, cmd
             out = capsys.readouterr().out
             assert "default" in out, cmd
@@ -143,6 +151,24 @@ class TestUsage:
                 assert f"{flag} {key.upper()} {text} (default {default!r})" in out
             else:
                 assert f"{flag} " not in out, (cmd, flag)
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        with open(README, encoding="utf-8") as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        examples = [shlex.split(line)
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("yolovehicle ")]
+        parser = cli.build_parser()
+        for argv in examples:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+        # every command has an example
+        assert {argv[1] for argv in examples} == set(cli.COMMANDS)
 
 
 class TestDetect:
@@ -296,7 +322,31 @@ class TestBench:
         assert report["edge"] == 4 and report["cloud"] == 0
         assert abs(report["fps"] - 4 / report["wall_seconds"]) \
             <= 0.05 * report["fps"]
+        assert report["mean_cloud_compute_ms"] is None
+        assert report["mean_cloud_network_ms"] is None
         assert dets.exists()
+        fids = [fid for fid, _ in det.jsonl_to_detections(dets.read_text())]
+        assert sorted(set(fids)) == [0, 1, 2, 3] and fids == sorted(fids)
+
+    def test_empty_directory_exit_one(self, tmp_path, capsys):
+        assert run(["bench", "--input-dir", str(tmp_path), "--mode", "always_edge",
+                    "--seed", "1", "--output", str(tmp_path / "r.json")]) == 1
+        assert "no .ppm images" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_zero_repetitions_exit_one(self, tmp_path, capsys):
+        indir = tmp_path / "imgs"
+        indir.mkdir()
+        ppm.write_ppm(indir / "a.ppm", np.zeros((3, 32, 32), np.float32))
+        out, dets = tmp_path / "r.json", tmp_path / "d.jsonl"
+        assert run(["bench", "--input-dir", str(indir), "--repetitions", "0",
+                    "--mode", "always_edge", "--seed", "1",
+                    "--output", str(out), "--detections", str(dets)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "--repetitions must be at least 1, got 0" in captured.err
+        assert sorted(os.listdir(tmp_path)) == ["imgs"]
 
     def test_cloud_mode_without_address_fails(self, tmp_path, capsys):
         indir = tmp_path / "imgs"
@@ -307,8 +357,6 @@ class TestBench:
                     "--output", str(tmp_path / "r.json")]) == 1
         assert "--cloud" in capsys.readouterr().err
 
-
-class TestServeEdge:
     def test_always_edge_over_directory(self, tmp_path):
         indir = tmp_path / "imgs"
         indir.mkdir()
@@ -318,9 +366,9 @@ class TestServeEdge:
             ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
         out = tmp_path / "dets.jsonl"
         stats = tmp_path / "stats.json"
-        code = run(["serve-edge", "--input-dir", str(indir),
+        code = run(["bench", "--input-dir", str(indir),
                     "--mode", "always_edge", "--seed", "8",
-                    "--output", str(out), "--stats", str(stats)])
+                    "--detections", str(out), "--output", str(stats)])
         assert code == 0
         report = json.loads(stats.read_text())
         assert report["frames"] == 3 and report["edge"] == 3
@@ -347,16 +395,18 @@ class TestServeEdge:
         thread.start()
         try:
             out = tmp_path / "dets.jsonl"
-            code = run(["serve-edge", "--input-dir", str(indir),
+            code = run(["bench", "--input-dir", str(indir),
                         "--mode", "always_cloud", "--cloud", server.addr,
                         "--timeout-ms", "5000", "--seed", "9",
-                        "--output", str(out), "--stats", str(tmp_path / "s.json")])
+                        "--detections", str(out), "--output", str(tmp_path / "s.json")])
         finally:
             server.shutdown()
             server.server_close()
         assert code == 0
         report = json.loads((tmp_path / "s.json").read_text())
         assert report["cloud"] == 3 and report["degraded"] == 0
+        assert report["mean_cloud_compute_ms"] > 0
+        assert report["mean_cloud_network_ms"] >= 0
         got = det.jsonl_to_detections(out.read_text())
         want = []
         for i in range(3):
@@ -371,9 +421,9 @@ class TestServeEdge:
         gc.collect()
 
     def test_missing_directory_exit_one(self, tmp_path, capsys):
-        assert run(["serve-edge", "--input-dir", str(tmp_path / "missing"),
+        assert run(["bench", "--input-dir", str(tmp_path / "missing"),
                     "--mode", "always_edge", "--seed", "1",
-                    "--output", str(tmp_path / "o.jsonl")]) == 1
+                    "--detections", str(tmp_path / "o.jsonl")]) == 1
 
 
 class TestConfigPrecedence:
@@ -407,9 +457,9 @@ class TestConfigPrecedence:
         indir = tmp_path / "imgs"
         indir.mkdir()
         ppm.write_ppm(indir / "0.ppm", np.full((3, 32, 32), 0.5, np.float32))
-        code = run(["serve-edge", "--input-dir", str(indir), "--mode", "always_cloud",
+        code = run(["bench", "--input-dir", str(indir), "--mode", "always_cloud",
                     "--cloud", "127.0.0.1:9", "--timeout-ms", "-5", "--seed", "1",
-                    "--output", str(tmp_path / "o.jsonl")])
+                    "--detections", str(tmp_path / "o.jsonl")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -417,14 +467,27 @@ class TestConfigPrecedence:
         assert not (tmp_path / "o.jsonl").exists()
 
     def test_unknown_mode_fails_like_any_bad_flag(self, tmp_path, no_weights, capsys):
-        code = run(["serve-edge", "--input-dir", str(tmp_path), "--mode", "sometimes",
-                    "--seed", "1", "--output", str(tmp_path / "o.jsonl")])
+        code = run(["bench", "--input-dir", str(tmp_path), "--mode", "sometimes",
+                    "--seed", "1", "--detections", str(tmp_path / "o.jsonl")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert ("--mode: mode must be always_edge, always_cloud or adaptive, "
                 "got 'sometimes'") in err
         assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        (",", "empty text input"),
+        (", ".join(["car"] * 17), "too many phrases: 17 > 16"),
+    ])
+    def test_unusable_prompt_fails_before_the_model_runs(self, text, reason,
+                                                         no_weights, capsys):
+        code = run(["serve-cloud", "--listen", "127.0.0.1:0", "--seed", "1",
+                    "--text", text])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"--text: text is not a usable prompt: {reason}" in err
 
     def test_bad_config_is_runtime_error(self, tmp_path, image_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -467,7 +530,6 @@ class TestConfigPrecedence:
         ["dehaze", "--image", "x.ppm"],
         ["train-toy"],
         ["bench", "--input-dir", "x"],
-        ["serve-edge", "--input-dir", "x"],
         ["serve-cloud"],
     ])
     def test_every_seeded_command_reads_config_seed(self, tmp_path, argv):

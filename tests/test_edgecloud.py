@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from gradutil import DownTransport
 from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
 from yolovehicle import ppm
@@ -18,13 +19,6 @@ def quantized_image(rng, size=32):
     """An image whose float values survive the 8-bit wire format exactly."""
     raw = np.clip(np.rint(rng.uniform(0.0, 1.0, (3, size, size)) * 255), 0, 255)
     return raw.astype(np.float32) / 255.0
-
-
-class DownTransport:
-    """A cloud link that is down: every request fails to connect."""
-
-    def request(self, data: bytes) -> bytes:
-        raise ConnectionError("cloud unreachable")
 
 
 @pytest.fixture(scope="module")
@@ -380,42 +374,3 @@ class TestEdgeServe:
         with pytest.raises(ValueError):
             ec.edge_serve([], ec.OffloadPolicy("always_cloud"), bundle)
 
-
-class TestRunBench:
-    def test_one_image_ten_reps(self, bundle, tmp_path):
-        path = tmp_path / "a.ppm"
-        ppm.write_ppm(path, quantized_image(tc.Rng(80)))
-        stats, _, report = ec.run_bench([path], ec.OffloadPolicy("always_edge"),
-                                        bundle, repetitions=10)
-        assert stats.frames == 10
-        assert report["frames"] == 10
-        assert report["mean_cloud_compute_ms"] is None
-        assert report["mean_cloud_network_ms"] is None
-        assert abs(report["fps"] - 10 / report["wall_seconds"]) \
-            <= 0.05 * report["fps"]
-
-    def test_deterministic_outputs(self, bundle, tmp_path):
-        for i in range(2):
-            ppm.write_ppm(tmp_path / f"{i}.ppm", quantized_image(tc.Rng(81 + i)))
-        paths = sorted(tmp_path.glob("*.ppm"))
-        outputs = []
-        for _ in range(2):
-            _, results, _ = ec.run_bench(paths, ec.OffloadPolicy("always_edge"),
-                                         bundle, repetitions=2)
-            outputs.append([(fid, route, dets) for fid, route, dets, _ in results])
-        assert [fid for fid, _, _ in outputs[0]] == [0, 1, 2, 3]
-        assert outputs[0] == outputs[1]
-
-    def test_cloud_split_reported(self, bundle, tmp_path):
-        path = tmp_path / "a.ppm"
-        ppm.write_ppm(path, quantized_image(tc.Rng(82)))
-        stats, _, report = ec.run_bench(
-            [path], ec.OffloadPolicy("always_cloud"), bundle, repetitions=2,
-            transport=ec.LoopbackTransport(bundle))
-        assert report["cloud"] == 2
-        assert report["mean_cloud_compute_ms"] == np.mean(stats.cloud_compute_ms) > 0
-        assert report["mean_cloud_network_ms"] == np.mean(stats.cloud_network_ms) >= 0
-
-    def test_empty_inputs_rejected(self, bundle):
-        with pytest.raises(ValueError):
-            ec.run_bench([], ec.OffloadPolicy("always_edge"), bundle)
