@@ -1,3 +1,5 @@
+import ctypes
+import json
 import os
 import socket
 import subprocess
@@ -234,6 +236,70 @@ class TestCloudHandler:
         local, _ = md.detect_frame(img, "car, truck, bus", bundle,
                                    dehaze_first=True)
         assert remote == local
+
+
+# Two handler threads serve hazed 256x256 frames, as the cloud node does,
+# after one warm-up frame each; prints the minor page faults per frame.
+PAGE_FAULT_SCRIPT = """
+import json, resource, sys, threading
+from yolovehicle import edgecloud as ec, model as md, tensor_core as tc
+from yolovehicle.dehaze import synthesize_haze
+
+if not ec.keep_freed_memory():
+    sys.exit("keep_freed_memory refused")
+bundle = md.init_bundle(0)
+def request(i):
+    image = synthesize_haze(tc.Rng(980 + i).uniform(0, 1, (3, 256, 256)), 0.3)
+    return ec.encode_message(ec.WireMessage(ec.MSG_FRAME_REQUEST,
+        ec.encode_frame_payload(ec.image_to_frame_payload(i, image))))
+THREADS, FRAMES = 2, 3
+requests = [[request(t * 10 + i) for i in range(1 + FRAMES)] for t in range(THREADS)]
+phase = threading.Barrier(THREADS + 1, timeout=120)
+types = []
+def serve(reqs):
+    types.append(ec.decode_message(ec.handle_request(reqs[0], bundle, "car, truck, bus")).msg_type)
+    phase.wait()  # warmed up
+    phase.wait()  # counting
+    for req in reqs[1:]:
+        types.append(ec.decode_message(ec.handle_request(req, bundle, "car, truck, bus")).msg_type)
+    phase.wait()
+threads = [threading.Thread(target=serve, args=(r,)) for r in requests]
+for t in threads:
+    t.start()
+phase.wait()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+phase.wait()
+phase.wait()
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for t in threads:
+    t.join(60)
+print(json.dumps({"faults_per_frame": (after - before) / (THREADS * FRAMES),
+                  "types": types, "alive": any(t.is_alive() for t in threads)}))
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestCloudMemory:
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_hazy_frames_fault_few_pages_with_freed_memory_kept(self):
+        # a fresh interpreter, so that the allocator setting stays out of
+        # this process; one BLAS thread, as the benchmark's cloud node runs
+        src = os.path.dirname(os.path.dirname(ec.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", PAGE_FAULT_SCRIPT], env=env,
+                             check=True, capture_output=True, text=True, timeout=300)
+        result = json.loads(out.stdout)
+        assert not result["alive"]
+        assert result["types"] == [ec.MSG_DETECTION_RESPONSE] * 8
+        # 8,200-9,800 per frame with glibc's defaults
+        assert result["faults_per_frame"] < 200
 
 
 class TestSocketServer:

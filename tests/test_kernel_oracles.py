@@ -2,13 +2,14 @@
 
 The references are the straightforward forms of each kernel: a per-channel
 loop im2col/col2im, the np.pad + sliding-window column build, a three-line
-softmax, attention over the whole batch at once, a dehaze forward built
-from those, the unflushed sigmoid gradient, a fusion backward with matmul
-outer products, an out-of-place Adam, a whole-window dark channel and the
-per-cell decode-and-NMS loop. The fast kernels do the same arithmetic in
-the same order, so every comparison is exact; the one exception is the
-sigmoid gradient's flush of subnormal results to zero, which the
-saturated-gate tests pin down.
+softmax, np.sum itself for the key-major row sums, attention over the
+whole batch at once, a dehaze forward built from those, the unflushed
+sigmoid gradient, a fusion backward with matmul outer products, an
+out-of-place Adam, a whole-window dark channel and the per-cell
+decode-and-NMS loop. The fast kernels do the same arithmetic in the same
+order, so every comparison is exact; the one exception is the sigmoid
+gradient's flush of subnormal results to zero, which the saturated-gate
+tests pin down.
 """
 
 import math
@@ -281,6 +282,57 @@ def test_attention_equals_reference_across_chunk_boundary(windows):
         assert np.array_equal(out, ref_out) and np.array_equal(w, ref_w)
 
 
+def tied_logits(rng, rows, n, dtype):
+    """Logits [rows, n] where every other row has its maximum twice."""
+    x = rng.uniform(-30, 30, (rows, n)).astype(dtype)
+    x[::2, -1] = x[::2].max(axis=-1)
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_key_major_sum_equals_np_sum_at_every_key_count(dtype):
+    # the key-major path takes rows of 1 to _PAIRWISE_BLOCK keys
+    rng = tc.Rng(1000)
+    rows = 40
+    for n in range(1, tc._PAIRWISE_BLOCK + 1):
+        x = tied_logits(rng, rows, n, dtype)
+        exps = np.exp(x - x.max(axis=-1, keepdims=True))
+        signed = x * np.exp2(rng.uniform(-20, 20, (rows, n))).astype(dtype)
+        for terms in (exps, signed):
+            out = np.empty(rows, dtype)
+            tree = np.empty((tc._tree_rows(n), rows), dtype)
+            tc._pairwise_sum_keys(np.ascontiguousarray(terms.T), out, tree)
+            assert np.array_equal(out, np.sum(terms, axis=-1)), n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_key_major_equals_reference_at_every_key_count(dtype):
+    rng = tc.Rng(1001)
+    rows = 300
+    for n in range(1, tc._PAIRWISE_BLOCK + 1):
+        for d in (3, 4):
+            scale = 1.0 / math.sqrt(d)
+            x = tied_logits(rng, rows, n, dtype)
+            y = x.copy()
+            tc._softmax_key_major(y, scale, np.empty((n + tc._tree_rows(n) + 1) * rows, dtype))
+            assert np.array_equal(y, ref_softmax(x * scale)), (n, d)
+
+
+@pytest.mark.parametrize("keys", [1, 5, 8, 9, 16, 24, 33, 128, 129])
+def test_attention_equals_reference_at_key_counts(keys):
+    # 300 windows of one query each reach the key-major path for 1 to 128
+    # keys, 129 keys and a 3-window batch do not
+    rng = tc.Rng(1010 + keys)
+    for dtype in (np.float32, np.float64):
+        for windows in (3, 300):
+            q = rng.uniform(-3, 3, (windows, 1, 4)).astype(dtype)
+            k, v = (rng.uniform(-3, 3, (windows, keys, 4)).astype(dtype) for _ in range(2))
+            k[:, -1] = k[:, 0]  # tied logits
+            out, (_, _, _, w, _) = tc.attention(q, k, v)
+            ref_out, ref_w = ref_attention(q, k, v)
+            assert np.array_equal(out, ref_out) and np.array_equal(w, ref_w)
+
+
 def test_attention_unbatched_and_broadcast_operands():
     rng = tc.Rng(960)
     q = rng.uniform(-1, 1, (3, 8))
@@ -293,7 +345,7 @@ def test_attention_unbatched_and_broadcast_operands():
     assert np.array_equal(out, ref_out) and np.array_equal(w, ref_w)
 
 
-@pytest.mark.parametrize("h,w", [(64, 64), (32, 96)])
+@pytest.mark.parametrize("h,w", [(64, 64), (32, 96), (256, 256)])
 def test_dehaze_forward_equals_reference_composition(h, w):
     gen = md.init_bundle(0).gen
     assert any(b.wmsa.shift for b in gen.blocks)

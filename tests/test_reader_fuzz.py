@@ -8,6 +8,7 @@ import itertools
 import struct
 
 import numpy as np
+import pytest
 
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
@@ -107,3 +108,12 @@ class TestTsrFuzz:
             inputs.append(archive(count, nlen, 1, (3,)))
         decoded, rejected = outcomes(tc.archive_from_bytes, inputs, check_archive)
         assert decoded > 0 and rejected > 0
+
+    def test_forged_dims_whose_product_wraps_in_int64_are_truncated(self):
+        # (2^31, 2^31, 4, 1) wraps to 0 elements and (2^32-1, 2^32-1) to a
+        # negative count in int64 arithmetic
+        for dims in ((2**31, 2**31, 4, 1), (2**32 - 1, 2**32 - 1)):
+            buf = (b"TSR1" + bytes([len(dims)]) + struct.pack(f"<{len(dims)}I", *dims)
+                   + bytes(64))
+            with pytest.raises(ValueError, match="truncated TSR payload"):
+                tc.tensor_from_bytes(buf)
