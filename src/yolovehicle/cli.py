@@ -104,13 +104,15 @@ def effective_config(args) -> dict:
 
 
 def _load_bundle(cfg, args):
-    """Weights from the archive; a fixed seed with no archive requested
-    means a reproducible freshly initialized model."""
+    """Weights from the archive; a fixed seed with no archive named, by
+    --weights or by weights= in the config file, means a reproducible
+    freshly initialized model."""
     path = cfg["weights"]
-    explicit = getattr(args, "weights", None) is not None
     if os.path.exists(path):
         return md.load_bundle(path)
-    if not explicit and cfg["seed"] is not None:
+    named = args.weights is not None or (
+        args.config is not None and "weights" in cfgmod.load_config(args.config))
+    if cfg["seed"] is not None and not named:
         return md.init_bundle(cfg["seed"])
     raise FileNotFoundError(f"weights archive not found: {path}")
 
@@ -183,8 +185,7 @@ def cmd_eval(args) -> int:
         report[f"map@{int(thr * 100)}"] = r.map
         report[f"ap@{int(thr * 100)}"] = {str(k): v for k, v in r.ap.items()}
         report[f"counts@{int(thr * 100)}"] = {
-            str(k): {"tp": r.tp[k], "fp": r.fp[k], "fn": r.fn[k],
-                     "tn": None}
+            str(k): {"tp": r.tp[k], "fp": r.fp[k], "fn": r.fn[k]}
             for k in sorted(r.tp)}
     atomic_write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"mAP@50 {report['map@50']:.4f} mAP@75 {report['map@75']:.4f} "
@@ -202,15 +203,15 @@ def cmd_bench(args) -> int:
     cfg = effective_config(args)
     if args.repetitions < 1:
         raise ValueError(f"--repetitions must be at least 1, got {args.repetitions}")
-    bundle = _load_bundle(cfg, args)
     policy = ec.OffloadPolicy(cfg["mode"], cfg["tau"])
+    if policy.mode != "always_edge" and not cfg["cloud"]:
+        raise ValueError(f"policy {policy.mode!r} requires --cloud")
+    bundle = _load_bundle(cfg, args)
     images = [read_ppm(p) for p in _ppm_paths(args.input_dir)]
     frames = [(rep * len(images) + i, image)
               for rep in range(args.repetitions) for i, image in enumerate(images)]
     link = None
     if policy.mode != "always_edge":
-        if not cfg["cloud"]:
-            raise ValueError(f"policy {policy.mode!r} requires --cloud")
         link = ec.SocketTransport(cfg["cloud"], cfg["timeout_ms"])
     try:
         start = time.perf_counter()
@@ -254,9 +255,12 @@ def cmd_bench(args) -> int:
 
 def cmd_serve_cloud(args) -> int:
     cfg = effective_config(args)
-    bundle = _load_bundle(cfg, args)
-    ec.cloud_serve(args.listen, bundle, text=cfg["text"],
-                   obj_thresh=cfg["obj_thresh"], nms_iou=cfg["nms_iou"])
+    try:
+        ec.parse_addr(args.listen)
+    except ValueError as e:
+        raise ValueError(f"--listen: {e}") from None
+    ec.cloud_serve(args.listen, ec.LoopbackTransport(
+        _load_bundle(cfg, args), cfg["text"], cfg["obj_thresh"], cfg["nms_iou"]))
     return 0
 
 

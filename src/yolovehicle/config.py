@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import inf
 
+from .edgecloud import OffloadPolicy, parse_addr
 from .encoders import TextInput
 
 
@@ -24,22 +25,22 @@ def _positive(name, value):
     return value
 
 
-def _unit_interval(name, value):
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def _open_unit_interval(name, value):
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
     return value
 
 
-def _mode(name, value):
-    if value not in ("always_edge", "always_cloud", "adaptive"):
-        raise ValueError(f"{name} must be always_edge, always_cloud or "
-                         f"adaptive, got {value!r}")
+def _policy(name, value):
+    """The offload policy's own check of its mode or tau."""
+    OffloadPolicy(**{name: value})
+    return value
+
+
+def _address(name, value):
+    """edgecloud.parse_addr's check; an empty address is unset."""
+    if value:
+        parse_addr(value)
     return value
 
 
@@ -55,9 +56,9 @@ def _prompt(name, value):
 # name -> (parser, default, validator or None, flag help)
 SCHEMA = {
     "weights": (str, "weights.bin", None, "weights archive path"),
-    "mode": (str, "adaptive", _mode,
+    "mode": (str, "adaptive", _policy,
              "offload policy: always_edge, always_cloud or adaptive"),
-    "tau": (float, 0.6, _unit_interval, "haze threshold for adaptive routing"),
+    "tau": (float, 0.6, _policy, "haze threshold for adaptive routing"),
     "lambda1": (float, 0.6, _non_negative, "classification loss weight"),
     "lambda2": (float, 7.0, _non_negative, "box (CIoU) loss weight"),
     "lambda3": (float, 0.4, _non_negative, "distribution focal loss weight"),
@@ -67,7 +68,7 @@ SCHEMA = {
     "obj_thresh": (float, 0.5, _open_unit_interval, "objectness threshold"),
     "nms_iou": (float, 0.5, _open_unit_interval, "NMS IoU threshold"),
     "text": (str, "car, truck, bus", _prompt, "comma-separated detection phrases"),
-    "cloud": (str, "", None, "cloud node address host:port"),
+    "cloud": (str, "", _address, "cloud node address host:port"),
     # 0 would make the socket non-blocking, not patient
     "timeout_ms": (float, 1000.0, _positive, "cloud request timeout in ms"),
 }

@@ -16,6 +16,7 @@ from . import encoders
 
 WINDOW = 4  # attention window side, in pixels
 HEADS = 2   # attention heads per window
+BLOCKS = 2  # attention-conv blocks in the generator
 
 
 @dataclass
@@ -107,9 +108,9 @@ def init_block(rng: tc.Rng, channels: int, shift: bool = False) -> DehazeBlockPa
     )
 
 
-def init_generator(rng: tc.Rng, channels: int = 8, n_blocks: int = 2) -> DehazeGenerator:
+def init_generator(rng: tc.Rng, channels: int = 8) -> DehazeGenerator:
     blocks = [init_block(rng, channels, shift=bool(i % 2))
-              for i in range(n_blocks)]
+              for i in range(BLOCKS)]
     return DehazeGenerator(stem=tc.init_conv(rng, 3, channels), blocks=blocks,
                            head=tc.init_conv(rng, channels, 3))
 

@@ -240,7 +240,8 @@ class OffloadPolicy:
 
     def __post_init__(self):
         if self.mode not in ("always_edge", "always_cloud", "adaptive"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
+            raise ValueError("mode must be always_edge, always_cloud or "
+                             f"adaptive, got {self.mode!r}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
 
@@ -285,7 +286,9 @@ def handle_request(buf: bytes, bundle: md.ModelBundle, text: str,
 
 
 class LoopbackTransport:
-    """In-process stand-in for the socket link; same framed contract."""
+    """The cloud node: the weights and the settings it detects every frame
+    with. request serves one framed request in process; CloudServer serves
+    the same node over TCP."""
 
     def __init__(self, bundle: md.ModelBundle, text: str = "car, truck, bus",
                  obj_thresh: float = 0.5, nms_iou: float = 0.5):
@@ -298,8 +301,18 @@ class LoopbackTransport:
         return handle_request(data, self.bundle, self.text,
                               self.obj_thresh, self.nms_iou)
 
-    def close(self):
-        pass
+
+def parse_addr(addr: str) -> tuple[str, int]:
+    """(host, port) of a host:port address; an empty host is 127.0.0.1.
+    Raises ValueError for a missing, non-numeric or out-of-range port."""
+    host, sep, port = addr.rpartition(":")
+    if not sep:
+        raise ValueError(f"address {addr!r} has no port; expected host:port")
+    if not (port.isascii() and port.removeprefix("-").isdigit()):
+        raise ValueError(f"address {addr!r} has a non-numeric port {port!r}")
+    if not 0 <= int(port) <= 65535:
+        raise ValueError(f"address {addr!r} has port {port} outside [0, 65535]")
+    return host or "127.0.0.1", int(port)
 
 
 def _recv_exact(sock, n: int) -> bytes:
@@ -328,8 +341,7 @@ class SocketTransport:
     order on the single stream."""
 
     def __init__(self, addr: str, timeout_ms: float = 1000.0):
-        host, _, port = addr.rpartition(":")
-        self.addr = (host or "127.0.0.1", int(port))
+        self.addr = parse_addr(addr)
         self.timeout_ms = timeout_ms
         self.sock = None
 
@@ -352,42 +364,31 @@ class SocketTransport:
 
 class _CloudHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        server = self.server
         while True:
             try:
                 buf = _recv_frame(self.request)
-            except ConnectionError:
-                return
             except WireError as e:
                 # the stream cannot be resynchronised without a trusted
                 # header: answer once and close
                 self.request.sendall(encode_error(e))
                 return
-            except OSError:
+            except OSError:  # the peer closed or reset the connection
                 return
-            reply = handle_request(buf, server.bundle, server.text,
-                                   server.obj_thresh, server.nms_iou)
             try:
-                self.request.sendall(reply)
+                self.request.sendall(self.server.node.request(buf))
             except OSError:
                 return
 
 
 class CloudServer(socketserver.ThreadingTCPServer):
-    """Threaded cloud node: concurrent connections, FIFO per connection,
-    weights shared read-only."""
+    """Serves a cloud node over TCP: concurrent connections, FIFO per
+    connection, the node's weights shared read-only."""
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, addr: str, bundle: md.ModelBundle,
-                 text: str = "car, truck, bus", obj_thresh: float = 0.5,
-                 nms_iou: float = 0.5):
-        host, _, port = addr.rpartition(":")
-        super().__init__((host or "127.0.0.1", int(port)), _CloudHandler)
-        self.bundle = bundle
-        self.text = text
-        self.obj_thresh = obj_thresh
-        self.nms_iou = nms_iou
+    def __init__(self, addr: str, node: LoopbackTransport):
+        self.node = node
+        super().__init__(parse_addr(addr), _CloudHandler)
 
     @property
     def addr(self) -> str:
@@ -431,13 +432,11 @@ def keep_freed_memory() -> bool:
     return all([mallopt(param, value) for param, value in settings])  # each one tried
 
 
-def cloud_serve(listen_addr: str, bundle: md.ModelBundle,
-                text: str = "car, truck, bus", obj_thresh: float = 0.5,
-                nms_iou: float = 0.5) -> None:
-    """Blocking server loop; runs until interrupted. The process keeps its
-    freed memory (keep_freed_memory) for as long as it lives."""
+def cloud_serve(listen_addr: str, node: LoopbackTransport) -> None:
+    """Serves node until interrupted. The process keeps its freed memory
+    (keep_freed_memory) for as long as it lives."""
     keep_freed_memory()
-    with CloudServer(listen_addr, bundle, text, obj_thresh, nms_iou) as server:
+    with CloudServer(listen_addr, node) as server:
         _log(f"cloud node listening on {server.addr}")
         server.serve_forever()
 

@@ -4,10 +4,6 @@ Average precision uses all-point interpolation over the achievable operating
 points (one per distinct score threshold). A deliberately naive
 threshold-enumeration implementation is kept alongside as a validation
 oracle; the two must agree exactly.
-
-True negatives have no operational meaning in detection (there is no
-enumerable set of correctly absent boxes), so EvalResult reports them as
-not applicable (None).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ class EvalResult:
     tp: dict            # class_id -> count
     fp: dict
     fn: dict
-    tn: None = None     # not applicable in detection
 
 
 def match_detections(preds: list[BBox], gts: list[BBox],

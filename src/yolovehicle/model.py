@@ -43,20 +43,25 @@ class _ZeroRng:
         return np.zeros(shape, tc.DTYPE)
 
 
+CHANNELS = 8      # backbone channels, and so the fusion's input channels
+N_CLASSES = 3
+GEN_CHANNELS = 8  # dehazing generator channels
+
+
 def _build_bundle(rng) -> ModelBundle:
     """The one architecture: every command builds it, every archive holds it."""
     return ModelBundle(
         text=enc.init_text_encoder(rng),
-        backbone=enc.init_backbone(rng, channels=8),
-        fusion=fu.init_fusion(rng, channels=8),
-        head=det.init_head(rng, fu.FEATURE_SHAPE[0], n_classes=3),
-        gen=dh.init_generator(rng, channels=8, n_blocks=2),
+        backbone=enc.init_backbone(rng, channels=CHANNELS),
+        fusion=fu.init_fusion(rng, channels=CHANNELS),
+        head=det.init_head(rng, fu.FEATURE_SHAPE[0], n_classes=N_CLASSES),
+        gen=dh.init_generator(rng, channels=GEN_CHANNELS),
     )
 
 
-# the archive's stamp of that architecture: backbone channels, classes,
-# REG_MAX, generator channels, generator blocks, window and attention heads
-META = np.array([8, 3, det.REG_MAX, 8, 2, dh.WINDOW, dh.HEADS], np.float32)
+# the archive's stamp of that architecture
+META = np.array([CHANNELS, N_CLASSES, det.REG_MAX, GEN_CHANNELS, dh.BLOCKS,
+                 dh.WINDOW, dh.HEADS], np.float32)
 
 
 def init_bundle(seed: int) -> ModelBundle:

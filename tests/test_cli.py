@@ -91,6 +91,15 @@ class TestConfig:
                     cfgmod.parse_config_text(f"{key}={value}\n")
             assert cfgmod.parse_config_text(f"{key}=0.05\n") == {key: 0.05}
 
+    def test_cloud_address_names_the_line(self):
+        with pytest.raises(ValueError, match=r":2: address ':99999' has port 99999"):
+            cfgmod.parse_config_text("seed=1\ncloud=:99999\n")
+        with pytest.raises(ValueError, match=r":1: address 'localhost' has no port"):
+            cfgmod.parse_config_text("cloud=localhost\n")
+        # an empty address is unset
+        assert cfgmod.parse_config_text("cloud=\n") == {"cloud": ""}
+        assert cfgmod.parse_config_text("cloud=:5956\n") == {"cloud": ":5956"}
+
     def test_comments_and_blanks_ignored(self):
         got = cfgmod.parse_config_text("# top\n\ntau=0.3  # inline\n")
         assert got == {"tau": 0.3}
@@ -286,8 +295,7 @@ class TestEval:
                     "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["map@50"] == 0.0
-        assert report["counts@50"]["1"]["fn"] == 1
-        assert report["counts@50"]["1"]["tn"] is None
+        assert report["counts@50"]["1"] == {"tp": 0, "fp": 0, "fn": 1}
 
     def test_perfect_preds_map_one(self, tmp_path):
         boxes = [det.BBox(0.5, 0.5, 0.2, 0.2, class_id=1, score=0.9)]
@@ -390,7 +398,7 @@ class TestBench:
                 opened.append(self)
 
         monkeypatch.setattr(ec, "SocketTransport", RecordedTransport)
-        server = ec.CloudServer("127.0.0.1:0", bundle)
+        server = ec.CloudServer("127.0.0.1:0", ec.LoopbackTransport(bundle))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -488,6 +496,46 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"--text: text is not a usable prompt: {reason}" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--mode", "always_cloud", "--cloud", "localhost"],
+         "--cloud: address 'localhost' has no port; expected host:port"),
+        (["bench", "--cloud", ":99999"],
+         "--cloud: address ':99999' has port 99999 outside [0, 65535]"),
+        (["bench", "--mode", "adaptive"], "policy 'adaptive' requires --cloud"),
+        (["serve-cloud", "--listen", "nohost"],
+         "--listen: address 'nohost' has no port; expected host:port"),
+    ], ids=["no_port", "port_out_of_range", "no_cloud", "listen_no_port"])
+    def test_unusable_address_fails_before_the_model_runs(self, tmp_path, argv,
+                                                          message, no_weights,
+                                                          capsys):
+        if argv[0] == "bench":
+            # a missing directory: the address is checked before any image
+            argv = argv + ["--input-dir", str(tmp_path / "missing"),
+                           "--detections", str(tmp_path / "o.jsonl")]
+        assert run(argv + ["--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert message in err
+        assert os.listdir(tmp_path) == []
+
+    def test_config_weights_acts_as_weights_flag(self, tmp_path, monkeypatch,
+                                                 capsys):
+        # a named archive that is missing is an error, seed or no seed
+        monkeypatch.chdir(tmp_path)
+        indir = tmp_path / "imgs"
+        indir.mkdir()
+        ppm.write_ppm(indir / "0.ppm", np.full((3, 32, 32), 0.5, np.float32))
+        missing = tmp_path / "nonexistent" / "w.bin"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"weights={missing}\nseed=3\n")
+        for named in (["--config", str(cfg)],
+                      ["--weights", str(missing), "--seed", "3"]):
+            assert run(["bench", "--input-dir", str(indir), "--mode", "always_edge",
+                        *named, "--output", str(tmp_path / "r.json")]) == 1
+            err = capsys.readouterr().err
+            assert err == f"yolovehicle: error: weights archive not found: {missing}\n"
+        assert sorted(os.listdir(tmp_path)) == ["c.cfg", "imgs"]
 
     def test_bad_config_is_runtime_error(self, tmp_path, image_path, capsys):
         cfg = tmp_path / "c.cfg"

@@ -302,9 +302,73 @@ class TestCloudMemory:
         assert result["faults_per_frame"] < 200
 
 
+class TestParseAddr:
+    @pytest.mark.parametrize("addr, want", [
+        ("example.org:5956", ("example.org", 5956)),
+        ("127.0.0.1:0", ("127.0.0.1", 0)),
+        (":65535", ("127.0.0.1", 65535)),
+    ])
+    def test_host_and_port(self, addr, want):
+        assert ec.parse_addr(addr) == want
+
+    @pytest.mark.parametrize("addr, reason", [
+        ("localhost", "has no port"),
+        ("localhost:http", "non-numeric port 'http'"),
+        ("localhost:", "non-numeric port ''"),
+        ("localhost: 80", "non-numeric port ' 80'"),
+        (":65536", "port 65536 outside"),
+        (":-1", "port -1 outside"),
+    ])
+    def test_bad_port_rejected(self, addr, reason):
+        with pytest.raises(ValueError, match=reason):
+            ec.parse_addr(addr)
+        # the client and the server take their address from the same check
+        with pytest.raises(ValueError, match=reason):
+            ec.SocketTransport(addr)
+        with pytest.raises(ValueError, match=reason):
+            ec.CloudServer(addr, None)
+
+
 class TestSocketServer:
+    def test_serves_its_node_byte_for_byte(self, bundle):
+        class RecordedNode(ec.LoopbackTransport):
+            def request(self, data):
+                replies.append(super().request(data))
+                return replies[-1]
+
+        replies = []
+        node = RecordedNode(bundle, "bus", 0.3, 0.4)
+        ping = ec.encode_message(ec.WireMessage(ec.MSG_PING, b"\x01\x02"))
+        frame = ec.encode_message(ec.WireMessage(
+            ec.MSG_FRAME_REQUEST,
+            ec.encode_frame_payload(ec.image_to_frame_payload(
+                9, quantized_image(tc.Rng(48))))))
+        bad = bytearray(ping)
+        bad[2] = ec.VERSION + 1
+        server = ec.CloudServer("127.0.0.1:0", node)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            link = ec.SocketTransport(server.addr, timeout_ms=5000)
+            try:
+                got = [link.request(req) for req in (ping, frame, bytes(bad))]
+            finally:
+                link.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+        # the server answers a bad header itself, as its node would
+        assert got[:2] == replies and got[2] == node.request(bytes(bad))
+        assert ec.decode_message(got[2]).payload[0] == ec.BadVersion.code
+        # the frame was detected with the node's prompt and thresholds; its
+        # reply differs from a fresh one only in the timing field
+        _, dets, _ = ec.decode_detection_response(ec.decode_message(got[1]).payload)
+        local, _ = md.detect_frame(quantized_image(tc.Rng(48)), "bus", bundle,
+                                   dehaze_first=True, obj_thresh=0.3, nms_iou=0.4)
+        assert dets == local
+
     def test_ping_frames_and_garbage_over_tcp(self, bundle):
-        server = ec.CloudServer("127.0.0.1:0", bundle)
+        server = ec.CloudServer("127.0.0.1:0", ec.LoopbackTransport(bundle))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -338,7 +402,7 @@ class TestSocketServer:
     def test_bad_header_is_answered_at_once(self, bundle, head, error):
         # each header declares an empty payload; the server must not wait
         # for the checksum of a frame whose magic or version is wrong
-        server = ec.CloudServer("127.0.0.1:0", bundle)
+        server = ec.CloudServer("127.0.0.1:0", ec.LoopbackTransport(bundle))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -353,7 +417,7 @@ class TestSocketServer:
             server.server_close()
 
     def test_edge_serve_over_tcp(self, bundle):
-        server = ec.CloudServer("127.0.0.1:0", bundle)
+        server = ec.CloudServer("127.0.0.1:0", ec.LoopbackTransport(bundle))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

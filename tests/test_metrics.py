@@ -167,10 +167,11 @@ class TestMapAt:
             n_gt = sum(1 for g in gts if g.class_id == k)
             assert res.tp[k] + res.fn[k] == n_gt
 
-    def test_tn_not_applicable(self):
+    def test_no_true_negative_count(self):
+        # detection has no enumerable set of correctly absent boxes
         rng = tc.Rng(37)
         gts = random_boxes(rng, 5, scored=False)
         preds = random_boxes(rng, 10)
         res = mx.map_at(preds, gts, thresholds=(0.5,))[0.5]
-        assert res.tn is None
+        assert list(vars(res)) == ["ap", "map", "tp", "fp", "fn"]
 
