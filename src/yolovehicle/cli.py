@@ -97,8 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, overridden by the config file, overridden by flags.
+
+    weights= in the file names the archive as --weights does: it stands in
+    for an unset --weights in args, which _load_bundle reads."""
     file_values = cfgmod.load_config(args.config) if args.config else {}
+    if getattr(args, "weights", None) is None and "weights" in file_values:
+        args.weights = file_values["weights"]
     return cfgmod.merge(file_values,
                         {k: getattr(args, k, None) for k in cfgmod.SCHEMA})
 
@@ -110,9 +115,7 @@ def _load_bundle(cfg, args):
     path = cfg["weights"]
     if os.path.exists(path):
         return md.load_bundle(path)
-    named = args.weights is not None or (
-        args.config is not None and "weights" in cfgmod.load_config(args.config))
-    if cfg["seed"] is not None and not named:
+    if cfg["seed"] is not None and args.weights is None:
         return md.init_bundle(cfg["seed"])
     raise FileNotFoundError(f"weights archive not found: {path}")
 

@@ -1,18 +1,15 @@
 """Attention-based dehazing: gated channel attention plus windowed
-self-attention inside each convolution block, a small generator/discriminator
-pair, and the four-term restoration loss (adversarial, patch contrastive,
-perceptual contrast against the hazy input, identity).
+self-attention inside each convolution block of a residual restoration
+generator, and its identity objective (a clear image passes unchanged).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor_core as tc
-from . import encoders
 
 WINDOW = 4  # attention window side, in pixels
 HEADS = 2   # attention heads per window
@@ -51,38 +48,6 @@ class DehazeGenerator:
     head: tc.ConvLayer               # 3x3, C -> 3
 
 
-@dataclass
-class Discriminator:
-    convs: list[tc.ConvLayer]  # stride-2 stack ending in a 1-channel patch map
-
-
-@dataclass
-class DehazeLossWeights:
-    lambda_adv: float = 1.0
-    lambda_patch: float = 1.0
-    lambda_scp: float = 1.0
-    lambda_ide: float = 1.0
-    nce_temperature: float = 0.07
-    patch_count: int = 16
-
-    def __post_init__(self):
-        vals = (self.lambda_adv, self.lambda_patch, self.lambda_scp, self.lambda_ide)
-        if not all(0 <= v < math.inf for v in vals):
-            raise ValueError(f"loss weights must be non-negative and finite: {vals}")
-        if not any(v > 0 for v in vals):
-            raise ValueError("at least one loss weight must be positive")
-        if not 0 < self.nce_temperature < math.inf:
-            raise ValueError("nce_temperature must be positive and finite")
-
-
-@dataclass
-class DehazeLossComponents:
-    adv_g: float
-    patch: float
-    scp: float
-    ide: float
-
-
 def init_block(rng: tc.Rng, channels: int, shift: bool = False) -> DehazeBlockParams:
     if channels % 2:
         raise ValueError(f"channel count must be even for the squeeze, got {channels}")
@@ -113,14 +78,6 @@ def init_generator(rng: tc.Rng, channels: int = 8) -> DehazeGenerator:
               for i in range(BLOCKS)]
     return DehazeGenerator(stem=tc.init_conv(rng, 3, channels), blocks=blocks,
                            head=tc.init_conv(rng, channels, 3))
-
-
-def init_discriminator(rng: tc.Rng, channels: int = 8) -> Discriminator:
-    return Discriminator(convs=[
-        tc.init_conv(rng, 3, channels, stride=2),
-        tc.init_conv(rng, channels, 2 * channels, stride=2),
-        tc.init_conv(rng, 2 * channels, 1, stride=2),
-    ])
 
 
 # ---------------------------------------------------------------------------
@@ -273,187 +230,18 @@ def _gen_backward(cache, gen: DehazeGenerator, g_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# discriminator
+# identity objective
 
 
-def disc_forward(img: np.ndarray, disc: Discriminator):
-    """Patch probabilities in (0,1). Returns (probs, cache)."""
-    x = img
-    cache = []
-    for i, layer in enumerate(disc.convs):
-        pre = tc.conv_layer(x, layer)
-        cache.append((x, pre, layer))
-        x = tc.leaky_relu(pre, 0.2) if i + 1 < len(disc.convs) else tc.sigmoid(pre)
-    return x, cache
-
-
-def disc_backward_input(cache, probs: np.ndarray, g_probs: np.ndarray) -> np.ndarray:
-    """Gradient wrt the discriminator's input image (weights treated as fixed)."""
-    g = tc.sigmoid_backward(probs, g_probs)
-    for i in reversed(range(len(cache))):
-        x, pre, layer = cache[i]
-        if i + 1 < len(cache):
-            g = tc.leaky_relu_backward(pre, g, 0.2)
-        g, _ = tc.conv_layer_backward(x, layer, g)
-    return g
-
-
-# ---------------------------------------------------------------------------
-# losses
-
-
-def adversarial_loss(d_real: np.ndarray, d_fake: np.ndarray):
-    """Minimax GAN objectives on discriminator probabilities: (L_D, L_G)."""
-    for name, p in (("d_real", d_real), ("d_fake", d_fake)):
-        p = np.asarray(p)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise ValueError(f"{name} must lie strictly in (0, 1)")
-    d_real = np.asarray(d_real, dtype=np.float64)
-    d_fake = np.asarray(d_fake, dtype=np.float64)
-    l_d = -float(np.mean(np.log(d_real))) - float(np.mean(np.log1p(-d_fake)))
-    l_g = -float(np.mean(np.log(d_fake)))
-    return l_d, l_g
-
-
-def _sample_locations(h: int, w: int, count: int, seed: int) -> list[tuple[int, int]]:
-    total = h * w
-    if total < 2:
-        raise ValueError(f"need at least 2 spatial locations, map is {h}x{w}")
-    count = min(count, total)
-    rng = tc.Rng(seed)
-    chosen: list[int] = []
-    seen = set()
-    while len(chosen) < count:
-        for idx in rng.integers(total, count):
-            if idx not in seen:
-                seen.add(idx)
-                chosen.append(int(idx))
-            if len(chosen) == count:
-                break
-    return [(i // w, i % w) for i in chosen]
-
-
-def patch_nce_loss_with_grad(feat_out: np.ndarray, feat_in: np.ndarray,
-                             weights: DehazeLossWeights, seed: int = 0):
-    """InfoNCE over sampled locations; grad is wrt feat_out.
-
-    The positive for each sampled location is the same location in feat_in;
-    the other sampled locations act as negatives. Similarity is cosine,
-    scaled by the temperature.
+def identity_loss_with_grads(gen: DehazeGenerator, clear: np.ndarray):
+    """Identity loss mean|G(clear) - clear| and its gradient wrt the
+    generator's parameters. Returns (loss, grads), grads a dict keyed and
+    ordered like tc.param_items(gen).
     """
-    if feat_out.shape != feat_in.shape:
-        raise ValueError(f"shape mismatch {feat_out.shape} vs {feat_in.shape}")
-    c, h, w = feat_out.shape
-    locs = _sample_locations(h, w, weights.patch_count, seed)
-    n = len(locs)
-    u = np.stack([feat_out[:, r, cc] for r, cc in locs]).astype(np.float64)  # [N, C]
-    v = np.stack([feat_in[:, r, cc] for r, cc in locs]).astype(np.float64)
-    un = np.maximum(np.linalg.norm(u, axis=1, keepdims=True), 1e-12)
-    vn = np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
-    uh, vh = u / un, v / vn
-    sims = uh @ vh.T
-    logits = sims / weights.nce_temperature
-    probs = tc.softmax(logits, axis=1)
-    loss = float(np.mean(-np.log(np.maximum(probs[np.arange(n), np.arange(n)], 1e-300))))
-
-    g_logits = probs.copy()
-    g_logits[np.arange(n), np.arange(n)] -= 1.0
-    g_sims = g_logits / (weights.nce_temperature * n)
-    # d sims_ij / d u_i = (vh_j - sims_ij * uh_i) / ||u_i||
-    g_u = (g_sims @ vh - (g_sims * sims).sum(axis=1, keepdims=True) * uh) / un
-    grad = np.zeros(feat_out.shape, dtype=np.float64)
-    for i, (r, cc) in enumerate(locs):
-        grad[:, r, cc] += g_u[i]
-    return loss, grad.astype(feat_out.dtype)
-
-
-_SCP_BACKBONE: encoders.BackboneParams | None = None
-
-
-def _scp_backbone() -> encoders.BackboneParams:
-    global _SCP_BACKBONE
-    if _SCP_BACKBONE is None:
-        _SCP_BACKBONE = encoders.init_backbone(tc.Rng(1805))
-    return _SCP_BACKBONE
-
-
-SCP_EPS = 1e-7
-
-
-def scp_loss_with_grad(restored: np.ndarray, clear_exemplar: np.ndarray,
-                       hazy_input: np.ndarray):
-    """Perceptual contrast: pull restored toward the clear exemplar and push
-    it from the hazy input in a fixed feature space; grad is wrt restored.
-    """
-    if not (restored.shape == clear_exemplar.shape == hazy_input.shape):
-        raise ValueError(f"shape mismatch: {restored.shape}, {clear_exemplar.shape}, "
-                         f"{hazy_input.shape}")
-    phi = _scp_backbone()
-    cache: list = []
-    fr = encoders.backbone_features(restored, phi, cache)
-    fc = encoders.backbone_features(clear_exemplar, phi)
-    fh = encoders.backbone_features(hazy_input, phi)
-    loss = 0.0
-    scale_grads = []
-    for r, c, h in zip(fr.scales(), fc.scales(), fh.scales()):
-        r = r.astype(np.float64)
-        num = float(np.abs(r - c).sum())
-        den = float(np.abs(r - h).sum()) + SCP_EPS
-        loss += num / den
-        g = np.sign(r - c) / den - (num / den ** 2) * np.sign(r - h)
-        scale_grads.append(g.astype(restored.dtype))
-    grad = encoders.backbone_backward_input(cache, scale_grads)
-    return float(loss), grad
-
-
-def identity_loss(gen: DehazeGenerator, clear: np.ndarray) -> float:
-    restored = dehaze_forward(clear, gen)
-    return float(np.mean(np.abs(restored.astype(np.float64) - clear.astype(np.float64))))
-
-
-def dehaze_total_loss(components: DehazeLossComponents,
-                      weights: DehazeLossWeights) -> float:
-    return (weights.lambda_adv * components.adv_g
-            + weights.lambda_patch * components.patch
-            + weights.lambda_scp * components.scp
-            + weights.lambda_ide * components.ide)
-
-
-def dehaze_losses_with_grads(gen: DehazeGenerator, disc: Discriminator,
-                             hazy: np.ndarray, clear: np.ndarray,
-                             weights: DehazeLossWeights, seed: int = 0):
-    """Full restoration objective and its gradient wrt generator parameters.
-
-    The discriminator is treated as fixed (its output still shapes the
-    adversarial term's gradient). Returns (components, total, grads), grads
-    a dict keyed and ordered like tc.param_items(gen).
-    """
-    restored, gcache = _gen_forward(hazy, gen)
-
-    d_fake, dcache = disc_forward(restored, disc)
-    df = np.clip(d_fake.astype(np.float64), 1e-12, 1.0 - 1e-12)
-    l_adv_g = -float(np.mean(np.log(df)))
-    g_probs = (-1.0 / (df * df.size)).astype(restored.dtype)
-    g_restored = weights.lambda_adv * disc_backward_input(dcache, d_fake, g_probs)
-
-    l_patch, g_patch = patch_nce_loss_with_grad(restored, hazy, weights, seed)
-    g_restored = g_restored + weights.lambda_patch * g_patch
-
-    l_scp, g_scp = scp_loss_with_grad(restored, clear, hazy)
-    g_restored = g_restored + weights.lambda_scp * g_scp
-
-    _, g_gen = _gen_backward(gcache, gen, g_restored)
-
-    ide_out, icache = _gen_forward(clear, gen)
-    diff = ide_out.astype(np.float64) - clear.astype(np.float64)
-    l_ide = float(np.mean(np.abs(diff)))
-    g_ide = (weights.lambda_ide * np.sign(diff) / diff.size).astype(ide_out.dtype)
-    _, g_gen_ide = _gen_backward(icache, gen, g_ide)
-    grads = {name: g + g_i for (name, g), (_, g_i)
-             in zip(tc.param_items(g_gen), tc.param_items(g_gen_ide))}
-
-    components = DehazeLossComponents(adv_g=l_adv_g, patch=l_patch, scp=l_scp, ide=l_ide)
-    return components, dehaze_total_loss(components, weights), grads
+    out, cache = _gen_forward(clear, gen)
+    diff = out.astype(np.float64) - clear.astype(np.float64)
+    _, g_gen = _gen_backward(cache, gen, (np.sign(diff) / diff.size).astype(out.dtype))
+    return float(np.mean(np.abs(diff))), dict(tc.param_items(g_gen))
 
 
 # ---------------------------------------------------------------------------

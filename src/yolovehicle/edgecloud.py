@@ -304,10 +304,15 @@ class LoopbackTransport:
 
 def parse_addr(addr: str) -> tuple[str, int]:
     """(host, port) of a host:port address; an empty host is 127.0.0.1.
-    Raises ValueError for a missing, non-numeric or out-of-range port."""
+    Raises ValueError for a missing, non-numeric or out-of-range port, and
+    for a bracketed or IPv6 host: the client and the server speak IPv4
+    only."""
     host, sep, port = addr.rpartition(":")
     if not sep:
         raise ValueError(f"address {addr!r} has no port; expected host:port")
+    if any(c in host for c in "[]:"):
+        raise ValueError(f"address {addr!r} has a bracketed or IPv6 host {host!r}; "
+                         "expected an IPv4 address or a host name")
     if not (port.isascii() and port.removeprefix("-").isdigit()):
         raise ValueError(f"address {addr!r} has a non-numeric port {port!r}")
     if not 0 <= int(port) <= 65535:

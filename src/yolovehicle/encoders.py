@@ -175,7 +175,8 @@ def _run_layers(x: np.ndarray, layers: list[tc.ConvLayer], cache: list | None = 
 
 
 def backbone_features(image: np.ndarray, params: BackboneParams, cache: list | None = None) -> MultiScaleFeatures:
-    """Pyramid features without the /32 divisibility requirement (loss internals)."""
+    """Pyramid features without backbone_extract's /32 divisibility check;
+    a cache gets the records backbone_backward_input needs."""
     x = _run_layers(image, params.stem, cache)
     outs = []
     for stage in params.stages:

@@ -117,16 +117,18 @@ def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return np.where(np.abs(g) < tiny, g * 0.0, g)
 
 
-def leaky_relu(v: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    if not (0.0 < slope < 1.0):
-        raise ValueError(f"leaky slope must be in (0,1), got {slope}")
-    # for 0 < slope < 1, slope * v < v exactly when v > 0: the same choice
-    # as np.where(v > 0, v, slope * v), signed zeros and NaN included
-    return np.maximum(v, slope * v)
+LEAKY_SLOPE = 0.01  # negative-side slope of every leaky relu in the model
 
 
-def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray, slope: float = 0.01) -> np.ndarray:
-    return np.where(x > 0, grad_out, slope * grad_out).astype(grad_out.dtype)
+def leaky_relu(v: np.ndarray) -> np.ndarray:
+    # as 0 < LEAKY_SLOPE < 1, LEAKY_SLOPE * v < v exactly when v > 0: the
+    # same choice as np.where(v > 0, v, LEAKY_SLOPE * v), signed zeros and
+    # NaN included
+    return np.maximum(v, LEAKY_SLOPE * v)
+
+
+def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, grad_out, LEAKY_SLOPE * grad_out).astype(grad_out.dtype)
 
 
 def clamp01(v: np.ndarray) -> np.ndarray:

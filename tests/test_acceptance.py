@@ -112,20 +112,18 @@ class TestGradientSuite:
                                                         seed=pseed))
         assert worst_det < 1e-3, worst_det
 
-        # composite restoration objective, gradients wrt every generator
+        # restoration (identity) objective, gradients wrt every generator
         # parameter (28 parameter tensors)
-        gen, disc, hazy, clear = smooth_scene(119, 121)
-        weights = dh.DehazeLossWeights(patch_count=8)
+        gen, clear = smooth_scene(119, 121)
         worst_dh = 0.0
         for pseed, (name, value) in enumerate(tc.param_items(gen)):
             def f(p, name=name, value=value):
                 tc.set_param(gen, name, p)
                 try:
-                    _, total, grads = dh.dehaze_losses_with_grads(
-                        gen, disc, hazy, clear, weights, seed=0)
+                    loss, grads = dh.identity_loss_with_grads(gen, clear)
                 finally:
                     tc.set_param(gen, name, value)
-                return total, grads[name]
+                return loss, grads[name]
 
             worst_dh = max(worst_dh,
                            coord_subset_grad_check(f, value, n=3, seed=pseed))
@@ -280,14 +278,8 @@ class TestToyDetectionOverfit:
 class TestToyDehazeDescent:
     def test_descent_and_identity_init(self):
         gen = dh.init_generator(tc.Rng(122))
-        disc = dh.init_discriminator(tc.Rng(123))
-        weights = dh.DehazeLossWeights()
         rng = tc.Rng(124)
-        pairs = []
-        for _ in range(8):
-            clear = rng.uniform(0.1, 0.9, (3, 8, 8))
-            t = float(rng.uniform(0.3, 0.8, (1,))[0])
-            pairs.append((dh.synthesize_haze(clear, t), clear))
+        images = [rng.uniform(0.1, 0.9, (3, 8, 8)) for _ in range(8)]
 
         opt = Adam(lr=2e-4)
         first = last = None
@@ -295,12 +287,11 @@ class TestToyDehazeDescent:
             params = dict(tc.param_items(gen))
             grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
             losses = []
-            for i, (hazy, clear) in enumerate(pairs):
-                _, total, g = dh.dehaze_losses_with_grads(
-                    gen, disc, hazy, clear, weights, seed=i)
-                losses.append(total)
+            for clear in images:
+                loss, g = dh.identity_loss_with_grads(gen, clear)
+                losses.append(loss)
                 for k, gv in g.items():
-                    grads[k] += gv / len(pairs)
+                    grads[k] += gv / len(images)
             mean_loss = float(np.mean(losses))
             first = mean_loss if first is None else first
             last = mean_loss
@@ -312,9 +303,9 @@ class TestToyDehazeDescent:
         ident.head.w = np.zeros_like(ident.head.w)
         ident.head.b = np.zeros_like(ident.head.b)
         image = tc.Rng(126).uniform(0.2, 0.8, (3, 8, 8))
-        assert dh.identity_loss(ident, image) == 0.0
-        ok(f"toy dehazing: 50 steps reduce mean loss {first:.3f} -> "
-           f"{last:.3f} ({last / first:.1%}); identity-initialized "
+        assert dh.identity_loss_with_grads(ident, image)[0] == 0.0
+        ok(f"toy dehazing: 50 steps reduce mean identity loss {first:.2e} -> "
+           f"{last:.2e} ({last / first:.1%}); identity-initialized "
            "generator scores exactly 0")
 
 

@@ -502,10 +502,13 @@ class TestConfigPrecedence:
          "--cloud: address 'localhost' has no port; expected host:port"),
         (["bench", "--cloud", ":99999"],
          "--cloud: address ':99999' has port 99999 outside [0, 65535]"),
+        (["bench", "--cloud", "[::1]:5956"],
+         "--cloud: address '[::1]:5956' has a bracketed or IPv6 host '[::1]'"),
         (["bench", "--mode", "adaptive"], "policy 'adaptive' requires --cloud"),
         (["serve-cloud", "--listen", "nohost"],
          "--listen: address 'nohost' has no port; expected host:port"),
-    ], ids=["no_port", "port_out_of_range", "no_cloud", "listen_no_port"])
+    ], ids=["no_port", "port_out_of_range", "ipv6_host", "no_cloud",
+            "listen_no_port"])
     def test_unusable_address_fails_before_the_model_runs(self, tmp_path, argv,
                                                           message, no_weights,
                                                           capsys):

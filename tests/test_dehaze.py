@@ -1,12 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from yolovehicle import dehaze as dh
-from yolovehicle import encoders
 from yolovehicle import tensor_core as tc
-from yolovehicle.optim import Adam
 
 
 def make_image(seed, h=8, w=8, lo=0.2, hi=0.8):
@@ -157,186 +153,36 @@ class TestDehazeForward:
             dh.dehaze_forward(make_image(0, 6, 6), gen)
 
 
-class TestAdversarialLoss:
-    def test_symmetric_point(self):
-        l_d, l_g = dh.adversarial_loss(np.full(4, 0.5), np.full(4, 0.5))
-        assert abs(l_d - 2 * math.log(2)) < 1e-9
-        assert abs(l_g - math.log(2)) < 1e-9
-
-    def test_generator_optimum(self):
-        _, l_g = dh.adversarial_loss(np.full(4, 0.5), np.full(4, 1.0 - 1e-9))
-        assert l_g < 1e-8
-
-    def test_random_scalar_oracle(self):
-        rng = tc.Rng(107)
-        real = rng.uniform(0.05, 0.95, (6,)).astype(np.float64)
-        fake = rng.uniform(0.05, 0.95, (6,)).astype(np.float64)
-        l_d, l_g = dh.adversarial_loss(real, fake)
-        ref_d = -sum(math.log(r) for r in real) / 6 - sum(math.log(1 - f) for f in fake) / 6
-        ref_g = -sum(math.log(f) for f in fake) / 6
-        assert abs(l_d - ref_d) < 1e-12
-        assert abs(l_g - ref_g) < 1e-12
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            dh.adversarial_loss(np.array([1.0]), np.array([0.5]))
-        with pytest.raises(ValueError):
-            dh.adversarial_loss(np.array([0.5]), np.array([0.0]))
-
-
-class TestPatchNce:
-    def test_orthogonal_closed_form(self):
-        # 16 one-hot locations, identical across the two maps, temperature 1:
-        # each row of the similarity matrix is e at the positive and 1 at the
-        # 15 negatives
-        n = 16
-        feat = np.zeros((n, 4, 4), np.float32)
-        for i in range(n):
-            feat[i, i // 4, i % 4] = 1.0
-        w = dh.DehazeLossWeights(nce_temperature=1.0, patch_count=n)
-        expected = -math.log(math.e / (math.e + n - 1))
-        assert abs(dh.patch_nce_loss_with_grad(feat, feat, w)[0] - expected) < 1e-9
-
-    def test_identical_features_uniform(self):
-        feat = np.tile(np.array([0.3, -0.7, 0.2], np.float32)[:, None, None], (1, 4, 4))
-        w = dh.DehazeLossWeights(patch_count=8)
-        assert abs(dh.patch_nce_loss_with_grad(feat, feat, w)[0] - math.log(8)) < 1e-9
-
-    def test_nonnegative(self):
-        rng = tc.Rng(108)
-        w = dh.DehazeLossWeights()
-        for _ in range(10):
-            a = rng.uniform(-1, 1, (4, 4, 4))
-            b = rng.uniform(-1, 1, (4, 4, 4))
-            assert dh.patch_nce_loss_with_grad(a, b, w)[0] >= 0.0
-
-    def test_seed_changes_sampling(self):
-        rng = tc.Rng(109)
-        a = rng.uniform(-1, 1, (4, 8, 8))
-        b = rng.uniform(-1, 1, (4, 8, 8))
-        w = dh.DehazeLossWeights(patch_count=4)
-        vals = {round(dh.patch_nce_loss_with_grad(a, b, w, seed=s)[0], 12) for s in range(8)}
-        assert len(vals) > 1
-
-    def test_too_few_locations(self):
-        with pytest.raises(ValueError):
-            dh.patch_nce_loss_with_grad(np.ones((2, 1, 1)), np.ones((2, 1, 1)), dh.DehazeLossWeights())
-
-    def test_grad_check(self):
-        rng = tc.Rng(110)
-        w = dh.DehazeLossWeights(patch_count=4)
-        b = rng.uniform(-1, 1, (4, 2, 2)).astype(np.float64)
-        for trial in range(5):
-            a = rng.uniform(-1, 1, (4, 2, 2)).astype(np.float64)
-
-            def f(x):
-                return dh.patch_nce_loss_with_grad(x, b, w, seed=trial)
-
-            assert tc.grad_check(f, a) < 1e-3
-
-
-class TestScp:
-    def test_restored_equals_clear_zero(self):
-        clear = make_image(111)
-        hazy = dh.synthesize_haze(clear, 0.5)
-        assert dh.scp_loss_with_grad(clear, clear, hazy)[0] == 0.0
-
-    def test_restored_equals_hazy_blows_up(self):
-        clear = make_image(112)
-        hazy = dh.synthesize_haze(clear, 0.5)
-        assert dh.scp_loss_with_grad(hazy, clear, hazy)[0] > 1e3
-
-    def test_termwise_oracle(self):
-        rng = tc.Rng(113)
-        r, c, h = (rng.uniform(0, 1, (3, 8, 8)) for _ in range(3))
-        phi = dh._scp_backbone()
-        fr = encoders.backbone_features(r, phi)
-        fc = encoders.backbone_features(c, phi)
-        fh = encoders.backbone_features(h, phi)
-        ref = sum(
-            float(np.abs(a.astype(np.float64) - b).sum())
-            / (float(np.abs(a.astype(np.float64) - d).sum()) + dh.SCP_EPS)
-            for a, b, d in zip(fr.scales(), fc.scales(), fh.scales()))
-        assert abs(dh.scp_loss_with_grad(r, c, h)[0] - ref) < 1e-6
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dh.scp_loss_with_grad(make_image(0), make_image(1), make_image(2, h=16))
-
-    def test_grad_check(self):
-        from gradutil import coord_subset_grad_check
-
-        rng = tc.Rng(114)
-        clear = rng.uniform(0, 1, (3, 8, 8)).astype(np.float64)
-        hazy = dh.synthesize_haze(clear, 0.6)
-        restored = rng.uniform(0.1, 0.9, (3, 8, 8)).astype(np.float64)
-
-        def f(x):
-            return dh.scp_loss_with_grad(x, clear, hazy)
-
-        assert coord_subset_grad_check(f, restored, n=10, seed=3) < 1e-3
-
-
 class TestIdentityLoss:
     def test_identity_generator_exact_zero(self):
         gen = dh.init_generator(tc.Rng(115), channels=4)
         gen.head.w = np.zeros_like(gen.head.w)
         gen.head.b = np.zeros_like(gen.head.b)
-        assert dh.identity_loss(gen, make_image(116)) == 0.0
+        assert dh.identity_loss_with_grads(gen, make_image(116))[0] == 0.0
 
     def test_nonnegative_and_deterministic(self):
         gen = dh.init_generator(tc.Rng(117), channels=4)
         img = make_image(118)
-        v1 = dh.identity_loss(gen, img)
-        v2 = dh.identity_loss(gen, img)
+        v1 = dh.identity_loss_with_grads(gen, img)[0]
+        v2 = dh.identity_loss_with_grads(gen, img)[0]
         assert v1 >= 0.0
         assert v1 == v2
 
 
-class TestTotalLoss:
-    def test_adv_only(self):
-        comps = dh.DehazeLossComponents(adv_g=0.9, patch=2.0, scp=3.0, ide=0.1)
-        w = dh.DehazeLossWeights(1.0, 0.0, 0.0, 0.0)
-        assert dh.dehaze_total_loss(comps, w) == 0.9
-
-    def test_zero_components(self):
-        comps = dh.DehazeLossComponents(0.0, 0.0, 0.0, 0.0)
-        assert dh.dehaze_total_loss(comps, dh.DehazeLossWeights()) == 0.0
-
-    def test_weighted_sum_oracle(self):
-        comps = dh.DehazeLossComponents(adv_g=0.5, patch=1.5, scp=2.5, ide=0.25)
-        w = dh.DehazeLossWeights(1.0, 2.0, 3.0, 4.0)
-        assert abs(dh.dehaze_total_loss(comps, w) - (0.5 + 3.0 + 7.5 + 1.0)) < 1e-12
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            dh.DehazeLossWeights(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            dh.DehazeLossWeights(-1.0, 1.0, 1.0, 1.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="non-negative and finite"):
-                dh.DehazeLossWeights(1.0, 1.0, bad, 1.0)
-        for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="nce_temperature must be positive"):
-                dh.DehazeLossWeights(nce_temperature=bad)
-
-
 class TestGeneratorGradients:
-    def test_grad_check_total_loss_wrt_generator(self):
+    def test_grad_check_identity_loss_wrt_generator(self):
         from gradutil import coord_subset_grad_check, smooth_scene
 
-        gen, disc, hazy, clear = smooth_scene(119, 121)
-        weights = dh.DehazeLossWeights(patch_count=8)
+        gen, clear = smooth_scene(119, 121)
 
         for seed, (name, value) in enumerate(tc.param_items(gen)):
             def f(p, name=name, value=value):
                 tc.set_param(gen, name, p)
                 try:
-                    _, total, grads = dh.dehaze_losses_with_grads(
-                        gen, disc, hazy, clear, weights, seed=0)
+                    loss, grads = dh.identity_loss_with_grads(gen, clear)
                 finally:
                     tc.set_param(gen, name, value)
-                return total, grads[name]
+                return loss, grads[name]
 
             err = coord_subset_grad_check(f, value, n=4, seed=seed)
             assert err < 2e-3, f"{name}: {err}"

@@ -318,6 +318,10 @@ class TestParseAddr:
         ("localhost: 80", "non-numeric port ' 80'"),
         (":65536", "port 65536 outside"),
         (":-1", "port -1 outside"),
+        # the server binds IPv4, so these would fail only at connect or bind
+        ("[::1]:5956", "bracketed or IPv6 host"),
+        ("::1:5956", "bracketed or IPv6 host"),
+        ("[127.0.0.1]:5956", "bracketed or IPv6 host"),
     ])
     def test_bad_port_rejected(self, addr, reason):
         with pytest.raises(ValueError, match=reason):

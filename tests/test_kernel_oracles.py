@@ -89,8 +89,8 @@ def ref_attention(q, k, v):
     return np.matmul(w, v), w
 
 
-def ref_leaky_relu(v, slope=0.01):
-    return np.where(v > 0, v, slope * v).astype(v.dtype)
+def ref_leaky_relu(v):
+    return np.where(v > 0, v, 0.01 * v).astype(v.dtype)
 
 
 def ref_wmsa(x, p):
@@ -262,11 +262,10 @@ def test_softmax_leaves_its_input_alone():
 def test_leaky_relu_equals_where_form():
     v = tc.Rng(945).uniform(-3, 3, (4, 64)).astype(np.float32)
     v[0, :4] = [0.0, -0.0, 1e-45, -1e-45]
-    for slope in (0.01, 0.2):
-        out = tc.leaky_relu(v, slope)
-        ref = ref_leaky_relu(v, slope)
-        assert out.dtype == ref.dtype and np.array_equal(out, ref)
-        assert np.array_equal(np.signbit(out), np.signbit(ref))
+    out = tc.leaky_relu(v)
+    ref = ref_leaky_relu(v)
+    assert out.dtype == ref.dtype and np.array_equal(out, ref)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 @pytest.mark.parametrize("windows", [1, 3, 255, 256, 257, 600])
