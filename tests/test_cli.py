@@ -540,6 +540,25 @@ class TestConfigPrecedence:
             assert err == f"yolovehicle: error: weights archive not found: {missing}\n"
         assert sorted(os.listdir(tmp_path)) == ["c.cfg", "imgs"]
 
+    def test_weights_flag_beats_config_weights(self, tmp_path, image_path,
+                                               monkeypatch):
+        # the file's weights= fills only an unset --weights
+        monkeypatch.chdir(tmp_path)
+        weights = tmp_path / "w.bin"
+        md.save_bundle(weights, md.init_bundle(9))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"weights={tmp_path / 'nonexistent' / 'w.bin'}\n")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run(["detect", "--image", image_path, "--config", str(cfg),
+                    "--weights", str(weights), "--output", str(a)]) == 0
+        assert run(["detect", "--image", image_path, "--weights", str(weights),
+                    "--output", str(b)]) == 0
+
+        def detections(path):
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            return [{k: v for k, v in r.items() if k != "inference_ms"} for r in rows]
+        assert detections(a) == detections(b) != []
+
     def test_bad_config_is_runtime_error(self, tmp_path, image_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("nonsense=1\n")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,101 @@ class TestDehazeForward:
             dh.dehaze_forward(make_image(0, 6, 6), gen)
 
 
+class TestComponentGradients:
+    """Each backward pass on its own, against central differences of the
+    probe loss sum(w * forward(x)) in float64; the generator-level checks
+    below only see these composed."""
+
+    @staticmethod
+    def probe(forward, backward, x, p, seed):
+        w = tc.Rng(seed).uniform(-1, 1, forward(x, p)[0].shape).astype(np.float64)
+
+        def run(v, q):
+            y, cache = forward(v, q)
+            return float((y * w).sum()), backward(cache, q, w)
+        return run
+
+    def input_error(self, forward, backward, x, p, seed):
+        run = self.probe(forward, backward, x, p, seed)
+
+        def f(v):
+            loss, (gx, _) = run(v, p)
+            return loss, gx
+        return tc.grad_check(f, x)
+
+    def param_error(self, forward, backward, x, p, name, seed):
+        from gradutil import coord_subset_grad_check
+
+        run = self.probe(forward, backward, x, p, seed)
+
+        def f(v):
+            loss, (_, grads) = run(x, replace(p, **{name: v}))
+            return loss, getattr(grads, name)
+        return coord_subset_grad_check(f, getattr(p, name), n=8, seed=seed)
+
+    def test_cab_input(self):
+        p = TestCab().make(130)
+        x = tc.Rng(131).uniform(-1, 1, (4, 4, 4)).astype(np.float64)
+        assert self.input_error(dh.cab_forward, dh.cab_backward, x, p, 132) < 1e-4
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    def test_cab_params(self, name):
+        p = TestCab().make(133)
+        x = tc.Rng(134).uniform(-1, 1, (4, 4, 4)).astype(np.float64)
+        err = self.param_error(dh.cab_forward, dh.cab_backward, x, p, name, 135)
+        assert err < 1e-4, err
+
+    @pytest.mark.parametrize("shift", [False, True], ids=["plain", "shifted"])
+    def test_wmsa_input(self, shift):
+        p = TestWmsa().make(136, shift=shift)
+        x = tc.Rng(137).uniform(-1, 1, (4, 8, 8)).astype(np.float64)
+        assert self.input_error(dh.wmsa_forward, dh.wmsa_backward, x, p, 138) < 1e-4
+
+    @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
+    def test_wmsa_params_shifted(self, name):
+        p = TestWmsa().make(139, shift=True)
+        x = tc.Rng(140).uniform(-1, 1, (4, 8, 8)).astype(np.float64)
+        err = self.param_error(dh.wmsa_forward, dh.wmsa_backward, x, p, name, 141)
+        assert err < 1e-4, err
+
+    def test_block_input(self):
+        block = dh.init_block(tc.Rng(142), channels=4, shift=True)
+        x = tc.Rng(143).uniform(-1, 1, (4, 4, 8)).astype(np.float64)
+        assert self.input_error(dh.block_forward, dh.block_backward, x, block, 144) < 1e-4
+
+    def test_block_params(self):
+        from gradutil import coord_subset_grad_check
+
+        block = dh.init_block(tc.Rng(145), channels=4, shift=True)
+        x = tc.Rng(146).uniform(-1, 1, (4, 4, 8)).astype(np.float64)
+        run = self.probe(dh.block_forward, dh.block_backward, x, block, 147)
+        for seed, (name, value) in enumerate(tc.param_items(block)):
+            def f(v, name=name, value=value):
+                tc.set_param(block, name, v)
+                try:
+                    loss, (_, grads) = run(x, block)
+                finally:
+                    tc.set_param(block, name, value)
+                return loss, dict(tc.param_items(grads))[name]
+
+            err = coord_subset_grad_check(f, value, n=4, seed=seed)
+            assert err < 1e-4, f"{name}: {err}"
+
+    def test_generator_input(self):
+        # the input gradient adds the skip path to the stem's, which no
+        # parameter check reaches
+        from gradutil import smooth_scene
+
+        gen, clear = smooth_scene(148, 149)
+        w = tc.Rng(150).uniform(-1, 1, clear.shape).astype(np.float64)
+
+        def f(v):
+            out, cache = dh._gen_forward(v, gen)
+            return float((out * w).sum()), dh._gen_backward(cache, gen, w)[0]
+
+        assert tc.grad_check(f, clear.astype(np.float64)) < 2e-3
+
+
 class TestIdentityLoss:
     def test_identity_generator_exact_zero(self):
         gen = dh.init_generator(tc.Rng(115), channels=4)
@@ -167,6 +264,27 @@ class TestIdentityLoss:
         v2 = dh.identity_loss_with_grads(gen, img)[0]
         assert v1 >= 0.0
         assert v1 == v2
+
+    def test_equals_mean_abs_error_of_forward(self):
+        gen = dh.init_generator(tc.Rng(151), channels=4)
+        img = make_image(152, 8, 16)
+        ref = np.mean(np.abs(dh.dehaze_forward(img, gen).astype(np.float64) - img))
+        assert dh.identity_loss_with_grads(gen, img)[0] == ref
+
+    def test_leaves_generator_and_image_alone(self):
+        gen = dh.init_generator(tc.Rng(153), channels=4)
+        img = make_image(154)
+        before = [(n, v.copy()) for n, v in tc.param_items(gen)]
+        img_before = img.copy()
+        dh.identity_loss_with_grads(gen, img)
+        assert np.array_equal(img, img_before)
+        for (name, old), (_, new) in zip(before, tc.param_items(gen)):
+            assert np.array_equal(old, new), name
+
+    def test_rejects_non_rgb_image(self):
+        gen = dh.init_generator(tc.Rng(155), channels=4)
+        with pytest.raises(ValueError, match="3xHxW"):
+            dh.identity_loss_with_grads(gen, make_image(156)[:1])
 
 
 class TestGeneratorGradients:
@@ -201,3 +319,13 @@ class TestSynthesizeHaze:
     def test_invalid_transmission(self):
         with pytest.raises(ValueError):
             dh.synthesize_haze(make_image(0), 0.0)
+
+    @pytest.mark.parametrize("t", [1.5, -0.2, float("nan")])
+    def test_out_of_range_transmission_rejected(self, t):
+        with pytest.raises(ValueError, match="transmission must lie in"):
+            dh.synthesize_haze(make_image(0), t)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_image_dtype(self, dtype):
+        clear = make_image(157).astype(dtype)
+        assert dh.synthesize_haze(clear, 0.5).dtype == dtype

@@ -88,6 +88,15 @@ class TestSigmoidLeaky:
         ys = tc.leaky_relu(xs)
         assert np.all(np.diff(ys) >= 0)
 
+    def test_leaky_relu_backward_scales_by_the_slope(self):
+        x = np.array([2.0, 1e-30, 0.0, -0.0, -1e-30, -3.0], np.float32)
+        g = tc.Rng(11).uniform(-1, 1, x.shape)
+        slope = np.float32(tc.LEAKY_SLOPE)
+        want = np.array([g[0], g[1], slope * g[2], slope * g[3], slope * g[4],
+                         slope * g[5]], np.float32)
+        out = tc.leaky_relu_backward(x, g)
+        assert out.dtype == g.dtype and np.array_equal(out, want)
+
 
 class TestConv2d:
     def test_identity_kernel(self):
