@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="detect vehicles in one PPM image")
     p.add_argument("--image", required=True, help="input image (PPM P6)")
     p.add_argument("--output", default="detections.jsonl",
-                   help="JSON-lines output path (default detections.jsonl)")
+                   help="JSON-lines output path (default %(default)s)")
     p.add_argument("--pro", action="store_true",
                    help="run the dehazing front-end before detection")
     _add_settings(p, "weights", "seed", "obj_thresh", "nms_iou", "text")
@@ -58,15 +58,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dehaze", help="dehaze one PPM image")
     p.add_argument("--image", required=True, help="input image (PPM P6)")
     p.add_argument("--output", default="dehazed.ppm",
-                   help="output image path (default dehazed.ppm)")
+                   help="output image path (default %(default)s)")
     _add_settings(p, "weights", "seed")
 
     p = sub.add_parser("train-toy",
                        help="overfit the detector on synthetic scenes")
     p.add_argument("--steps", type=int, default=200,
-                   help="gradient steps, at most 1000 (default 200)")
-    p.add_argument("--lr", type=float, default=0.01,
-                   help="learning rate (default 0.01)")
+                   help="gradient steps, at most 1000 (default %(default)s)")
+    p.add_argument("--lr", type=float, default=md.LR,
+                   help="learning rate (default %(default)s)")
     p.add_argument("--save", help="write the trained weights archive here")
     _add_settings(p, "seed")
 
@@ -74,23 +74,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preds", required=True, help="predictions (JSON-lines)")
     p.add_argument("--gts", required=True, help="ground truth (JSON-lines)")
     p.add_argument("--output", default="eval.json",
-                   help="report path (default eval.json)")
+                   help="report path (default %(default)s)")
 
     p = sub.add_parser("bench", help="run the edge node over an image set "
                                      "and measure its throughput")
     p.add_argument("--input-dir", dest="input_dir", required=True,
                    help="directory of PPM images")
     p.add_argument("--repetitions", type=int, default=1,
-                   help="passes over the image set (default 1)")
+                   help="passes over the image set (default %(default)s)")
     p.add_argument("--output", default="bench.json",
-                   help="report path (default bench.json)")
+                   help="report path (default %(default)s)")
     p.add_argument("--detections", help="also write detections (JSON-lines)")
     _add_settings(p, "weights", "seed", "obj_thresh", "nms_iou", "mode", "tau",
                   "cloud", "timeout_ms")
 
     p = sub.add_parser("serve-cloud", help="run the cloud detection server")
     p.add_argument("--listen", default="127.0.0.1:5956",
-                   help="listen address (default 127.0.0.1:5956)")
+                   help="listen address (default %(default)s)")
     _add_settings(p, "weights", "seed", "obj_thresh", "nms_iou", "text")
 
     return parser
@@ -182,7 +182,7 @@ def cmd_eval(args) -> int:
         preds = det.jsonl_to_detections(fh.read())
     with open(args.gts, encoding="utf-8") as fh:
         gts = det.jsonl_to_detections(fh.read())
-    results = mx.map_at(preds, gts, thresholds=(0.5, 0.75))
+    results = mx.map_at(preds, gts)
     report = {}
     for thr, r in results.items():
         report[f"map@{int(thr * 100)}"] = r.map

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from math import inf
 
-from .edgecloud import OffloadPolicy, parse_addr
+from .detection import NMS_IOU, OBJ_THRESH, DetectLossWeights
+from .edgecloud import TIMEOUT_MS, OffloadPolicy, parse_addr
 from .encoders import TextInput
+from .model import PROMPT
 
 
 def _non_negative(name, value):
@@ -53,24 +55,24 @@ def _prompt(name, value):
     return value
 
 
-# name -> (parser, default, validator or None, flag help)
+# name -> (parser, default as the library keeps it, validator or None, flag help)
 SCHEMA = {
     "weights": (str, "weights.bin", None, "weights archive path"),
-    "mode": (str, "adaptive", _policy,
+    "mode": (str, OffloadPolicy.mode, _policy,
              "offload policy: always_edge, always_cloud or adaptive"),
-    "tau": (float, 0.6, _policy, "haze threshold for adaptive routing"),
-    "lambda1": (float, 0.6, _non_negative, "classification loss weight"),
-    "lambda2": (float, 7.0, _non_negative, "box (CIoU) loss weight"),
-    "lambda3": (float, 0.4, _non_negative, "distribution focal loss weight"),
+    "tau": (float, OffloadPolicy.tau, _policy, "haze threshold for adaptive routing"),
+    "lambda1": (float, DetectLossWeights.lambda_cls, _non_negative, "classification loss weight"),
+    "lambda2": (float, DetectLossWeights.lambda_bbox, _non_negative, "box (CIoU) loss weight"),
+    "lambda3": (float, DetectLossWeights.lambda_dfl, _non_negative, "distribution focal loss weight"),
     "seed": (int, None, None,
              "fix all RNG streams so output is reproducible; unset, "
              "train-toy trains from seed 0"),
-    "obj_thresh": (float, 0.5, _open_unit_interval, "objectness threshold"),
-    "nms_iou": (float, 0.5, _open_unit_interval, "NMS IoU threshold"),
-    "text": (str, "car, truck, bus", _prompt, "comma-separated detection phrases"),
+    "obj_thresh": (float, OBJ_THRESH, _open_unit_interval, "objectness threshold"),
+    "nms_iou": (float, NMS_IOU, _open_unit_interval, "NMS IoU threshold"),
+    "text": (str, PROMPT, _prompt, "comma-separated detection phrases"),
     "cloud": (str, "", _address, "cloud node address host:port"),
     # 0 would make the socket non-blocking, not patient
-    "timeout_ms": (float, 1000.0, _positive, "cloud request timeout in ms"),
+    "timeout_ms": (float, TIMEOUT_MS, _positive, "cloud request timeout in ms"),
 }
 
 
@@ -91,8 +93,9 @@ def _validated(key, value, where: str):
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parses key=value lines ('#' comments and blanks allowed) against the
-    schema; returns only the keys present in the file."""
+    schema; returns only the keys present in the file, each at most once."""
     out = {}
+    lines = {}  # key -> the line that gave it
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,6 +106,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, value = key.strip(), value.strip()
         if key not in SCHEMA:
             raise ValueError(f"{source}:{ln}: unknown key {key!r}")
+        if key in lines:
+            raise ValueError(f"{source}:{ln}: key {key!r} given twice, "
+                             f"on lines {lines[key]} and {ln}")
+        lines[key] = ln
         parser = SCHEMA[key][0]
         try:
             parsed = parser(value)

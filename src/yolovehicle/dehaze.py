@@ -14,6 +14,7 @@ from . import tensor_core as tc
 WINDOW = 4  # attention window side, in pixels
 HEADS = 2   # attention heads per window
 BLOCKS = 2  # attention-conv blocks in the generator
+AIRLIGHT = 0.9  # the atmospheric light synthesize_haze mixes in
 
 
 @dataclass
@@ -73,7 +74,7 @@ def init_block(rng: tc.Rng, channels: int, shift: bool = False) -> DehazeBlockPa
     )
 
 
-def init_generator(rng: tc.Rng, channels: int = 8) -> DehazeGenerator:
+def init_generator(rng: tc.Rng, channels: int) -> DehazeGenerator:
     blocks = [init_block(rng, channels, shift=bool(i % 2))
               for i in range(BLOCKS)]
     return DehazeGenerator(stem=tc.init_conv(rng, 3, channels), blocks=blocks,
@@ -248,9 +249,8 @@ def identity_loss_with_grads(gen: DehazeGenerator, clear: np.ndarray):
 # synthetic haze for toy experiments
 
 
-def synthesize_haze(clear: np.ndarray, transmission: float,
-                    airlight: float = 0.9) -> np.ndarray:
-    """Atmospheric scattering composite: hazy = clear*t + A*(1 - t)."""
+def synthesize_haze(clear: np.ndarray, transmission: float) -> np.ndarray:
+    """Atmospheric scattering composite: hazy = clear*t + AIRLIGHT*(1 - t)."""
     if not 0.0 < transmission <= 1.0:
         raise ValueError(f"transmission must lie in (0, 1], got {transmission}")
-    return (clear * transmission + airlight * (1.0 - transmission)).astype(clear.dtype)
+    return (clear * transmission + AIRLIGHT * (1.0 - transmission)).astype(clear.dtype)

@@ -17,6 +17,8 @@ import numpy as np
 from . import tensor_core as tc
 
 REG_MAX = 7  # largest box-side distance in cells; REG_MAX + 1 bins per side
+OBJ_THRESH = 0.5  # default objectness threshold of every detecting caller
+NMS_IOU = 0.5     # default NMS IoU threshold, likewise
 
 
 @dataclass
@@ -27,10 +29,6 @@ class HeadParams:
     b_box: np.ndarray
     w_cls: np.ndarray  # [K, C]
     b_cls: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.w_cls.shape[0]
 
 
 @dataclass
@@ -74,7 +72,7 @@ class DetectLossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def init_head(rng: tc.Rng, channels: int, n_classes: int = 3) -> HeadParams:
+def init_head(rng: tc.Rng, channels: int, n_classes: int) -> HeadParams:
     nb = REG_MAX + 1
     return HeadParams(
         w_obj=tc.init_uniform(rng, (1, channels), channels),
@@ -365,8 +363,8 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLos
 # decoding
 
 
-def decode_detections(out: HeadOutput, obj_thresh: float = 0.5,
-                      nms_iou: float = 0.5) -> list[BBox]:
+def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
+                      nms_iou: float = NMS_IOU) -> list[BBox]:
     """Detections in descending score, after greedy per-class NMS.
 
     Array code with the arithmetic of a per-cell loop: a cell is a candidate

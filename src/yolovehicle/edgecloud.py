@@ -39,6 +39,7 @@ _KNOWN_TYPES = (MSG_FRAME_REQUEST, MSG_DETECTION_RESPONSE, MSG_PING,
 
 HEADER = struct.Struct("<2sBBI")  # magic, version, msg_type, payload_len
 MAX_PAYLOAD = 64 * 1024 * 1024
+TIMEOUT_MS = 1000.0  # SocketTransport's default connect and read timeout
 
 
 class WireError(ValueError):
@@ -261,7 +262,7 @@ def decide_route(score: float, policy: OffloadPolicy) -> Route:
 
 
 def handle_request(buf: bytes, bundle: md.ModelBundle, text: str,
-                   obj_thresh: float = 0.5, nms_iou: float = 0.5) -> bytes:
+                   obj_thresh: float = det.OBJ_THRESH, nms_iou: float = det.NMS_IOU) -> bytes:
     """One request frame in, one response frame out; all failures are
     reported as Error frames rather than raised."""
     try:
@@ -290,8 +291,8 @@ class LoopbackTransport:
     with. request serves one framed request in process; CloudServer serves
     the same node over TCP."""
 
-    def __init__(self, bundle: md.ModelBundle, text: str = "car, truck, bus",
-                 obj_thresh: float = 0.5, nms_iou: float = 0.5):
+    def __init__(self, bundle: md.ModelBundle, text: str = md.PROMPT,
+                 obj_thresh: float = det.OBJ_THRESH, nms_iou: float = det.NMS_IOU):
         self.bundle = bundle
         self.text = text
         self.obj_thresh = obj_thresh
@@ -345,7 +346,7 @@ class SocketTransport:
     """Persistent client connection to a cloud node; strict request/response
     order on the single stream."""
 
-    def __init__(self, addr: str, timeout_ms: float = 1000.0):
+    def __init__(self, addr: str, timeout_ms: float = TIMEOUT_MS):
         self.addr = parse_addr(addr)
         self.timeout_ms = timeout_ms
         self.sock = None
@@ -476,8 +477,8 @@ def _log(message: str) -> None:
 
 
 def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
-               transport=None, text: str = "car, truck, bus",
-               obj_thresh: float = 0.5, nms_iou: float = 0.5):
+               transport=None, text: str = md.PROMPT,
+               obj_thresh: float = det.OBJ_THRESH, nms_iou: float = det.NMS_IOU):
     """Processes (frame_id, image) pairs under the offload policy.
 
     Edge route runs detection directly; Cloud route ships the frame over

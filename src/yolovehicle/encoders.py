@@ -73,8 +73,8 @@ class TextFeature:
     tokens: np.ndarray  # [T, 512], one row per phrase
 
 
-def init_text_encoder(rng: tc.Rng, vocab: dict[str, int] | None = None) -> TextEncoderParams:
-    vocab = vocab if vocab is not None else load_vocab()
+def init_text_encoder(rng: tc.Rng) -> TextEncoderParams:
+    vocab = load_vocab()
     d, ff = MODEL_DIM, FF_DIM
     layers = []
     for _ in range(NUM_LAYERS):
@@ -151,7 +151,7 @@ class MultiScaleFeatures:
         return [self.f1, self.f2, self.f3]
 
 
-def init_backbone(rng: tc.Rng, channels: int = 8) -> BackboneParams:
+def init_backbone(rng: tc.Rng, channels: int) -> BackboneParams:
     stem = [tc.init_conv(rng, 3, channels, 2), tc.init_conv(rng, channels, channels, 2)]
     stages = [
         [tc.init_conv(rng, channels, channels, 2), tc.init_conv(rng, channels, channels)]

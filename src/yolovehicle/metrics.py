@@ -17,7 +17,7 @@ from .detection import BBox, iou
 
 @dataclass
 class MatchConfig:
-    iou_threshold: float = 0.5
+    iou_threshold: float
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold <= 1.0:

@@ -30,22 +30,20 @@ class ModelBundle:
     _prompt_memo: tuple | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
-    @property
-    def n_classes(self) -> int:
-        return self.head.n_classes
-
 
 class _ZeroRng:
     """Stands in for tc.Rng where only the names and shapes of the weights
     are needed: every draw is zeros, and nothing is drawn."""
 
-    def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
+    def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return np.zeros(shape, tc.DTYPE)
 
 
 CHANNELS = 8      # backbone channels, and so the fusion's input channels
 N_CLASSES = 3
+PROMPT = "car, truck, bus"  # the default prompt, one phrase per class
 GEN_CHANNELS = 8  # dehazing generator channels
+LR = 0.01         # train_toy's default learning rate
 
 
 def _build_bundle(rng) -> ModelBundle:
@@ -125,8 +123,8 @@ def _projected_prompt(text: str, bundle: ModelBundle) -> fu.ProjectedText:
 
 
 def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
-                 dehaze_first: bool = False, obj_thresh: float = 0.5,
-                 nms_iou: float = 0.5):
+                 dehaze_first: bool = False, obj_thresh: float = det.OBJ_THRESH,
+                 nms_iou: float = det.NMS_IOU):
     """Full pipeline on one frame. Returns (detections, inference_ms)."""
     start = time.perf_counter()
     if dehaze_first:
@@ -142,20 +140,20 @@ def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
 # toy detection training
 
 
-def make_toy_scene(rng: tc.Rng, n_classes: int = 3, size: int = 64):
+def make_toy_scene(rng: tc.Rng, size: int = 64):
     """A flat background with 1-2 solid class-colored rectangles."""
-    colors = [(0.9, 0.2, 0.2), (0.2, 0.9, 0.2), (0.2, 0.2, 0.9)]
+    colors = [(0.9, 0.2, 0.2), (0.2, 0.9, 0.2), (0.2, 0.2, 0.9)]  # one per class
     image = np.full((3, size, size), 0.15, tc.DTYPE)
     image += rng.uniform(-0.05, 0.05, (3, size, size))
     gts = []
     for _ in range(1 + int(rng.integers(2, 1)[0])):
         cx, cy = (float(v) for v in rng.uniform(0.25, 0.75, (2,)))
         w, h = (float(v) for v in rng.uniform(0.15, 0.4, (2,)))
-        k = int(rng.integers(n_classes, 1)[0])
+        k = int(rng.integers(N_CLASSES, 1)[0])
         x1, x2 = int((cx - w / 2) * size), int((cx + w / 2) * size)
         y1, y2 = int((cy - h / 2) * size), int((cy + h / 2) * size)
         for ch in range(3):
-            image[ch, y1:y2, x1:x2] = colors[k % len(colors)][ch]
+            image[ch, y1:y2, x1:x2] = colors[k][ch]
         gts.append(det.BBox(cx, cy, w, h, class_id=k))
     return np.clip(image, 0.0, 1.0), gts
 
@@ -163,9 +161,9 @@ def make_toy_scene(rng: tc.Rng, n_classes: int = 3, size: int = 64):
 TOY_SCENES = 8  # the synthetic scenes train_toy overfits
 
 
-def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
+def train_toy(seed: int, steps: int, lr: float = LR,
               weights: det.DetectLossWeights | None = None,
-              text: str = "car, truck, bus", log=None):
+              text: str = PROMPT, log=None):
     """Overfits fusion + head on a handful of synthetic scenes.
 
     Text encoder and backbone stay fixed, so per-scene features are computed
@@ -179,7 +177,7 @@ def train_toy(seed: int, steps: int = 500, lr: float = 0.01,
     weights = weights or det.DetectLossWeights()
     bundle = init_bundle(seed)
     rng = tc.Rng(seed + 1)
-    scenes = [make_toy_scene(rng, bundle.n_classes) for _ in range(TOY_SCENES)]
+    scenes = [make_toy_scene(rng) for _ in range(TOY_SCENES)]
     feats = [enc.backbone_extract(img, bundle.backbone) for img, _ in scenes]
     tf = enc.text_encode(enc.TextInput(text), bundle.text)
     grid = fu.FEATURE_SHAPE[1:]

@@ -42,13 +42,11 @@ class Rng:
             z = z ^ (z >> np.uint64(31))
         return z
 
-    def uniform(self, low: float, high: float, shape=()) -> np.ndarray:
+    def uniform(self, low: float, high: float, shape) -> np.ndarray:
         """Uniform floats in [low, high), float32, deterministic per seed."""
-        n = int(np.prod(shape)) if shape else 1
-        bits = self._raw(n)
+        bits = self._raw(int(np.prod(shape)))
         u = (bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-        vals = (low + (high - low) * u).astype(DTYPE)
-        return vals.reshape(shape) if shape else vals[0]
+        return (low + (high - low) * u).astype(DTYPE).reshape(shape)
 
     def integers(self, n_values: int, count: int) -> np.ndarray:
         """count indices in [0, n_values), via modulo (fine for small ranges)."""
@@ -207,10 +205,10 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
 
 @dataclasses.dataclass
 class ConvLayer:
-    w: np.ndarray  # [O, C, kh, kw]
+    """A convolution padded "same": a k x k kernel by k // 2 on each side."""
+    w: np.ndarray  # [O, C, k, k]
     b: np.ndarray  # [O]
     stride: int = 1
-    pad: int = 1
 
 
 def init_conv(rng: Rng, c_in: int, c_out: int, stride: int = 1) -> ConvLayer:
@@ -220,13 +218,15 @@ def init_conv(rng: Rng, c_in: int, c_out: int, stride: int = 1) -> ConvLayer:
 
 
 def conv_layer(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    return conv2d(x, layer.w, stride=layer.stride, pad=layer.pad) + layer.b[:, None, None]
+    pad = layer.w.shape[-1] // 2
+    return conv2d(x, layer.w, stride=layer.stride, pad=pad) + layer.b[:, None, None]
 
 
 def conv_layer_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     """Returns (grad_x, grads), grads a ConvLayer holding the weight and bias
     gradients."""
-    grad_x, grad_w = conv2d_backward(x, layer.w, grad_out, stride=layer.stride, pad=layer.pad)
+    pad = layer.w.shape[-1] // 2
+    grad_x, grad_w = conv2d_backward(x, layer.w, grad_out, stride=layer.stride, pad=pad)
     return grad_x, dataclasses.replace(layer, w=grad_w, b=grad_out.sum(axis=(1, 2)))
 
 
@@ -262,7 +262,8 @@ _PAIRWISE_BLOCK = 128
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """softmax(q k^T / sqrt(d)) v over the last two axes; leading axes batch.
+    """softmax(q k^T / sqrt(d)) v over the last two axes; leading axes
+    batch, and q, k and v must have the same leading shape.
 
     The leading axis is processed in chunks whose logits fit in L2; each
     chunk writes its rows of the weights and the output in place. A chunk
@@ -270,10 +271,13 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     _softmax_key_major), bit-identical to the row-major steps.
     Returns (out, cache) where cache feeds attention_backward.
     """
+    lead = q.shape[:-2]
+    if k.shape[:-2] != lead or v.shape[:-2] != lead:
+        raise ValueError(f"attention operands differ in leading shape: q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
     d = q.shape[-1]
     scale = 1.0 / math.sqrt(d)
     kt = np.swapaxes(k, -1, -2)
-    lead = np.broadcast(q[..., 0, 0], k[..., 0, 0], v[..., 0, 0]).shape
     w = np.empty(lead + (q.shape[-2], k.shape[-2]), np.result_type(q, k))
     out = np.empty(lead + (q.shape[-2], v.shape[-1]), np.result_type(w, v))
     if lead:
@@ -285,7 +289,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     buffer = None
     for rows in chunks:
         wc = w[rows]
-        np.matmul(_rows(q, rows, w.ndim), _rows(kt, rows, w.ndim), out=wc)
+        np.matmul(q[rows], kt[rows], out=wc)
         if 0 < n <= _PAIRWISE_BLOCK and wc.size >= _KEY_MAJOR_MIN_ROWS * n:
             if buffer is None:  # sized by the first chunk, the largest
                 buffer = np.empty((n + _tree_rows(n) + 1) * (wc.size // n), w.dtype)
@@ -295,7 +299,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
             wc -= _max_keepdims(wc, -1)
             np.exp(wc, out=wc)
             wc /= np.sum(wc, axis=-1, keepdims=True)
-        np.matmul(wc, _rows(v, rows, w.ndim), out=out[rows])
+        np.matmul(wc, v[rows], out=out[rows])
     return out, (q, k, v, w, scale)
 
 
@@ -363,12 +367,6 @@ def _pairwise_sum_keys(e: np.ndarray, out: np.ndarray, tree: np.ndarray) -> None
     np.add(quads[0], quads[1], out=out)
     for i in range(whole, n):
         out += e[i]
-
-
-def _rows(x: np.ndarray, rows: slice, ndim: int) -> np.ndarray:
-    """x's share of a leading-axis chunk; an operand broadcast along that
-    axis is used whole."""
-    return x[rows] if x.ndim == ndim and x.shape[0] != 1 else x
 
 
 def attention_backward(cache, grad_out: np.ndarray):
@@ -530,9 +528,9 @@ def archive_to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
 
 
 def archive_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
-    """Inverse of archive_to_bytes. Malformed or truncated input raises
-    ValueError (a name that is not UTF-8 raises its subclass
-    UnicodeDecodeError)."""
+    """Inverse of archive_to_bytes. Malformed or truncated input, or a
+    name given twice, raises ValueError (a name that is not UTF-8 raises its
+    subclass UnicodeDecodeError)."""
     (count,) = _unpack("<I", buf, 0)
     pos = 4
     tensors: dict[str, np.ndarray] = {}
@@ -541,7 +539,10 @@ def archive_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
         (name,) = _unpack(f"<{nlen}s", buf, pos + 2)
         pos += 2 + nlen
         arr, pos = tensor_from_bytes(buf, pos)
-        tensors[name.decode("utf-8")] = arr
+        name = name.decode("utf-8")
+        if name in tensors:
+            raise ValueError(f"archive holds tensor {name!r} twice")
+        tensors[name] = arr
     return tensors
 
 

@@ -33,7 +33,7 @@ def ok(message):
 
 
 def detect_scene(seed, grid=(2, 2)):
-    params = det.init_head(tc.Rng(seed), channels=8)
+    params = det.init_head(tc.Rng(seed), channels=8, n_classes=3)
     feat = tc.Rng(seed + 1).uniform(-1, 1, (8,) + grid).astype(np.float64)
     gts = [det.BBox(0.3, 0.3, 0.25, 0.3, class_id=1),
            det.BBox(0.7, 0.6, 0.2, 0.2, class_id=0)]
@@ -277,7 +277,7 @@ class TestToyDetectionOverfit:
 
 class TestToyDehazeDescent:
     def test_descent_and_identity_init(self):
-        gen = dh.init_generator(tc.Rng(122))
+        gen = dh.init_generator(tc.Rng(122), channels=8)
         rng = tc.Rng(124)
         images = [rng.uniform(0.1, 0.9, (3, 8, 8)) for _ in range(8)]
 

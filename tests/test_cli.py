@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import inspect
 import json
 import os
 import shlex
@@ -14,6 +16,7 @@ from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
+from yolovehicle.optim import Adam
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -104,6 +107,10 @@ class TestConfig:
         got = cfgmod.parse_config_text("# top\n\ntau=0.3  # inline\n")
         assert got == {"tau": 0.3}
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r":3: key 'tau' given twice, on lines 1 and 3"):
+            cfgmod.parse_config_text("tau=0.5\nseed=1\ntau=0.9\n")
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             cfgmod.parse_config_text("tau 0.5\n")
@@ -113,6 +120,39 @@ class TestConfig:
         assert eff["tau"] == 0.7
         assert eff["mode"] == "always_edge"
         assert eff["lambda2"] == 7.0  # untouched default
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+class TestOneHome:
+    """Each default is kept in one place: the library's signatures and
+    dataclass fields, config.SCHEMA and the CLI flags agree."""
+
+    def test_library_defaults_are_the_schema_defaults(self):
+        schema = cfgmod.defaults()
+        for fn in (md.detect_frame, det.decode_detections, ec.handle_request,
+                   ec.LoopbackTransport, ec.edge_serve):
+            for key in ("obj_thresh", "nms_iou"):
+                assert _default(fn, key) == schema[key], (fn, key)
+        for fn in (ec.LoopbackTransport, ec.edge_serve, md.train_toy):
+            assert _default(fn, "text") == schema["text"], fn
+        assert _default(ec.SocketTransport, "timeout_ms") == schema["timeout_ms"]
+        fields = {f.name: f.default for cls in (ec.OffloadPolicy, det.DetectLossWeights)
+                  for f in dataclasses.fields(cls)}
+        assert (fields["mode"], fields["tau"]) == (schema["mode"], schema["tau"])
+        assert (fields["lambda_cls"], fields["lambda_bbox"], fields["lambda_dfl"]) \
+            == (schema["lambda1"], schema["lambda2"], schema["lambda3"])
+
+    def test_train_toy_defaults(self):
+        args = cli.build_parser().parse_args(["train-toy"])
+        assert _default(md.train_toy, "lr") == args.lr == md.LR
+        assert inspect.signature(md.train_toy).parameters["steps"].default \
+            is inspect.Parameter.empty
+
+    def test_adam_takes_lr_alone(self):
+        assert tuple(f.name for f in dataclasses.fields(Adam) if f.init) == ("lr",)
 
 
 # the config keys each command takes as flags
@@ -264,7 +304,7 @@ class TestTrainToy:
         assert run(["train-toy", "--steps", "2", "--seed", "4",
                     "--save", str(weights)]) == 0
         bundle = md.load_bundle(weights)
-        assert bundle.n_classes == 3
+        assert bundle.head.w_cls.shape[0] == 3
         assert str(os.path.getsize(weights)) in capsys.readouterr().err
 
     def test_failed_save_leaves_existing_weights_untouched(self, tmp_path,

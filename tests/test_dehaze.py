@@ -313,7 +313,8 @@ class TestSynthesizeHaze:
 
     def test_airlight_mix(self):
         clear = make_image(126)
-        hazy = dh.synthesize_haze(clear, 0.4, airlight=0.9)
+        hazy = dh.synthesize_haze(clear, 0.4)
+        assert dh.AIRLIGHT == 0.9
         assert np.allclose(hazy, clear * 0.4 + 0.9 * 0.6, atol=1e-6)
 
     def test_invalid_transmission(self):

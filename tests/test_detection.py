@@ -34,7 +34,7 @@ class TestHeadForward:
         assert np.allclose(out.box, box_ref, atol=1e-5)
 
     def test_shape_mismatch(self):
-        params = det.init_head(tc.Rng(9), channels=8)
+        params = det.init_head(tc.Rng(9), channels=8, n_classes=3)
         with pytest.raises(ValueError):
             det.head_forward(np.zeros((4, 2, 2), np.float32), params)
 
@@ -180,14 +180,14 @@ class TestDfl:
         rng = tc.Rng(13)
         for _ in range(50):
             logits = rng.uniform(-2, 2, (8,))
-            t = float(rng.uniform(0, 7))
+            t = float(rng.uniform(0, 7, (1,))[0])
             assert det.dfl_loss_with_grad(logits, t)[0] >= 0
 
     def test_grad_check(self):
         rng = tc.Rng(14)
         for _ in range(10):
             logits0 = rng.uniform(-1, 1, (8,)).astype(np.float64)
-            t = float(rng.uniform(0, 7))
+            t = float(rng.uniform(0, 7, (1,))[0])
 
             def f(lg):
                 return det.dfl_loss_with_grad(lg, t)

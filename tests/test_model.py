@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import struct
 import sys
 import threading
 
@@ -62,7 +63,7 @@ class TestBundle:
 
     def test_meta_stamps_the_one_architecture(self):
         bundle = md.init_bundle(0)
-        arch = [bundle.backbone.stem[0].w.shape[0], bundle.head.n_classes,
+        arch = [bundle.backbone.stem[0].w.shape[0], bundle.head.w_cls.shape[0],
                 bundle.head.w_box.shape[0] // 4 - 1,
                 bundle.gen.blocks[0].stem.w.shape[0], len(bundle.gen.blocks),
                 dh.WINDOW, dh.HEADS]
@@ -110,6 +111,18 @@ class TestBundle:
         with pytest.raises(ValueError):
             md.load_bundle(path)
 
+    def test_load_rejects_a_repeated_tensor(self, tmp_path):
+        # a later head.b_obj of 5.0 must not overwrite the stored one
+        path = tmp_path / "w.bin"
+        md.save_bundle(path, md.init_bundle(13))
+        buf = path.read_bytes()
+        (count,) = struct.unpack_from("<I", buf)
+        extra = (struct.pack("<H", 10) + b"head.b_obj"
+                 + tc.tensor_to_bytes(np.full(1, 5.0, np.float32)))
+        path.write_bytes(struct.pack("<I", count + 1) + buf[4:] + extra)
+        with pytest.raises(ValueError, match="'head.b_obj' twice"):
+            md.load_bundle(path)
+
     def test_load_rejects_unknown_params(self, tmp_path):
         tensors = {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)}
         tensors.update(tc.param_items(md.init_bundle(13)))
@@ -128,7 +141,7 @@ class TestDetectFrame:
         assert ms > 0
         for d in dets:
             assert 0.0 < d.score <= 1.0
-            assert 0 <= d.class_id < bundle.n_classes
+            assert 0 <= d.class_id < md.N_CLASSES
 
     def test_dehaze_first_changes_pipeline(self):
         bundle = md.init_bundle(14)
@@ -295,7 +308,7 @@ class TestGradientTrees:
     the parameters, in the same order and with the same shapes."""
 
     def test_head_backward(self):
-        params = det.init_head(tc.Rng(60), channels=8)
+        params = det.init_head(tc.Rng(60), channels=8, n_classes=3)
         feat = tc.Rng(61).uniform(-1, 1, (8, 4, 4))
         out = det.head_forward(feat, params)
         grads, _ = det.head_backward(feat, params, out.obj_logits, out.box, out.cls_logits)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -282,6 +283,15 @@ class TestTsrFormat:
         for cut in [2, 5] + list(range(len(buf))):
             with pytest.raises(ValueError):
                 tc.archive_from_bytes(buf[:cut])
+
+    def test_repeated_name_rejected_naming_it(self):
+        # a second "a" record, with the count raised to match
+        buf = tc.archive_to_bytes({"a": np.zeros(2, np.float32),
+                                   "b": np.zeros(1, np.float32)})
+        extra = struct.pack("<H", 1) + b"a" + tc.tensor_to_bytes(np.ones(2, np.float32))
+        forged = struct.pack("<I", 3) + buf[4:] + extra
+        with pytest.raises(ValueError, match="tensor 'a' twice"):
+            tc.archive_from_bytes(forged)
 
     def test_non_utf8_name_rejected(self):
         buf = tc.archive_to_bytes({"ab": np.zeros(1, np.float32)})
