@@ -57,9 +57,12 @@ def _build_bundle(rng) -> ModelBundle:
     )
 
 
-# the archive's stamp of that architecture
-META = np.array([CHANNELS, N_CLASSES, det.REG_MAX, GEN_CHANNELS, dh.BLOCKS,
-                 dh.WINDOW, dh.HEADS], np.float32)
+# the archive's format version, then the stamp of that architecture;
+# version 1 archives, from before the version entry, stamped the attention
+# generator's sizes and carry its tensors
+ARCHIVE_VERSION = 2
+META = np.array([ARCHIVE_VERSION, CHANNELS, N_CLASSES, det.REG_MAX, GEN_CHANNELS],
+                np.float32)
 
 
 def init_bundle(seed: int) -> ModelBundle:
@@ -72,21 +75,38 @@ def save_bundle(path, bundle: ModelBundle) -> None:
     tc.save_archive(path, tensors)
 
 
+class ArchiveVersionError(ValueError):
+    """A weights archive of another format version than this build reads."""
+
+
 def load_bundle(path) -> ModelBundle:
-    tensors = tc.load_archive(path)
-    if "meta" not in tensors:
-        raise ValueError(f"weights archive {path} has no meta record")
-    if not np.array_equal(tensors["meta"], META):
+    """Reads a save_bundle archive. Its leading meta record is checked
+    first: an archive of another format version raises ArchiveVersionError
+    before any parameter tensor is read."""
+    with open(path, "rb") as fh:
+        entries = tc.archive_entries(fh.read())
+    name, meta = next(entries, (None, None))
+    if name != "meta":
+        raise ValueError(f"weights archive {path} does not begin with a meta record")
+    # a version 1 meta is the seven sizes [8, 3, 7, 8, 2, 4, 2] with no
+    # version entry, so no later version may stamp seven entries
+    version = 1 if meta.size == 7 else float(meta[0]) if meta.size else None
+    if version != ARCHIVE_VERSION:
+        found = "none" if version is None else f"{version:g}"
+        raise ArchiveVersionError(f"weights archive {path} has format version "
+                                  f"{found}, this build reads version "
+                                  f"{ARCHIVE_VERSION}")
+    if not np.array_equal(meta, META):
         raise ValueError(f"weights archive {path} has meta "
-                         f"{tensors['meta'].tolist()}, expected {META.tolist()}")
-    # a zero-filled template: its names and shapes check the archive, and
-    # every tensor in it is then replaced by the stored one
+                         f"{meta.tolist()}, expected {META.tolist()}")
+    tensors = dict(entries)
+    # a template that draws nothing: its names and shapes check the
+    # archive, and every tensor in it is then replaced by the stored one
     bundle = _build_bundle(_ZeroRng())
     expected = dict(tc.param_items(bundle))
-    stored = set(tensors) - {"meta"}
-    if expected.keys() != stored:
-        missing = sorted(expected.keys() - stored)[:3]
-        extra = sorted(stored - expected.keys())[:3]
+    if expected.keys() != tensors.keys():
+        missing = sorted(expected.keys() - tensors.keys())[:3]
+        extra = sorted(tensors.keys() - expected.keys())[:3]
         raise ValueError(f"weights archive mismatch: missing {missing}, extra {extra}")
     for name, fresh in expected.items():
         if tensors[name].shape != fresh.shape:

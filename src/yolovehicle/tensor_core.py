@@ -237,136 +237,27 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(1, 2), dtype=x.dtype).reshape(1, -1)
 
 
-def global_avg_pool_backward(x_shape, grad_out: np.ndarray) -> np.ndarray:
-    c, h, w = x_shape
-    per = grad_out.reshape(c, 1, 1) / (h * w)
-    return np.broadcast_to(per, (c, h, w)).astype(grad_out.dtype).copy()
-
-
 # ---------------------------------------------------------------------------
-# scaled dot-product attention (shared by fusion / text encoder / windowed MSA)
-
-
-# 512 KiB of logits per chunk of the leading axis stays within L2, so the
-# softmax passes over a chunk run from cache
-_ATTENTION_CHUNK_BYTES = 1 << 19
-# a chunk with at least this many softmax rows runs its softmax key-major:
-# window attention over a map of 16x16 or more; fusion's and the text
-# encoder's few rows keep the row-major steps. Below about 256 rows of 16
-# keys the key-major copies cost more than they save
-_KEY_MAJOR_MIN_ROWS = 256
-# numpy sums a contiguous row of at most this many elements as one pairwise
-# block (PW_BLOCKSIZE in numpy's loops_utils.h); the key-major path takes
-# rows of 1 to this many keys
-_PAIRWISE_BLOCK = 128
+# scaled dot-product attention (shared by fusion and the text encoder)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """softmax(q k^T / sqrt(d)) v over the last two axes; leading axes
     batch, and q, k and v must have the same leading shape.
 
-    The leading axis is processed in chunks whose logits fit in L2; each
-    chunk writes its rows of the weights and the output in place. A chunk
-    with many rows does its softmax on a key-major copy (see
-    _softmax_key_major), bit-identical to the row-major steps.
     Returns (out, cache) where cache feeds attention_backward.
     """
     lead = q.shape[:-2]
     if k.shape[:-2] != lead or v.shape[:-2] != lead:
         raise ValueError(f"attention operands differ in leading shape: q {q.shape}, "
                          f"k {k.shape}, v {v.shape}")
-    d = q.shape[-1]
-    scale = 1.0 / math.sqrt(d)
-    kt = np.swapaxes(k, -1, -2)
-    w = np.empty(lead + (q.shape[-2], k.shape[-2]), np.result_type(q, k))
-    out = np.empty(lead + (q.shape[-2], v.shape[-1]), np.result_type(w, v))
-    if lead:
-        step = max(1, _ATTENTION_CHUNK_BYTES // max(1, w[:1].nbytes))
-        chunks = [slice(a, a + step) for a in range(0, lead[0], step)]
-    else:
-        chunks = [slice(None)]
-    n = w.shape[-1]
-    buffer = None
-    for rows in chunks:
-        wc = w[rows]
-        np.matmul(q[rows], kt[rows], out=wc)
-        if 0 < n <= _PAIRWISE_BLOCK and wc.size >= _KEY_MAJOR_MIN_ROWS * n:
-            if buffer is None:  # sized by the first chunk, the largest
-                buffer = np.empty((n + _tree_rows(n) + 1) * (wc.size // n), w.dtype)
-            _softmax_key_major(wc.reshape(-1, n), scale, buffer)
-        else:
-            wc *= scale  # softmax in place, the same steps as softmax()
-            wc -= _max_keepdims(wc, -1)
-            np.exp(wc, out=wc)
-            wc /= np.sum(wc, axis=-1, keepdims=True)
-        np.matmul(wc, v[rows], out=out[rows])
-    return out, (q, k, v, w, scale)
-
-
-def _tree_rows(n: int) -> int:
-    """Scratch rows for the max tree over n keys and the sum tree."""
-    return max((n + 1) // 2, 14)
-
-
-def _softmax_key_major(x: np.ndarray, scale: float, buffer: np.ndarray) -> None:
-    """x [rows, n] <- softmax(x * scale) over its last axis, in place.
-
-    The steps are those of the row-major path, on a key-major [n, rows]
-    copy, so that each pass is one long loop per key instead of one short
-    loop per row. Every step but the sum is elementwise or exact in any
-    order; the sum repeats numpy's own order (_pairwise_sum_keys). buffer
-    holds at least (n + _tree_rows(n) + 1) * rows elements of x's dtype.
-    """
-    r, n = x.shape
-    t = _tree_rows(n)
-    e = buffer[:n * r].reshape(n, r)
-    tree = buffer[n * r:(n + t) * r].reshape(t, r)
-    total = buffer[(n + t) * r:(n + t + 1) * r]
-    np.multiply(x.T, scale, out=e)
-    h = (n + 1) // 2  # a halving max tree, as _max_keepdims
-    m = np.maximum(e[:h], e[n - h:], out=tree[:h])
-    while h > 1:
-        prev, h = h, (h + 1) // 2
-        np.maximum(m[:h], m[prev - h:prev], out=m[:h])
-    e -= m[0]
-    np.exp(e, out=e)
-    _pairwise_sum_keys(e, total, tree)
-    e /= total
-    np.copyto(x, e.T)
-
-
-def _pairwise_sum_keys(e: np.ndarray, out: np.ndarray, tree: np.ndarray) -> None:
-    """out <- np.sum(e.T, axis=-1) for e [n, rows] with n <= _PAIRWISE_BLOCK,
-    bit for bit, as n long adds instead of one short loop per row.
-
-    numpy adds a contiguous row a of 8 <= n <= 128 elements in eight
-    accumulators r_j = a_j + a_{j+8} + a_{j+16} + ..., combines them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then adds the n % 8 elements left
-    over in order; a row of n < 8 it adds left to right. It then adds the
-    result to the reduction's initial +0.0, which changes nothing unless
-    the sum is -0.0: so out equals np.sum for every row that is not all
-    negative zeros (softmax's exponentials never are). tree is scratch of
-    at least 14 rows.
-    """
-    n = e.shape[0]
-    if n < 8:
-        np.copyto(out, e[0])
-        for i in range(1, n):
-            out += e[i]
-        return
-    whole = n - n % 8
-    acc, pairs, quads = tree[:8], tree[8:12], tree[12:14]
-    if whole == 8:
-        acc = e[:8]
-    else:
-        np.add(e[:8], e[8:16], out=acc)
-        for i in range(16, whole, 8):
-            acc += e[i:i + 8]
-    np.add(acc[0::2], acc[1::2], out=pairs)
-    np.add(pairs[0::2], pairs[1::2], out=quads)
-    np.add(quads[0], quads[1], out=out)
-    for i in range(whole, n):
-        out += e[i]
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    w = np.matmul(q, np.swapaxes(k, -1, -2))
+    w *= scale  # softmax in place, the same steps as softmax()
+    w -= _max_keepdims(w, -1)
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return np.matmul(w, v), (q, k, v, w, scale)
 
 
 def attention_backward(cache, grad_out: np.ndarray):
@@ -527,23 +418,29 @@ def archive_to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
     return b"".join(out)
 
 
-def archive_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
-    """Inverse of archive_to_bytes. Malformed or truncated input, or a
-    name given twice, raises ValueError (a name that is not UTF-8 raises its
-    subclass UnicodeDecodeError)."""
+def archive_entries(buf: bytes):
+    """Yields (name, array) for each entry of an archive_to_bytes buffer,
+    in stored order, reading an entry only when it is asked for. Malformed
+    or truncated input, or a name given twice, raises ValueError (a name
+    that is not UTF-8 raises its subclass UnicodeDecodeError)."""
     (count,) = _unpack("<I", buf, 0)
     pos = 4
-    tensors: dict[str, np.ndarray] = {}
+    seen = set()
     for _ in range(count):
         (nlen,) = _unpack("<H", buf, pos)
         (name,) = _unpack(f"<{nlen}s", buf, pos + 2)
         pos += 2 + nlen
         arr, pos = tensor_from_bytes(buf, pos)
         name = name.decode("utf-8")
-        if name in tensors:
+        if name in seen:
             raise ValueError(f"archive holds tensor {name!r} twice")
-        tensors[name] = arr
-    return tensors
+        seen.add(name)
+        yield name, arr
+
+
+def archive_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
+    """Inverse of archive_to_bytes; raises as archive_entries does."""
+    return dict(archive_entries(buf))
 
 
 def atomic_write(path, data) -> None:

@@ -113,7 +113,7 @@ class TestGradientSuite:
         assert worst_det < 1e-3, worst_det
 
         # restoration (identity) objective, gradients wrt every generator
-        # parameter (28 parameter tensors)
+        # parameter (6 parameter tensors)
         gen, clear = smooth_scene(119, 121)
         worst_dh = 0.0
         for pseed, (name, value) in enumerate(tc.param_items(gen)):
@@ -155,18 +155,8 @@ class TestAttentionCorrectness:
         wref /= wref.sum()
         att, _ = tc.multi_head_attention(q, kv, kv, 1)
         assert np.allclose(att, wref @ kv, atol=1e-5)
-
-        p = dh.WmsaParams(
-            wq=rng.uniform(-0.5, 0.5, (4, 4)), wk=rng.uniform(-0.5, 0.5, (4, 4)),
-            wv=rng.uniform(-0.5, 0.5, (4, 4)), wo=rng.uniform(-0.5, 0.5, (4, 4)))
-        x = rng.uniform(-1, 1, (4, 4, 4))
-        tokens = x.reshape(4, 16).T
-        ref, _ = tc.multi_head_attention(tokens @ p.wq.T, tokens @ p.wk.T,
-                                         tokens @ p.wv.T, dh.HEADS)
-        ref = (ref @ p.wo.T).T.reshape(4, 4, 4)
-        assert np.allclose(dh.wmsa_forward(x, p)[0], ref, atol=1e-5)
-        ok("attention: row sums 1±1e-5, cross/windowed attention match "
-           "brute force within 1e-5")
+        ok("attention: row sums 1±1e-5, cross attention matches brute force "
+           "within 1e-5")
 
 
 class TestFusionContracts:
@@ -301,7 +291,6 @@ class TestToyDehazeDescent:
 
         ident = dh.init_generator(tc.Rng(125), channels=4)
         ident.head.w = np.zeros_like(ident.head.w)
-        ident.head.b = np.zeros_like(ident.head.b)
         image = tc.Rng(126).uniform(0.2, 0.8, (3, 8, 8))
         assert dh.identity_loss_with_grads(ident, image)[0] == 0.0
         ok(f"toy dehazing: 50 steps reduce mean identity loss {first:.2e} -> "

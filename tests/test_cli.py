@@ -238,6 +238,17 @@ class TestDetect:
         assert code == 1
         assert "nope.bin" in capsys.readouterr().err
 
+    def test_unversioned_weights_exit_one_naming_both_versions(self, tmp_path,
+                                                               image_path, capsys):
+        # an archive from before the version entry: the attention
+        # generator's seven-entry stamp
+        weights = tmp_path / "old.bin"
+        tc.save_archive(weights, {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)})
+        code = run(["detect", "--image", image_path, "--weights", str(weights),
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 1
+        assert "format version 1, this build reads version 2" in capsys.readouterr().err
+
     def test_seeded_runs_byte_identical(self, tmp_path, image_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for out in (a, b):
@@ -267,6 +278,16 @@ class TestDehaze:
         restored = ppm.read_ppm(out)
         assert restored.shape == (3, 64, 64)
         assert restored.min() >= 0.0 and restored.max() <= 1.0
+
+    def test_any_frame_size(self, tmp_path):
+        # no attention window to divide the frame: a KITTI-like odd size
+        # restores too
+        image = tmp_path / "odd.ppm"
+        ppm.write_ppm(image, tc.Rng(91).uniform(0, 1, (3, 37, 301)))
+        out = tmp_path / "restored.ppm"
+        assert run(["dehaze", "--image", str(image), "--output", str(out),
+                    "--seed", "3"]) == 0
+        assert ppm.read_ppm(out).shape == (3, 37, 301)
 
 
 class TestTrainToy:

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -11,127 +9,42 @@ def make_image(seed, h=8, w=8, lo=0.2, hi=0.8):
     return tc.Rng(seed).uniform(lo, hi, (3, h, w))
 
 
-class TestCab:
-    def make(self, seed, channels=4):
-        rng = tc.Rng(seed)
-        half = channels // 2
-        return dh.CabParams(
-            w1=rng.uniform(-0.5, 0.5, (half, channels)),
-            b1=rng.uniform(-0.5, 0.5, (half,)),
-            w2=rng.uniform(-0.5, 0.5, (channels, half)),
-            b2=rng.uniform(-0.5, 0.5, (channels,)),
-        )
-
-    def test_saturated_gate_passthrough(self):
-        p = self.make(80)
-        p.w2 = np.zeros_like(p.w2)
-        p.b2 = np.full_like(p.b2, 100.0)
-        x = tc.Rng(81).uniform(-1, 1, (4, 3, 3))
-        assert np.allclose(dh.cab_forward(x, p)[0], x, atol=1e-5)
-
-    def test_zero_gate_logits_halve(self):
-        p = self.make(82)
-        p.w2 = np.zeros_like(p.w2)
-        p.b2 = np.zeros_like(p.b2)
-        x = tc.Rng(83).uniform(-1, 1, (4, 3, 3))
-        assert np.array_equal(dh.cab_forward(x, p)[0], x * np.float32(0.5))
-
-    def test_hand_composition_2x2x2(self):
-        p = self.make(84, channels=2)
-        x = tc.Rng(85).uniform(-1, 1, (2, 2, 2))
-        pooled = tc.global_avg_pool(x)
-        gate = tc.sigmoid(tc.leaky_relu(pooled @ p.w1.T + p.b1) @ p.w2.T + p.b2)
-        expected = x * gate[0][:, None, None]
-        assert np.allclose(dh.cab_forward(x, p)[0], expected, atol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dh.cab_forward(np.zeros((6, 2, 2), np.float32), self.make(86))
-
-
-class TestWmsa:
-    def make(self, seed, channels=4, shift=False):
-        rng = tc.Rng(seed)
-        return dh.WmsaParams(
-            wq=rng.uniform(-0.5, 0.5, (channels, channels)),
-            wk=rng.uniform(-0.5, 0.5, (channels, channels)),
-            wv=rng.uniform(-0.5, 0.5, (channels, channels)),
-            wo=rng.uniform(-0.5, 0.5, (channels, channels)),
-            shift=shift,
-        )
-
-    def test_full_window_matches_bruteforce(self):
-        p = self.make(87)
-        x = tc.Rng(88).uniform(-1, 1, (4, 4, 4))
-        tokens = x.reshape(4, 16).T  # pixels as rows
-        q, k, v = tokens @ p.wq.T, tokens @ p.wk.T, tokens @ p.wv.T
-        ref, _ = tc.multi_head_attention(q, k, v, dh.HEADS)
-        ref = (ref @ p.wo.T).T.reshape(4, 4, 4)
-        assert np.allclose(dh.wmsa_forward(x, p)[0], ref, atol=1e-5)
-
-    def test_constant_input_constant_output(self):
-        p = self.make(89)
-        x = np.full((4, 8, 8), 0.37, np.float32)
-        y = dh.wmsa_forward(x, p)[0]
-        assert np.allclose(y, y[:, :1, :1], atol=1e-5)
-
-    def test_uniform_attention_is_window_mean(self):
-        # zero q/k projections give uniform weights; identity v/o reduce the
-        # op to a per-window mean over pixels
-        p = self.make(90)
-        p.wq = np.zeros_like(p.wq)
-        p.wk = np.zeros_like(p.wk)
-        p.wv = np.eye(4, dtype=np.float32)
-        p.wo = np.eye(4, dtype=np.float32)
-        x = tc.Rng(91).uniform(-1, 1, (4, 4, 8))
-        y = dh.wmsa_forward(x, p)[0]
-        for wi in range(2):
-            block = x[:, :, wi * 4:(wi + 1) * 4]
-            mean = block.mean(axis=(1, 2))
-            assert np.allclose(y[:, :, wi * 4:(wi + 1) * 4], mean[:, None, None], atol=1e-5)
-
-    def test_shift_is_identity_for_full_window(self):
-        # attention over all pixels is permutation-equivariant, so the cyclic
-        # shift and its inverse cancel when the window covers the whole map
-        x = tc.Rng(92).uniform(-1, 1, (4, 4, 4))
-        plain = self.make(93, shift=False)
-        shifted = self.make(93, shift=True)
-        assert np.allclose(dh.wmsa_forward(x, plain)[0], dh.wmsa_forward(x, shifted)[0], atol=1e-5)
-
-    def test_indivisible_window(self):
-        with pytest.raises(ValueError):
-            dh.wmsa_forward(np.zeros((4, 6, 8), np.float32), self.make(94))
-
-
-class TestAttentionConvBlock:
-    def test_shape_preserved_random_sizes(self):
-        block = dh.init_block(tc.Rng(95), channels=4)
-        rng = tc.Rng(96)
-        for h, w in ((4, 4), (4, 8), (8, 12), (12, 4)):
-            x = rng.uniform(-1, 1, (4, h, w))
-            assert dh.block_forward(x, block)[0].shape == (4, h, w)
-
-    def test_zero_input_zero_output(self):
-        block = dh.init_block(tc.Rng(97), channels=4)
-        y = dh.block_forward(np.zeros((4, 4, 4), np.float32), block)[0]
-        assert np.allclose(y, 0.0, atol=1e-7)
-
-    def test_branchwise_oracle_composition(self):
-        block = dh.init_block(tc.Rng(98), channels=4)
-        x = tc.Rng(99).uniform(-1, 1, (4, 4, 4))
-        s = tc.leaky_relu(tc.conv2d(x, block.stem.w, 1, 1) + block.stem.b[:, None, None])
-        u = dh.cab_forward(s, block.cab)[0] + dh.wmsa_forward(s, block.wmsa)[0]
-        ref = tc.conv2d(u, block.out.w, 1, 1) + block.out.b[:, None, None]
-        assert np.allclose(dh.block_forward(x, block)[0], ref, atol=1e-5)
-
-
 class TestDehazeForward:
     def test_zero_head_is_clamp(self):
+        # the head's bias starts at 1, so zero head weights give K = 1
         gen = dh.init_generator(tc.Rng(100), channels=4)
         gen.head.w = np.zeros_like(gen.head.w)
-        gen.head.b = np.zeros_like(gen.head.b)
         hazy = tc.Rng(101).uniform(-0.5, 1.5, (3, 8, 8))
         assert np.array_equal(dh.dehaze_forward(hazy, gen), tc.clamp01(hazy))
+
+    def test_unit_k_returns_every_float32_input_exactly(self):
+        # K*I - K + 1 misses I on about a third of these; the rearranged
+        # form may not miss any
+        gen = dh.init_generator(tc.Rng(158), channels=4)
+        gen.head.w = np.zeros_like(gen.head.w)
+        hazy = tc.Rng(159).uniform(0, 1, (3, 64, 64))
+        assert np.array_equal(dh.dehaze_forward(hazy, gen), hazy)
+
+    def test_restores_by_the_aod_formula(self):
+        # J = K*I - K + 1 with K the three convs' output, to rounding
+        gen = dh.init_generator(tc.Rng(160), channels=4)
+        gen.head.w = gen.head.w * np.float32(3.0)
+        hazy = make_image(161, 12, 20, 0.0, 1.0)
+        a1 = tc.leaky_relu(tc.conv_layer(hazy, gen.stem))
+        k = tc.conv_layer(tc.leaky_relu(tc.conv_layer(a1, gen.mid)), gen.head)
+        out = dh.dehaze_forward(hazy, gen)
+        assert np.allclose(out, np.clip(k * hazy - k + 1, 0, 1), atol=1e-6)
+        assert 0.0 < np.mean(out == 0.0) + np.mean(out == 1.0) < 0.9
+
+    def test_init_starts_near_the_identity(self):
+        gen = dh.init_generator(tc.Rng(162), channels=8)
+        shapes = [(n, v.shape) for n, v in tc.param_items(gen)]
+        assert shapes == [("stem.w", (8, 3, 3, 3)), ("stem.b", (8,)),
+                          ("mid.w", (8, 8, 3, 3)), ("mid.b", (8,)),
+                          ("head.w", (3, 8, 3, 3)), ("head.b", (3,))]
+        assert sum(v.size for _, v in tc.param_items(gen)) == 1027
+        assert gen.head.b.tolist() == [1.0, 1.0, 1.0]
+        assert not gen.stem.b.any() and not gen.mid.b.any()
 
     def test_output_in_unit_range(self):
         gen = dh.init_generator(tc.Rng(102), channels=4)
@@ -145,116 +58,77 @@ class TestDehazeForward:
         assert np.array_equal(dh.dehaze_forward(hazy, gen), dh.dehaze_forward(hazy, gen))
 
     def test_spatial_dims_preserved(self):
+        # no window to divide the map: any size restores, odd ones included
         gen = dh.init_generator(tc.Rng(105), channels=4)
-        for h, w in ((8, 8), (8, 16), (12, 20)):
+        for h, w in ((8, 8), (8, 16), (12, 20), (6, 6), (1, 1), (37, 301)):
             assert dh.dehaze_forward(make_image(0, h, w), gen).shape == (3, h, w)
 
-    def test_indivisible_dims_rejected(self):
+    def test_leaves_its_input_alone(self):
+        gen = dh.init_generator(tc.Rng(172), channels=4)
+        hazy = make_image(173, 9, 7)
+        before = hazy.copy()
+        dh.dehaze_forward(hazy, gen)
+        assert np.array_equal(hazy, before)
+
+    def test_rejects_non_rgb_image(self):
         gen = dh.init_generator(tc.Rng(106), channels=4)
-        with pytest.raises(ValueError):
-            dh.dehaze_forward(make_image(0, 6, 6), gen)
+        with pytest.raises(ValueError, match="3xHxW"):
+            dh.dehaze_forward(make_image(0, 6, 6)[:2], gen)
 
 
 class TestComponentGradients:
-    """Each backward pass on its own, against central differences of the
-    probe loss sum(w * forward(x)) in float64; the generator-level checks
-    below only see these composed."""
+    """The generator's backward pass, one tensor at a time, against central
+    differences of the probe loss sum(w * forward(x)) in float64."""
 
     @staticmethod
-    def probe(forward, backward, x, p, seed):
-        w = tc.Rng(seed).uniform(-1, 1, forward(x, p)[0].shape).astype(np.float64)
+    def probe(x, seed):
+        w = tc.Rng(seed).uniform(-1, 1, x.shape).astype(np.float64)
 
-        def run(v, q):
-            y, cache = forward(v, q)
-            return float((y * w).sum()), backward(cache, q, w)
+        def run(v, gen):
+            y, cache = dh._gen_forward(v, gen)
+            return float((y * w).sum()), dh._gen_backward(cache, gen, w)
         return run
 
-    def input_error(self, forward, backward, x, p, seed):
-        run = self.probe(forward, backward, x, p, seed)
-
-        def f(v):
-            loss, (gx, _) = run(v, p)
-            return loss, gx
-        return tc.grad_check(f, x)
-
-    def param_error(self, forward, backward, x, p, name, seed):
-        from gradutil import coord_subset_grad_check
-
-        run = self.probe(forward, backward, x, p, seed)
-
-        def f(v):
-            loss, (_, grads) = run(x, replace(p, **{name: v}))
-            return loss, getattr(grads, name)
-        return coord_subset_grad_check(f, getattr(p, name), n=8, seed=seed)
-
-    def test_cab_input(self):
-        p = TestCab().make(130)
-        x = tc.Rng(131).uniform(-1, 1, (4, 4, 4)).astype(np.float64)
-        assert self.input_error(dh.cab_forward, dh.cab_backward, x, p, 132) < 1e-4
-
-    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
-    def test_cab_params(self, name):
-        p = TestCab().make(133)
-        x = tc.Rng(134).uniform(-1, 1, (4, 4, 4)).astype(np.float64)
-        err = self.param_error(dh.cab_forward, dh.cab_backward, x, p, name, 135)
-        assert err < 1e-4, err
-
-    @pytest.mark.parametrize("shift", [False, True], ids=["plain", "shifted"])
-    def test_wmsa_input(self, shift):
-        p = TestWmsa().make(136, shift=shift)
-        x = tc.Rng(137).uniform(-1, 1, (4, 8, 8)).astype(np.float64)
-        assert self.input_error(dh.wmsa_forward, dh.wmsa_backward, x, p, 138) < 1e-4
-
-    @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo"])
-    def test_wmsa_params_shifted(self, name):
-        p = TestWmsa().make(139, shift=True)
-        x = tc.Rng(140).uniform(-1, 1, (4, 8, 8)).astype(np.float64)
-        err = self.param_error(dh.wmsa_forward, dh.wmsa_backward, x, p, name, 141)
-        assert err < 1e-4, err
-
-    def test_block_input(self):
-        block = dh.init_block(tc.Rng(142), channels=4, shift=True)
-        x = tc.Rng(143).uniform(-1, 1, (4, 4, 8)).astype(np.float64)
-        assert self.input_error(dh.block_forward, dh.block_backward, x, block, 144) < 1e-4
-
-    def test_block_params(self):
-        from gradutil import coord_subset_grad_check
-
-        block = dh.init_block(tc.Rng(145), channels=4, shift=True)
-        x = tc.Rng(146).uniform(-1, 1, (4, 4, 8)).astype(np.float64)
-        run = self.probe(dh.block_forward, dh.block_backward, x, block, 147)
-        for seed, (name, value) in enumerate(tc.param_items(block)):
-            def f(v, name=name, value=value):
-                tc.set_param(block, name, v)
-                try:
-                    loss, (_, grads) = run(x, block)
-                finally:
-                    tc.set_param(block, name, value)
-                return loss, dict(tc.param_items(grads))[name]
-
-            err = coord_subset_grad_check(f, value, n=4, seed=seed)
-            assert err < 1e-4, f"{name}: {err}"
-
-    def test_generator_input(self):
-        # the input gradient adds the skip path to the stem's, which no
-        # parameter check reaches
+    def test_input(self):
+        # the input gradient adds the formula's own term, K, to the path
+        # through the convs, which no parameter check reaches
         from gradutil import smooth_scene
 
         gen, clear = smooth_scene(148, 149)
-        w = tc.Rng(150).uniform(-1, 1, clear.shape).astype(np.float64)
+        run = self.probe(clear, 150)
 
         def f(v):
-            out, cache = dh._gen_forward(v, gen)
-            return float((out * w).sum()), dh._gen_backward(cache, gen, w)[0]
+            loss, (gx, _) = run(v, gen)
+            return loss, gx
 
-        assert tc.grad_check(f, clear.astype(np.float64)) < 2e-3
+        assert tc.grad_check(f, clear.astype(np.float64)) < 1e-4
+
+    @pytest.mark.parametrize("name", ["stem.w", "stem.b", "mid.w", "mid.b",
+                                      "head.w", "head.b"])
+    def test_params(self, name):
+        from gradutil import coord_subset_grad_check, smooth_scene
+
+        gen, clear = smooth_scene(163, 164)
+        x = clear.astype(np.float64)
+        run = self.probe(x, 165)
+        value = dict(tc.param_items(gen))[name]
+
+        def f(v):
+            tc.set_param(gen, name, v)
+            try:
+                loss, (_, grads) = run(x, gen)
+            finally:
+                tc.set_param(gen, name, value)
+            return loss, dict(tc.param_items(grads))[name]
+
+        err = coord_subset_grad_check(f, value, n=8, seed=166)
+        assert err < 1e-4, err
 
 
 class TestIdentityLoss:
     def test_identity_generator_exact_zero(self):
         gen = dh.init_generator(tc.Rng(115), channels=4)
         gen.head.w = np.zeros_like(gen.head.w)
-        gen.head.b = np.zeros_like(gen.head.b)
         assert dh.identity_loss_with_grads(gen, make_image(116))[0] == 0.0
 
     def test_nonnegative_and_deterministic(self):
@@ -288,22 +162,75 @@ class TestIdentityLoss:
 
 
 class TestGeneratorGradients:
-    def test_grad_check_identity_loss_wrt_generator(self):
+    @pytest.mark.parametrize("name", ["stem.w", "stem.b", "mid.w", "mid.b",
+                                      "head.w", "head.b"])
+    def test_grad_check_identity_loss_wrt_generator(self, name):
         from gradutil import coord_subset_grad_check, smooth_scene
 
         gen, clear = smooth_scene(119, 121)
+        value = dict(tc.param_items(gen))[name]
 
-        for seed, (name, value) in enumerate(tc.param_items(gen)):
-            def f(p, name=name, value=value):
-                tc.set_param(gen, name, p)
-                try:
-                    loss, grads = dh.identity_loss_with_grads(gen, clear)
-                finally:
-                    tc.set_param(gen, name, value)
-                return loss, grads[name]
+        def f(p):
+            tc.set_param(gen, name, p)
+            try:
+                loss, grads = dh.identity_loss_with_grads(gen, clear)
+            finally:
+                tc.set_param(gen, name, value)
+            return loss, grads[name]
 
-            err = coord_subset_grad_check(f, value, n=4, seed=seed)
-            assert err < 2e-3, f"{name}: {err}"
+        err = coord_subset_grad_check(f, value, n=4, seed=len(name))
+        assert err < 2e-3, f"{name}: {err}"
+
+    def test_clamped_pixels_pass_no_gradient(self):
+        # K = 6 maps every value below 5/6, as in this scene, below 0: the
+        # clamp holds them, and no gradient reaches the weights or the input
+        gen, clear = dh.init_generator(tc.Rng(167), channels=4), make_image(168)
+        gen.head.w = np.zeros_like(gen.head.w)
+        gen.head.b = np.full_like(gen.head.b, 6.0)
+        out, cache = dh._gen_forward(clear, gen)
+        assert np.all(out == 0.0)
+        gx, grads = dh._gen_backward(cache, gen, np.ones_like(out))
+        assert not gx.any()
+        assert not any(g.any() for _, g in tc.param_items(grads))
+
+
+class TestPairedRestoration:
+    def test_adam_steps_on_paired_l1_raise_held_out_psnr(self):
+        # the toy restoration study's objective in small: paired L1 on
+        # hazed 16x16 scenes, scored on scenes it did not train on
+        from yolovehicle import model as md
+        from yolovehicle.optim import Adam
+
+        def pairs(seed, n):
+            rng = tc.Rng(seed)
+            out = []
+            for _ in range(n):
+                clear, _ = md.make_toy_scene(rng, size=16)
+                out.append((dh.synthesize_haze(clear, 0.5), clear))
+            return out
+
+        def psnr(gen, data):
+            mse = [np.mean((dh.dehaze_forward(h, gen) - c).astype(np.float64) ** 2)
+                   for h, c in data]
+            return float(np.mean([10 * np.log10(1 / m) for m in mse]))
+
+        train, held = pairs(169, 4), pairs(170, 4)
+        gen = dh.init_generator(tc.Rng(171), channels=8)
+        before = psnr(gen, held)
+        opt = Adam(lr=1e-2)
+        for _ in range(40):
+            params = dict(tc.param_items(gen))
+            grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
+            for hazy, clear in train:
+                out, cache = dh._gen_forward(hazy, gen)
+                diff = out.astype(np.float64) - clear
+                g_out = (np.sign(diff) / diff.size / len(train)).astype(out.dtype)
+                for k, g in tc.param_items(dh._gen_backward(cache, gen, g_out)[1]):
+                    grads[k] += g
+            for k, v in opt.step(params, grads).items():
+                tc.set_param(gen, k, v)
+        after = psnr(gen, held)
+        assert after > before + 10.0, (before, after)  # 9.2 -> 23.6 dB
 
 
 class TestSynthesizeHaze:

@@ -57,23 +57,21 @@ class TestBundle:
         assert names[:4] == ["text.embed", "text.w_out", "text.b_out",
                              "text.layers.0.wq"]
         buf = path.read_bytes()
-        assert len(buf) == 3698118
+        assert len(buf) == 3687678
         assert hashlib.sha256(buf).hexdigest() == \
-            "74734ede72f5ef195eba2b90874327bd44803533b839af5f7abf8a8144dd2bb0"
+            "8db63990a648450b2e01ed908465fdeb662159a3e45630be2af4fd2af70dd562"
 
-    def test_meta_stamps_the_one_architecture(self):
+    def test_meta_stamps_the_version_and_the_one_architecture(self):
         bundle = md.init_bundle(0)
         arch = [bundle.backbone.stem[0].w.shape[0], bundle.head.w_cls.shape[0],
-                bundle.head.w_box.shape[0] // 4 - 1,
-                bundle.gen.blocks[0].stem.w.shape[0], len(bundle.gen.blocks),
-                dh.WINDOW, dh.HEADS]
-        assert md.META.tolist() == arch == [8, 3, 7, 8, 2, 4, 2]
+                bundle.head.w_box.shape[0] // 4 - 1, bundle.gen.stem.w.shape[0]]
+        assert md.META.tolist() == [md.ARCHIVE_VERSION] + arch == [2, 8, 3, 7, 8]
         assert md.META.dtype == np.float32
 
-    @pytest.mark.parametrize("meta", [[8, 3, 7, 8, 2, 4, 4],
-                                      [16, 3, 7, 8, 2, 4, 2],
-                                      [8, 3, 7, 8, 2, 4],
-                                      [8, 3, 7, 8, 2, 4, 2, 0]])
+    @pytest.mark.parametrize("meta", [[2, 8, 3, 7, 16],
+                                      [2, 16, 3, 7, 8],
+                                      [2, 8, 3, 7],
+                                      [2, 8, 3, 7, 8, 0]])
     def test_load_rejects_any_other_meta_naming_it(self, tmp_path, meta):
         # the tensors are those of the one architecture; only the stamp lies
         tensors = {"meta": np.array(meta, np.float32)}
@@ -86,7 +84,7 @@ class TestBundle:
 
     def test_load_rejects_wrong_shapes_naming_the_tensor(self, tmp_path):
         for name, shape in (("fusion.w_gate", (3, 3)), ("head.b_cls", (5,))):
-            tensors = {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)}
+            tensors = {"meta": md.META}
             tensors.update(tc.param_items(md.init_bundle(13)))
             tensors[name] = np.zeros(shape, np.float32)
             path = tmp_path / "bad_shape.bin"
@@ -102,13 +100,12 @@ class TestBundle:
             md.load_bundle(path)
 
     def test_load_rejects_missing_params(self, tmp_path):
-        bundle = md.init_bundle(13)
-        tensors = dict(tc.param_items(bundle))
-        tensors["meta"] = np.array([8, 3, 7, 8, 2, 4, 2], np.float32)
+        tensors = {"meta": md.META}
+        tensors.update(tc.param_items(md.init_bundle(13)))
         del tensors["head.w_obj"]
         path = tmp_path / "short.bin"
         tc.save_archive(path, tensors)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing \\['head.w_obj'\\]"):
             md.load_bundle(path)
 
     def test_load_rejects_a_repeated_tensor(self, tmp_path):
@@ -124,12 +121,41 @@ class TestBundle:
             md.load_bundle(path)
 
     def test_load_rejects_unknown_params(self, tmp_path):
-        tensors = {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)}
+        tensors = {"meta": md.META}
         tensors.update(tc.param_items(md.init_bundle(13)))
         tensors["head.w_extra"] = np.zeros(3, np.float32)
         path = tmp_path / "long.bin"
         tc.save_archive(path, tensors)
         with pytest.raises(ValueError, match="extra \\['head.w_extra'\\]"):
+            md.load_bundle(path)
+
+    # the seven-entry stamp every archive carried before the version entry
+    UNVERSIONED = [8, 3, 7, 8, 2, 4, 2]
+
+    @pytest.mark.parametrize("meta, shown", [(UNVERSIONED, "1"),
+                                             ([1, 8, 3, 7, 8], "1"),
+                                             ([3, 8, 3, 7, 8], "3"),
+                                             ([], "none")],
+                             ids=["unversioned", "older", "newer", "empty"])
+    def test_load_rejects_another_version_before_any_tensor(self, tmp_path,
+                                                            meta, shown):
+        # a truncated entry follows the meta record: the version check must
+        # not read it
+        path = tmp_path / "old.bin"
+        tc.save_archive(path, {"meta": np.array(meta, np.float32),
+                               "head.b_obj": np.zeros(1, np.float32)})
+        path.write_bytes(path.read_bytes()[:-2])
+        with pytest.raises(md.ArchiveVersionError,
+                           match=f"format version {shown}, this build reads version 2"):
+            md.load_bundle(path)
+        assert issubclass(md.ArchiveVersionError, ValueError)
+
+    def test_load_rejects_meta_that_is_not_first(self, tmp_path):
+        tensors = dict(tc.param_items(md.init_bundle(13)))
+        tensors["meta"] = md.META
+        path = tmp_path / "late_meta.bin"
+        tc.save_archive(path, tensors)
+        with pytest.raises(ValueError, match="does not begin with a meta record"):
             md.load_bundle(path)
 
 

@@ -293,6 +293,26 @@ class TestTsrFormat:
         with pytest.raises(ValueError, match="tensor 'a' twice"):
             tc.archive_from_bytes(forged)
 
+    def test_entries_come_in_stored_order_one_at_a_time(self):
+        # a truncated last entry raises only once it is asked for
+        buf = tc.archive_to_bytes({"z": np.ones(2, np.float32),
+                                   "a": np.zeros((1, 3), np.float32),
+                                   "m": np.full(4, 2.0, np.float32)})
+        entries = tc.archive_entries(buf[:-1])
+        assert [next(entries)[0], next(entries)[0]] == ["z", "a"]
+        with pytest.raises(ValueError, match="truncated"):
+            next(entries)
+        assert [(n, a.tolist()) for n, a in tc.archive_entries(buf)] == [
+            ("z", [1.0, 1.0]), ("a", [[0.0, 0.0, 0.0]]), ("m", [2.0] * 4)]
+
+    def test_entries_reject_a_repeated_name_when_they_reach_it(self):
+        buf = tc.archive_to_bytes({"a": np.zeros(2, np.float32)})
+        extra = struct.pack("<H", 1) + b"a" + tc.tensor_to_bytes(np.ones(1, np.float32))
+        entries = tc.archive_entries(struct.pack("<I", 2) + buf[4:] + extra)
+        assert next(entries)[0] == "a"
+        with pytest.raises(ValueError, match="tensor 'a' twice"):
+            next(entries)
+
     def test_non_utf8_name_rejected(self):
         buf = tc.archive_to_bytes({"ab": np.zeros(1, np.float32)})
         with pytest.raises(ValueError):
