@@ -44,25 +44,21 @@ def dehaze_forward(hazy: np.ndarray, gen: DehazeGenerator) -> np.ndarray:
 def _gen_forward(hazy: np.ndarray, gen: DehazeGenerator):
     if hazy.ndim != 3 or hazy.shape[0] != 3:
         raise ValueError(f"expected a 3xHxW image, got {hazy.shape}")
-    pre1 = tc.conv_layer(hazy, gen.stem)
-    pre2 = tc.conv_layer(tc.leaky_relu(pre1), gen.mid)
-    k = tc.conv_layer(tc.leaky_relu(pre2), gen.head)
+    records = []
+    feat = tc.conv_stack(hazy, [gen.stem, gen.mid], records)
+    k = tc.conv_layer(feat, gen.head)
     # K*I - K + 1 rearranged: where K is exactly 1 this returns I exactly,
     # which the literal form does not in floating point
     pre_clamp = hazy + (k - 1) * (hazy - 1)
-    return tc.clamp01(pre_clamp), (hazy, pre1, pre2, k, pre_clamp)
+    return tc.clamp01(pre_clamp), (hazy, records, feat, k, pre_clamp)
 
 
 def _gen_backward(cache, gen: DehazeGenerator, g_out: np.ndarray):
     """Returns (input grad, parameter grads as a DehazeGenerator)."""
-    hazy, pre1, pre2, k, pre_clamp = cache
+    hazy, records, feat, k, pre_clamp = cache
     g_pre = tc.clamp01_backward(pre_clamp, g_out)
-    g2, g_head = tc.conv_layer_backward(tc.leaky_relu(pre2), gen.head,
-                                        g_pre * (hazy - 1))
-    g1, g_mid = tc.conv_layer_backward(tc.leaky_relu(pre1), gen.mid,
-                                       tc.leaky_relu_backward(pre2, g2))
-    gh, g_stem = tc.conv_layer_backward(hazy, gen.stem,
-                                        tc.leaky_relu_backward(pre1, g1))
+    g_feat, g_head = tc.conv_layer_backward(feat, gen.head, g_pre * (hazy - 1))
+    gh, (g_stem, g_mid) = tc.conv_stack_backward(records, g_feat)
     # dJ/dI = 1 + (K - 1) through the formula, plus the path through K
     return g_pre * k + gh, replace(gen, stem=g_stem, mid=g_mid, head=g_head)
 

@@ -160,29 +160,17 @@ def init_backbone(rng: tc.Rng, channels: int) -> BackboneParams:
     return BackboneParams(stem=stem, stages=stages)
 
 
-def _run_layers(x: np.ndarray, layers: list[tc.ConvLayer], cache: list | None = None) -> np.ndarray:
-    """Conv + leaky ReLU per layer; a cache gets one list of
-    (input, pre-activation, layer) records for the whole run."""
-    records = []
-    for layer in layers:
-        pre = tc.conv_layer(x, layer)
-        if cache is not None:
-            records.append((x, pre, layer))
-        x = tc.leaky_relu(pre)
-    if cache is not None:
-        cache.append(records)
-    return x
-
-
 def backbone_features(image: np.ndarray, params: BackboneParams, cache: list | None = None) -> MultiScaleFeatures:
     """Pyramid features without backbone_extract's /32 divisibility check;
-    a cache gets the records backbone_backward_input needs."""
-    x = _run_layers(image, params.stem, cache)
-    outs = []
-    for stage in params.stages:
-        x = _run_layers(x, stage, cache)
+    a cache gets one tc.conv_stack record list per stack, the stem's first."""
+    x, outs = image, []
+    for layers in [params.stem, *params.stages]:
+        records = None if cache is None else []
+        x = tc.conv_stack(x, layers, records)
+        if cache is not None:
+            cache.append(records)
         outs.append(x)
-    return MultiScaleFeatures(*outs)
+    return MultiScaleFeatures(*outs[1:])
 
 
 def backbone_extract(image: np.ndarray, params: BackboneParams) -> MultiScaleFeatures:
@@ -194,21 +182,14 @@ def backbone_extract(image: np.ndarray, params: BackboneParams) -> MultiScaleFea
     return backbone_features(image, params)
 
 
-def _layers_backward(records: list, g: np.ndarray) -> np.ndarray:
-    for x, pre, layer in reversed(records):
-        g, _ = tc.conv_layer_backward(x, layer, tc.leaky_relu_backward(pre, g))
-    return g
-
-
-def backbone_backward_input(cache: list, grads: list[np.ndarray]) -> np.ndarray:
-    """Gradient wrt the input image given per-scale output grads (weights fixed).
-
-    cache is the list filled by backbone_features: the stem's records, then
-    one list per stage; grads has one entry per scale, aligned with
-    MultiScaleFeatures.scales().
-    """
+def backbone_backward(cache: list, grads: list[np.ndarray]):
+    """Returns (grad_image, parameter grads as a BackboneParams). cache is
+    backbone_features'; grads holds one output grad per scales() entry."""
     stem, *stages = cache
     g = None
+    stage_grads = []
     for records, g_scale in reversed(list(zip(stages, grads))):
-        g = _layers_backward(records, g_scale if g is None else g + g_scale)
-    return _layers_backward(stem, g)
+        g, layer_grads = tc.conv_stack_backward(records, g_scale if g is None else g + g_scale)
+        stage_grads.append(layer_grads)
+    g, stem_grads = tc.conv_stack_backward(stem, g)
+    return g, BackboneParams(stem=stem_grads, stages=stage_grads[::-1])

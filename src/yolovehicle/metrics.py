@@ -120,18 +120,15 @@ def average_precision_bruteforce(flags: list[bool], scores: list[float],
 
 
 def _group_by_frame(items):
-    """Accepts list[BBox] (one frame) or list[(frame_id, BBox)]."""
-    if items and isinstance(items[0], tuple):
-        frames: dict = {}
-        for fid, box in items:
-            frames.setdefault(fid, []).append(box)
-        return frames
-    return {0: list(items)}
+    frames: dict = {}
+    for fid, box in items:
+        frames.setdefault(fid, []).append(box)
+    return frames
 
 
 def map_at(preds, gts, thresholds=(0.5, 0.75)) -> dict[float, EvalResult]:
-    """EvalResult per IoU threshold. Inputs are BBox lists or
-    (frame_id, BBox) pairs; matching never crosses frame boundaries.
+    """EvalResult per IoU threshold. Inputs are (frame_id, BBox) pairs;
+    matching never crosses frame boundaries.
     """
     pred_frames = _group_by_frame(preds)
     gt_frames = _group_by_frame(gts)

@@ -230,6 +230,29 @@ def conv_layer_backward(x: np.ndarray, layer: ConvLayer, grad_out: np.ndarray):
     return grad_x, dataclasses.replace(layer, w=grad_w, b=grad_out.sum(axis=(1, 2)))
 
 
+def conv_stack(x: np.ndarray, layers: list[ConvLayer], records: list | None = None) -> np.ndarray:
+    """Conv + leaky ReLU per layer; records, if given, gets one
+    (input, activated output, layer) tuple per layer for conv_stack_backward."""
+    for layer in layers:
+        x_in, x = x, leaky_relu(conv_layer(x, layer))
+        if records is not None:
+            records.append((x_in, x, layer))
+    return x
+
+
+def conv_stack_backward(records: list, grad_out: np.ndarray):
+    """Returns (grad_x, [ConvLayer grads in layer order]) for conv_stack.
+
+    The activated output stands in for the pre-activation: leaky ReLU keeps
+    the sign, so out > 0 exactly where pre > 0.
+    """
+    grads = []
+    for x, out, layer in reversed(records):
+        grad_out, lg = conv_layer_backward(x, layer, leaky_relu_backward(out, grad_out))
+        grads.append(lg)
+    return grad_out, grads[::-1]
+
+
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """[C,H,W] -> [1,C] channel means."""
     if x.ndim != 3:
@@ -252,11 +275,7 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray):
         raise ValueError(f"attention operands differ in leading shape: q {q.shape}, "
                          f"k {k.shape}, v {v.shape}")
     scale = 1.0 / math.sqrt(q.shape[-1])
-    w = np.matmul(q, np.swapaxes(k, -1, -2))
-    w *= scale  # softmax in place, the same steps as softmax()
-    w -= _max_keepdims(w, -1)
-    np.exp(w, out=w)
-    w /= np.sum(w, axis=-1, keepdims=True)
+    w = softmax(np.matmul(q, np.swapaxes(k, -1, -2)) * scale)
     return np.matmul(w, v), (q, k, v, w, scale)
 
 

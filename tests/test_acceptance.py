@@ -244,7 +244,8 @@ class TestMetricsOracle:
                 k = int(srng.integers(3, 1)[0])
                 s = float(srng.uniform(0.01, 0.99, (1,))[0])
                 boxes.append(det.BBox(cx, cy, w, h, class_id=k, score=s))
-            r = mx.map_at(boxes[:6], boxes[6:], thresholds=(0.5, 0.75))
+            r = mx.map_at([(0, b) for b in boxes[:6]], [(0, b) for b in boxes[6:]],
+                          thresholds=(0.5, 0.75))
             assert r[0.75].map <= r[0.5].map + 1e-12
         ok("metrics: AP equals threshold-enumeration oracle (1e-9), fixture "
            "reproduced, mAP@75 <= mAP@50")

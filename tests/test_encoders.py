@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gradutil import coord_subset_grad_check
 from yolovehicle import encoders as enc
 from yolovehicle import tensor_core as tc
 
@@ -115,6 +116,45 @@ class TestBackbone:
             feats = enc.backbone_features(img, params, cache)
             loss = sum(float((fi * wi).sum()) for fi, wi in zip(feats.scales(), w))
             grads = [wi.copy() for wi in w]
-            return loss, enc.backbone_backward_input(cache, grads)
+            return loss, enc.backbone_backward(cache, grads)[0]
 
         assert tc.grad_check(f, img0) < 1e-3
+
+    @pytest.mark.parametrize("name", [n for n, _ in tc.param_items(
+        enc.init_backbone(tc.Rng(0), channels=4))])
+    def test_backward_param_grad_check(self, name):
+        # every tensor of the stem and the three stages, in float64, on a
+        # 32x32 image: the smallest whose f3 map is not empty. At init the
+        # activations shrink tenfold or more per stage, until the eps of a
+        # central difference moves pre-activations across the leaky ReLU's
+        # kink, where the difference means nothing; weights times 4 and
+        # biases of 0.1 keep every stage's activations well above eps
+        params = enc.init_backbone(tc.Rng(209), channels=4)
+        for k, v in tc.param_items(params):
+            tc.set_param(params, k, v.astype(np.float64) * 4.0 if k.endswith(".w")
+                         else np.full(v.shape, 0.1))
+        img = tc.Rng(210).uniform(0.2, 0.8, (3, 32, 32)).astype(np.float64)
+        w = [tc.Rng(211 + i).uniform(-1, 1, f.shape).astype(np.float64)
+             for i, f in enumerate(enc.backbone_features(img, params).scales())]
+
+        def f(value):
+            tc.set_param(params, name, value)
+            cache = []
+            feats = enc.backbone_features(img, params, cache)
+            loss = sum(float((fi * wi).sum()) for fi, wi in zip(feats.scales(), w))
+            _, grads = enc.backbone_backward(cache, w)
+            return loss, dict(tc.param_items(grads))[name]
+
+        value = dict(tc.param_items(params))[name]
+        err = coord_subset_grad_check(f, value, n=4, seed=len(name))
+        assert err < 1e-3, f"{name}: {err}"
+
+    def test_backward_grads_shaped_like_params(self):
+        params = enc.init_backbone(tc.Rng(212), channels=4)
+        cache = []
+        feats = enc.backbone_features(tc.Rng(213).uniform(0, 1, (3, 32, 32)), params, cache)
+        gx, grads = enc.backbone_backward(cache, [np.ones_like(f) for f in feats.scales()])
+        assert gx.shape == (3, 32, 32)
+        assert [(k, v.shape, v.dtype) for k, v in tc.param_items(grads)] == \
+            [(k, v.shape, v.dtype) for k, v in tc.param_items(params)]
+        assert [layer.stride for layer in grads.stem] == [layer.stride for layer in params.stem]

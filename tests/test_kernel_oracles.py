@@ -3,7 +3,9 @@
 The references are the straightforward forms of each kernel: a per-channel
 loop im2col/col2im, the np.pad + sliding-window column build, a three-line
 softmax, attention from that softmax, a dehaze forward built from the loop
-convolution, the unflushed
+convolution, the K-estimator's and the backbone's backward passes written
+out layer by layer with each leaky ReLU's mask taken from its
+pre-activation, the unflushed
 sigmoid gradient, a fusion backward with matmul outer products, an
 out-of-place Adam, a whole-window dark channel and the per-cell
 decode-and-NMS loop. The fast kernels do the same arithmetic in the same
@@ -100,6 +102,58 @@ def ref_dehaze_forward(hazy, gen):
     k = conv(ref_leaky_relu(conv(ref_leaky_relu(conv(hazy, gen.stem)), gen.mid)),
              gen.head)
     return tc.clamp01(hazy + (k - 1) * (hazy - 1))
+
+
+def ref_layer_records(x, layers):
+    """Conv + leaky ReLU per layer, keeping (input, pre-activation, layer)."""
+    records = []
+    for layer in layers:
+        pre = tc.conv_layer(x, layer)
+        records.append((x, pre, layer))
+        x = tc.leaky_relu(pre)
+    return x, records
+
+
+def ref_layers_backward(records, g):
+    """Backward through ref_layer_records' stack with the mask taken from
+    the pre-activation; returns (grad_x, per-layer grads in layer order)."""
+    grads = []
+    for x, pre, layer in reversed(records):
+        g, lg = tc.conv_layer_backward(x, layer, tc.leaky_relu_backward(pre, g))
+        grads.append(lg)
+    return g, grads[::-1]
+
+
+def ref_gen_backward(hazy, gen, g_out):
+    """The K-estimator's forward and backward written out layer by layer,
+    each conv's input a recomputed leaky_relu(pre)."""
+    pre1 = tc.conv_layer(hazy, gen.stem)
+    pre2 = tc.conv_layer(tc.leaky_relu(pre1), gen.mid)
+    k = tc.conv_layer(tc.leaky_relu(pre2), gen.head)
+    pre_clamp = hazy + (k - 1) * (hazy - 1)
+    g_pre = tc.clamp01_backward(pre_clamp, g_out)
+    g2, g_head = tc.conv_layer_backward(tc.leaky_relu(pre2), gen.head, g_pre * (hazy - 1))
+    g1, g_mid = tc.conv_layer_backward(tc.leaky_relu(pre1), gen.mid,
+                                       tc.leaky_relu_backward(pre2, g2))
+    gh, g_stem = tc.conv_layer_backward(hazy, gen.stem, tc.leaky_relu_backward(pre1, g1))
+    return g_pre * k + gh, replace(gen, stem=g_stem, mid=g_mid, head=g_head)
+
+
+def ref_backbone_backward(image, params, grads):
+    """Pyramid features and their backward, one stack at a time."""
+    x, stem = ref_layer_records(image, params.stem)
+    feats, stages = [], []
+    for layers in params.stages:
+        x, records = ref_layer_records(x, layers)
+        feats.append(x)
+        stages.append(records)
+    g = None
+    stage_grads = []
+    for records, g_scale in reversed(list(zip(stages, grads))):
+        g, layer_grads = ref_layers_backward(records, g_scale if g is None else g + g_scale)
+        stage_grads.append(layer_grads)
+    g, stem_grads = ref_layers_backward(stem, g)
+    return feats, g, enc.BackboneParams(stem=stem_grads, stages=stage_grads[::-1])
 
 
 def ref_haze_score(image):
@@ -298,6 +352,56 @@ def test_dehaze_forward_equals_reference_composition(h, w, dtype):
     hazy = dh.synthesize_haze(tc.Rng(970 + h).uniform(0, 1, (3, h, w)).astype(dtype), 0.3)
     out = dh.dehaze_forward(hazy, gen)
     assert out.dtype == dtype and np.array_equal(out, ref_dehaze_forward(hazy, gen))
+
+
+def random_params(tree, seed, dtype):
+    """tree with every tensor redrawn and cast to dtype: weights uniform in
+    +-sqrt(1/fan_in), biases in [-1, 1), so that biases are nonzero and both
+    leaky ReLU branches are taken."""
+    rng = tc.Rng(seed)
+    for name, v in tc.param_items(tree):
+        r = math.sqrt(1.0 / v[0].size) if v.ndim > 1 else 1.0
+        tc.set_param(tree, name, (r * rng.uniform(-1, 1, v.shape)).astype(dtype))
+    return tree
+
+
+def assert_trees_equal(a, b):
+    items_a, items_b = list(tc.param_items(a)), list(tc.param_items(b))
+    assert [k for k, _ in items_a] == [k for k, _ in items_b]
+    for (name, va), (_, vb) in zip(items_a, items_b):
+        assert va.dtype == vb.dtype and np.array_equal(va, vb), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h,w", [(64, 64), (37, 61)])
+def test_gen_backward_equals_reference_composition(h, w, dtype):
+    gen = random_params(dh.init_generator(tc.Rng(0), channels=8), 980 + h, dtype)
+    gen.head.b = gen.head.b + dtype(1.0)  # K about 1: some pixels clamp, most do not
+    rng = tc.Rng(990 + w)
+    hazy = rng.uniform(0, 1, (3, h, w)).astype(dtype)
+    g_out = rng.uniform(-1, 1, (3, h, w)).astype(dtype)
+    _, cache = dh._gen_forward(hazy, gen)
+    gx, grads = dh._gen_backward(cache, gen, g_out)
+    rgx, rgrads = ref_gen_backward(hazy, gen, g_out)
+    assert gx.dtype == dtype and np.array_equal(gx, rgx)
+    assert_trees_equal(grads, rgrads)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h,w", [(64, 64), (37, 61)])
+def test_backbone_backward_equals_reference_composition(h, w, dtype):
+    params = random_params(enc.init_backbone(tc.Rng(0), channels=8), 1000 + h, dtype)
+    rng = tc.Rng(1010 + w)
+    image = rng.uniform(0, 1, (3, h, w)).astype(dtype)
+    cache = []
+    feats = enc.backbone_features(image, params, cache).scales()
+    grads = [rng.uniform(-1, 1, f.shape).astype(dtype) for f in feats]
+    gx, pgrads = enc.backbone_backward(cache, grads)
+    rfeats, rgx, rpgrads = ref_backbone_backward(image, params, grads)
+    for f, rf in zip(feats, rfeats):
+        assert f.dtype == dtype and np.array_equal(f, rf)
+    assert gx.dtype == dtype and np.array_equal(gx, rgx)
+    assert_trees_equal(pgrads, rpgrads)
 
 
 def dark_patched(rng, h, w):

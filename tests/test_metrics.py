@@ -22,6 +22,11 @@ def random_boxes(rng, n, n_classes=3, scored=True):
     return out
 
 
+def one_frame(boxes):
+    """map_at's (frame_id, BBox) pairs, every box in frame 0."""
+    return [(0, b) for b in boxes]
+
+
 class TestMatchDetections:
     def test_iou_above_threshold_is_tp(self):
         gt = BBox(0.5, 0.5, 0.4, 0.4)
@@ -125,13 +130,13 @@ class TestMapAt:
     def test_perfect_predictions(self):
         gts = random_boxes(tc.Rng(33), 5, scored=False)
         preds = [BBox(g.cx, g.cy, g.w, g.h, g.class_id, score=0.9) for g in gts]
-        res = mx.map_at(preds, gts)
+        res = mx.map_at(one_frame(preds), one_frame(gts))
         assert res[0.5].map == 1.0
         assert res[0.75].map == 1.0
 
     def test_empty_predictions(self):
         gts = random_boxes(tc.Rng(34), 4, scored=False)
-        res = mx.map_at([], gts)
+        res = mx.map_at([], one_frame(gts))
         assert res[0.5].map == 0.0
         for k, cnt in res[0.5].fn.items():
             assert cnt == sum(1 for g in gts if g.class_id == k)
@@ -155,23 +160,30 @@ class TestMapAt:
         for _ in range(10):
             gts = random_boxes(rng, 5, scored=False)
             preds = random_boxes(rng, 8)
-            res = mx.map_at(preds, gts, thresholds=(0.5, 0.75))
+            res = mx.map_at(one_frame(preds), one_frame(gts), thresholds=(0.5, 0.75))
             assert res[0.75].map <= res[0.5].map + 1e-12
 
     def test_tp_plus_fn_equals_gt_count(self):
         rng = tc.Rng(36)
         gts = random_boxes(rng, 6, scored=False)
         preds = random_boxes(rng, 6)
-        res = mx.map_at(preds, gts, thresholds=(0.5,))[0.5]
+        res = mx.map_at(one_frame(preds), one_frame(gts), thresholds=(0.5,))[0.5]
         for k in res.tp:
             n_gt = sum(1 for g in gts if g.class_id == k)
             assert res.tp[k] + res.fn[k] == n_gt
+
+    def test_bare_box_list_rejected(self):
+        # a bare list once meant one frame; beside pairs it put every
+        # prediction in frame 0
+        gts = random_boxes(tc.Rng(38), 3, scored=False)
+        with pytest.raises(TypeError):
+            mx.map_at(gts, one_frame(gts))
 
     def test_no_true_negative_count(self):
         # detection has no enumerable set of correctly absent boxes
         rng = tc.Rng(37)
         gts = random_boxes(rng, 5, scored=False)
         preds = random_boxes(rng, 10)
-        res = mx.map_at(preds, gts, thresholds=(0.5,))[0.5]
+        res = mx.map_at(one_frame(preds), one_frame(gts), thresholds=(0.5,))[0.5]
         assert list(vars(res)) == ["ap", "map", "tp", "fp", "fn"]
 
