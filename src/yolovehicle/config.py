@@ -2,35 +2,17 @@
 
 Unknown keys are rejected with the offending line number; absent keys fall
 back to defaults; command-line flags, built from the same schema, override
-file values and pass the same range checks.
+file values and pass the same range checks. Each range check is the one
+of the module that uses the value; this module only parses and delegates.
 """
 
 from __future__ import annotations
 
-from math import inf
-
-from .detection import NMS_IOU, OBJ_THRESH, DetectLossWeights
-from .edgecloud import TIMEOUT_MS, OffloadPolicy, parse_addr
+from .detection import (NMS_IOU, OBJ_THRESH, DetectLossWeights,
+                        check_loss_weight, check_threshold)
+from .edgecloud import TIMEOUT_MS, OffloadPolicy, check_timeout, parse_addr
 from .encoders import TextInput
 from .model import PROMPT
-
-
-def _non_negative(name, value):
-    if not 0 <= value < inf:
-        raise ValueError(f"{name} must be non-negative and finite, got {value}")
-    return value
-
-
-def _positive(name, value):
-    if not 0 < value < inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
-
-
-def _open_unit_interval(name, value):
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    return value
 
 
 def _policy(name, value):
@@ -55,24 +37,27 @@ def _prompt(name, value):
     return value
 
 
-# name -> (parser, default as the library keeps it, validator or None, flag help)
+# name -> (parser, default as the library keeps it, the using module's
+# check or None, flag help)
 SCHEMA = {
     "weights": (str, "weights.bin", None, "weights archive path"),
     "mode": (str, OffloadPolicy.mode, _policy,
              "offload policy: always_edge, always_cloud or adaptive"),
     "tau": (float, OffloadPolicy.tau, _policy, "haze threshold for adaptive routing"),
-    "lambda1": (float, DetectLossWeights.lambda_cls, _non_negative, "classification loss weight"),
-    "lambda2": (float, DetectLossWeights.lambda_bbox, _non_negative, "box (CIoU) loss weight"),
-    "lambda3": (float, DetectLossWeights.lambda_dfl, _non_negative, "distribution focal loss weight"),
+    "lambda1": (float, DetectLossWeights.lambda_cls, check_loss_weight,
+                "classification loss weight"),
+    "lambda2": (float, DetectLossWeights.lambda_bbox, check_loss_weight,
+                "box (CIoU) loss weight"),
+    "lambda3": (float, DetectLossWeights.lambda_dfl, check_loss_weight,
+                "distribution focal loss weight"),
     "seed": (int, None, None,
              "fix all RNG streams so output is reproducible; unset, "
              "train-toy trains from seed 0"),
-    "obj_thresh": (float, OBJ_THRESH, _open_unit_interval, "objectness threshold"),
-    "nms_iou": (float, NMS_IOU, _open_unit_interval, "NMS IoU threshold"),
+    "obj_thresh": (float, OBJ_THRESH, check_threshold, "objectness threshold"),
+    "nms_iou": (float, NMS_IOU, check_threshold, "NMS IoU threshold"),
     "text": (str, PROMPT, _prompt, "comma-separated detection phrases"),
     "cloud": (str, "", _address, "cloud node address host:port"),
-    # 0 would make the socket non-blocking, not patient
-    "timeout_ms": (float, TIMEOUT_MS, _positive, "cloud request timeout in ms"),
+    "timeout_ms": (float, TIMEOUT_MS, check_timeout, "cloud request timeout in ms"),
 }
 
 

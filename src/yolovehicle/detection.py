@@ -21,6 +21,22 @@ OBJ_THRESH = 0.5  # default objectness threshold of every detecting caller
 NMS_IOU = 0.5     # default NMS IoU threshold, likewise
 
 
+def check_threshold(name: str, value: float) -> float:
+    """value, if it lies strictly inside (0, 1); ValueError naming name
+    otherwise."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+    return value
+
+
+def check_loss_weight(name: str, value: float) -> float:
+    """value, if it is non-negative and finite; ValueError naming name
+    otherwise."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be non-negative and finite, got {value}")
+    return value
+
+
 @dataclass
 class HeadParams:
     w_obj: np.ndarray  # [1, C]
@@ -65,9 +81,9 @@ class DetectLossWeights:
     lambda_dfl: float = 0.4
 
     def __post_init__(self):
-        vals = (self.lambda_cls, self.lambda_bbox, self.lambda_dfl)
-        if not all(0 <= v < math.inf for v in vals):
-            raise ValueError(f"loss weights must be non-negative and finite: {vals}")
+        vals = (check_loss_weight("lambda_cls", self.lambda_cls),
+                check_loss_weight("lambda_bbox", self.lambda_bbox),
+                check_loss_weight("lambda_dfl", self.lambda_dfl))
         if not any(v > 0 for v in vals):
             raise ValueError("at least one loss weight must be positive")
 
@@ -373,8 +389,8 @@ def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
     score, ties in row-major cell order; each kept box suppresses the later
     same-class candidates whose `iou` with it exceeds nms_iou.
     """
-    if not (0 < obj_thresh < 1 and 0 < nms_iou < 1):
-        raise ValueError("thresholds must lie in (0, 1)")
+    check_threshold("obj_thresh", obj_thresh)
+    check_threshold("nms_iou", nms_iou)
     _, h, w = out.obj.shape
     nb = REG_MAX + 1
     # float64 first: numpy compares a float32 array with a Python float in

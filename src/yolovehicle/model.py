@@ -72,7 +72,7 @@ def init_bundle(seed: int) -> ModelBundle:
 def save_bundle(path, bundle: ModelBundle) -> None:
     tensors = {"meta": META}
     tensors.update(tc.param_items(bundle))
-    tc.save_archive(path, tensors)
+    tc.atomic_write(path, tc.archive_to_bytes(tensors))
 
 
 class ArchiveVersionError(ValueError):

@@ -69,8 +69,3 @@ def image_to_ppm_bytes(image: np.ndarray) -> bytes:
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return image_from_ppm_bytes(fh.read())
-
-
-def write_ppm(path, image: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(image_to_ppm_bytes(image))

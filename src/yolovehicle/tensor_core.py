@@ -457,11 +457,6 @@ def archive_entries(buf: bytes):
         yield name, arr
 
 
-def archive_from_bytes(buf: bytes) -> dict[str, np.ndarray]:
-    """Inverse of archive_to_bytes; raises as archive_entries does."""
-    return dict(archive_entries(buf))
-
-
 def atomic_write(path, data) -> None:
     """Writes bytes or text to path via a temp file in the same directory,
     so a failure part-way leaves an existing file at path untouched."""
@@ -476,12 +471,3 @@ def atomic_write(path, data) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def save_archive(path, tensors: dict[str, np.ndarray]) -> None:
-    atomic_write(path, archive_to_bytes(tensors))
-
-
-def load_archive(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        return archive_from_bytes(fh.read())

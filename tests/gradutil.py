@@ -1,14 +1,19 @@
 """Shared test helpers: finite-difference checks on a random coordinate
-subset, a dehazing scene posed for them, and a cloud link that is down.
+subset, a dehazing scene posed for them, a cloud link that is down, and a
+cloud node served over TCP.
 
 Full parameter matrices are too large for per-coordinate central differences,
 so each check probes a deterministic random subset of coordinates; the
 analytic gradient is still produced by the full backward pass.
 """
 
+import contextlib
+import threading
+
 import numpy as np
 
 from yolovehicle import dehaze as dh
+from yolovehicle import edgecloud as ec
 from yolovehicle import tensor_core as tc
 
 
@@ -55,3 +60,21 @@ class DownTransport:
 
     def request(self, data: bytes) -> bytes:
         raise ConnectionError("cloud unreachable")
+
+
+@contextlib.contextmanager
+def serving(node):
+    """Serves node with a CloudServer on a free local port from a thread;
+    yields the server, and shuts it down and closes it on exit. The server
+    polls for shutdown every 10 ms: serve_forever's default of 0.5 s would
+    make each exit wait up to half a second."""
+    server = ec.CloudServer("127.0.0.1:0", node)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,),
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

@@ -377,7 +377,8 @@ class TestThroughputConsistency:
         for i in range(2):
             raw = np.clip(np.rint(tc.Rng(151 + i).uniform(0, 1, (3, 32, 32))
                                   * 255), 0, 255)
-            ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
+            (indir / f"{i}.ppm").write_bytes(
+                ppm.image_to_ppm_bytes(raw.astype(np.float32) / 255.0))
         outputs = []
         for run in range(2):
             report_path = tmp_path / f"bench{run}.json"

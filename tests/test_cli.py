@@ -4,11 +4,11 @@ import inspect
 import json
 import os
 import shlex
-import threading
 
 import numpy as np
 import pytest
 
+from gradutil import serving
 from yolovehicle import cli
 from yolovehicle import config as cfgmod
 from yolovehicle import detection as det
@@ -34,7 +34,7 @@ def run(argv):
 def image_path(tmp_path):
     raw = np.clip(np.rint(tc.Rng(90).uniform(0, 1, (3, 64, 64)) * 255), 0, 255)
     path = tmp_path / "frame.ppm"
-    ppm.write_ppm(path, raw.astype(np.float32) / 255.0)
+    path.write_bytes(ppm.image_to_ppm_bytes(raw.astype(np.float32) / 255.0))
     return str(path)
 
 
@@ -243,7 +243,8 @@ class TestDetect:
         # an archive from before the version entry: the attention
         # generator's seven-entry stamp
         weights = tmp_path / "old.bin"
-        tc.save_archive(weights, {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)})
+        tc.atomic_write(weights, tc.archive_to_bytes(
+            {"meta": np.array([8, 3, 7, 8, 2, 4, 2], np.float32)}))
         code = run(["detect", "--image", image_path, "--weights", str(weights),
                     "--output", str(tmp_path / "o.jsonl")])
         assert code == 1
@@ -283,7 +284,7 @@ class TestDehaze:
         # no attention window to divide the frame: a KITTI-like odd size
         # restores too
         image = tmp_path / "odd.ppm"
-        ppm.write_ppm(image, tc.Rng(91).uniform(0, 1, (3, 37, 301)))
+        image.write_bytes(ppm.image_to_ppm_bytes(tc.Rng(91).uniform(0, 1, (3, 37, 301))))
         out = tmp_path / "restored.ppm"
         assert run(["dehaze", "--image", str(image), "--output", str(out),
                     "--seed", "3"]) == 0
@@ -379,7 +380,8 @@ class TestBench:
         for i in range(2):
             raw = np.clip(np.rint(tc.Rng(91 + i).uniform(0, 1, (3, 64, 64)) * 255),
                           0, 255)
-            ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
+            (indir / f"{i}.ppm").write_bytes(
+                ppm.image_to_ppm_bytes(raw.astype(np.float32) / 255.0))
         out = tmp_path / "bench.json"
         dets = tmp_path / "d.jsonl"
         code = run(["bench", "--input-dir", str(indir), "--repetitions", "2",
@@ -406,7 +408,8 @@ class TestBench:
     def test_zero_repetitions_exit_one(self, tmp_path, capsys):
         indir = tmp_path / "imgs"
         indir.mkdir()
-        ppm.write_ppm(indir / "a.ppm", np.zeros((3, 32, 32), np.float32))
+        (indir / "a.ppm").write_bytes(
+            ppm.image_to_ppm_bytes(np.zeros((3, 32, 32), np.float32)))
         out, dets = tmp_path / "r.json", tmp_path / "d.jsonl"
         assert run(["bench", "--input-dir", str(indir), "--repetitions", "0",
                     "--mode", "always_edge", "--seed", "1",
@@ -420,7 +423,8 @@ class TestBench:
     def test_cloud_mode_without_address_fails(self, tmp_path, capsys):
         indir = tmp_path / "imgs"
         indir.mkdir()
-        ppm.write_ppm(indir / "a.ppm", np.zeros((3, 32, 32), np.float32))
+        (indir / "a.ppm").write_bytes(
+            ppm.image_to_ppm_bytes(np.zeros((3, 32, 32), np.float32)))
         assert run(["bench", "--input-dir", str(indir),
                     "--mode", "always_cloud", "--seed", "1",
                     "--output", str(tmp_path / "r.json")]) == 1
@@ -432,7 +436,8 @@ class TestBench:
         for i in range(3):
             raw = np.clip(np.rint(tc.Rng(95 + i).uniform(0, 1, (3, 32, 32)) * 255),
                           0, 255)
-            ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
+            (indir / f"{i}.ppm").write_bytes(
+                ppm.image_to_ppm_bytes(raw.astype(np.float32) / 255.0))
         out = tmp_path / "dets.jsonl"
         stats = tmp_path / "stats.json"
         code = run(["bench", "--input-dir", str(indir),
@@ -449,7 +454,8 @@ class TestBench:
         for i in range(3):
             raw = np.clip(np.rint(tc.Rng(98 + i).uniform(0, 1, (3, 32, 32)) * 255),
                           0, 255)
-            ppm.write_ppm(indir / f"{i}.ppm", raw.astype(np.float32) / 255.0)
+            (indir / f"{i}.ppm").write_bytes(
+                ppm.image_to_ppm_bytes(raw.astype(np.float32) / 255.0))
         bundle = md.init_bundle(9)
         opened = []
 
@@ -459,18 +465,12 @@ class TestBench:
                 opened.append(self)
 
         monkeypatch.setattr(ec, "SocketTransport", RecordedTransport)
-        server = ec.CloudServer("127.0.0.1:0", ec.LoopbackTransport(bundle))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            out = tmp_path / "dets.jsonl"
+        out = tmp_path / "dets.jsonl"
+        with serving(ec.LoopbackTransport(bundle)) as server:
             code = run(["bench", "--input-dir", str(indir),
                         "--mode", "always_cloud", "--cloud", server.addr,
                         "--timeout-ms", "5000", "--seed", "9",
                         "--detections", str(out), "--output", str(tmp_path / "s.json")])
-        finally:
-            server.shutdown()
-            server.server_close()
         assert code == 0
         report = json.loads((tmp_path / "s.json").read_text())
         assert report["cloud"] == 3 and report["degraded"] == 0
@@ -525,7 +525,8 @@ class TestConfigPrecedence:
                                                           capsys):
         indir = tmp_path / "imgs"
         indir.mkdir()
-        ppm.write_ppm(indir / "0.ppm", np.full((3, 32, 32), 0.5, np.float32))
+        (indir / "0.ppm").write_bytes(
+            ppm.image_to_ppm_bytes(np.full((3, 32, 32), 0.5, np.float32)))
         code = run(["bench", "--input-dir", str(indir), "--mode", "always_cloud",
                     "--cloud", "127.0.0.1:9", "--timeout-ms", "-5", "--seed", "1",
                     "--detections", str(tmp_path / "o.jsonl")])
@@ -589,7 +590,8 @@ class TestConfigPrecedence:
         monkeypatch.chdir(tmp_path)
         indir = tmp_path / "imgs"
         indir.mkdir()
-        ppm.write_ppm(indir / "0.ppm", np.full((3, 32, 32), 0.5, np.float32))
+        (indir / "0.ppm").write_bytes(
+            ppm.image_to_ppm_bytes(np.full((3, 32, 32), 0.5, np.float32)))
         missing = tmp_path / "nonexistent" / "w.bin"
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"weights={missing}\nseed=3\n")

@@ -273,9 +273,13 @@ class TestDetectLoss:
             det.DetectLossWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             det.DetectLossWeights(-1.0, 1.0, 1.0)
+        # each weight is named as config names its key's value
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="non-negative and finite"):
+            with pytest.raises(ValueError,
+                               match="lambda_cls must be non-negative and finite"):
                 det.DetectLossWeights(bad, 1.0, 1.0)
+        with pytest.raises(ValueError, match="lambda_dfl must be non-negative"):
+            det.DetectLossWeights(1.0, 1.0, -0.5)
 
     def test_frozen_alphas_reproduce_the_total_bit_for_bit(self):
         # a seeded scene whose decoded box is one of the rare pairs where an
@@ -383,6 +387,15 @@ class TestDecode:
         out.obj[0, 0, 1] = np.float32(0.7)
         assert det.decode_detections(out, 0.7, 0.5) == []
         assert len(det.decode_detections(out, float(np.float32(0.7)), 0.5)) == 1
+
+    @pytest.mark.parametrize("obj_thresh, nms_iou, name", [
+        (1.5, 0.5, "obj_thresh"), (0.0, 0.5, "obj_thresh"),
+        (float("nan"), 0.5, "obj_thresh"), (0.5, 1.0, "nms_iou"),
+        (0.5, -0.1, "nms_iou"), (0.5, float("inf"), "nms_iou"),
+    ])
+    def test_threshold_outside_unit_interval_is_named(self, obj_thresh, nms_iou, name):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\), got "):
+            det.decode_detections(self.saturated_output(), obj_thresh, nms_iou)
 
     def test_decode_assign_roundtrip(self):
         out = self.saturated_output(grid=(4, 4))

@@ -307,9 +307,8 @@ def test_leaky_relu_equals_where_form():
 
 
 @pytest.mark.parametrize("windows", [1, 3, 255, 256, 257, 600])
-def test_attention_equals_reference_across_chunk_boundary(windows):
-    # [windows, heads=2, tokens=16, d=4]: from one batch entry to 600,
-    # past the 256 float32 windows where attention once split its batch
+def test_attention_equals_reference_across_batch_sizes(windows):
+    # [windows, heads=2, tokens=16, d=4]: from one batch entry to 600
     rng = tc.Rng(950 + windows)
     for dtype in (np.float32, np.float64):
         q, k, v = (rng.uniform(-2, 2, (windows, 2, 16, 4)).astype(dtype)

@@ -42,7 +42,7 @@ class TestBundle:
 
     def test_load_rejects_archive_without_meta(self, tmp_path):
         path = tmp_path / "bad.bin"
-        tc.save_archive(path, {"x": np.zeros((2, 2), np.float32)})
+        tc.atomic_write(path, tc.archive_to_bytes({"x": np.zeros((2, 2), np.float32)}))
         with pytest.raises(ValueError):
             md.load_bundle(path)
 
@@ -53,7 +53,7 @@ class TestBundle:
         path = tmp_path / "init0.bin"
         md.save_bundle(path, bundle)
         names = [n for n, _ in tc.param_items(bundle)]
-        assert list(tc.load_archive(path)) == ["meta"] + names
+        assert [n for n, _ in tc.archive_entries(path.read_bytes())] == ["meta"] + names
         assert names[:4] == ["text.embed", "text.w_out", "text.b_out",
                              "text.layers.0.wq"]
         buf = path.read_bytes()
@@ -77,7 +77,7 @@ class TestBundle:
         tensors = {"meta": np.array(meta, np.float32)}
         tensors.update(tc.param_items(md.init_bundle(13)))
         path = tmp_path / "other_meta.bin"
-        tc.save_archive(path, tensors)
+        tc.atomic_write(path, tc.archive_to_bytes(tensors))
         shown = str([float(v) for v in meta])
         with pytest.raises(ValueError, match=re.escape(shown)):
             md.load_bundle(path)
@@ -88,7 +88,7 @@ class TestBundle:
             tensors.update(tc.param_items(md.init_bundle(13)))
             tensors[name] = np.zeros(shape, np.float32)
             path = tmp_path / "bad_shape.bin"
-            tc.save_archive(path, tensors)
+            tc.atomic_write(path, tc.archive_to_bytes(tensors))
             with pytest.raises(ValueError, match=name):
                 md.load_bundle(path)
 
@@ -104,7 +104,7 @@ class TestBundle:
         tensors.update(tc.param_items(md.init_bundle(13)))
         del tensors["head.w_obj"]
         path = tmp_path / "short.bin"
-        tc.save_archive(path, tensors)
+        tc.atomic_write(path, tc.archive_to_bytes(tensors))
         with pytest.raises(ValueError, match="missing \\['head.w_obj'\\]"):
             md.load_bundle(path)
 
@@ -125,7 +125,7 @@ class TestBundle:
         tensors.update(tc.param_items(md.init_bundle(13)))
         tensors["head.w_extra"] = np.zeros(3, np.float32)
         path = tmp_path / "long.bin"
-        tc.save_archive(path, tensors)
+        tc.atomic_write(path, tc.archive_to_bytes(tensors))
         with pytest.raises(ValueError, match="extra \\['head.w_extra'\\]"):
             md.load_bundle(path)
 
@@ -142,8 +142,8 @@ class TestBundle:
         # a truncated entry follows the meta record: the version check must
         # not read it
         path = tmp_path / "old.bin"
-        tc.save_archive(path, {"meta": np.array(meta, np.float32),
-                               "head.b_obj": np.zeros(1, np.float32)})
+        tc.atomic_write(path, tc.archive_to_bytes({
+            "meta": np.array(meta, np.float32), "head.b_obj": np.zeros(1, np.float32)}))
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(md.ArchiveVersionError,
                            match=f"format version {shown}, this build reads version 2"):
@@ -154,7 +154,7 @@ class TestBundle:
         tensors = dict(tc.param_items(md.init_bundle(13)))
         tensors["meta"] = md.META
         path = tmp_path / "late_meta.bin"
-        tc.save_archive(path, tensors)
+        tc.atomic_write(path, tc.archive_to_bytes(tensors))
         with pytest.raises(ValueError, match="does not begin with a meta record"):
             md.load_bundle(path)
 
@@ -373,7 +373,7 @@ class TestPpm:
     def test_roundtrip_quantized(self, tmp_path):
         image = tc.Rng(19).uniform(0.0, 1.0, (3, 6, 9))
         path = tmp_path / "img.ppm"
-        ppm.write_ppm(path, image)
+        path.write_bytes(ppm.image_to_ppm_bytes(image))
         back = ppm.read_ppm(path)
         assert back.shape == image.shape
         assert back.dtype == np.float32

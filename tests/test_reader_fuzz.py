@@ -56,6 +56,10 @@ def check_image(image):
     assert image.size == 0 or (image.min() >= 0.0 and image.max() <= 1.0)
 
 
+def read_archive(buf):
+    return dict(tc.archive_entries(buf))
+
+
 def check_archive(tensors):
     for name, arr in tensors.items():
         assert isinstance(name, str)
@@ -87,7 +91,7 @@ class TestTsrFuzz:
             "a": tc.Rng(310).uniform(-1, 1, (3,)),
             "b.w": tc.Rng(311).uniform(-1, 1, (2, 1, 2, 1)),
         })
-        decoded, rejected = outcomes(tc.archive_from_bytes, mutants(base, 312),
+        decoded, rejected = outcomes(read_archive, mutants(base, 312),
                                      check_archive)
         assert decoded > 0 and rejected > 0
 
@@ -106,7 +110,7 @@ class TestTsrFuzz:
             inputs.append(archive(1, 1, rank, (3,)))
         for count, nlen in itertools.product(big, (0, 1, 2, 0xFFFF)):
             inputs.append(archive(count, nlen, 1, (3,)))
-        decoded, rejected = outcomes(tc.archive_from_bytes, inputs, check_archive)
+        decoded, rejected = outcomes(read_archive, inputs, check_archive)
         assert decoded > 0 and rejected > 0
 
     def test_forged_dims_whose_product_wraps_in_int64_are_truncated(self):

@@ -269,8 +269,8 @@ class TestTsrFormat:
     def test_archive_roundtrip(self, tmp_path):
         tensors = {"a.w": tc.Rng(1).uniform(-1, 1, (3, 3)), "b": np.zeros(5, np.float32)}
         p = tmp_path / "w.bin"
-        tc.save_archive(p, tensors)
-        back = tc.load_archive(p)
+        tc.atomic_write(p, tc.archive_to_bytes(tensors))
+        back = dict(tc.archive_entries(p.read_bytes()))
         assert set(back) == {"a.w", "b"}
         for k in tensors:
             assert np.array_equal(back[k], tensors[k])
@@ -282,7 +282,7 @@ class TestTsrFormat:
         # then every other strict prefix
         for cut in [2, 5] + list(range(len(buf))):
             with pytest.raises(ValueError):
-                tc.archive_from_bytes(buf[:cut])
+                dict(tc.archive_entries(buf[:cut]))
 
     def test_repeated_name_rejected_naming_it(self):
         # a second "a" record, with the count raised to match
@@ -291,7 +291,7 @@ class TestTsrFormat:
         extra = struct.pack("<H", 1) + b"a" + tc.tensor_to_bytes(np.ones(2, np.float32))
         forged = struct.pack("<I", 3) + buf[4:] + extra
         with pytest.raises(ValueError, match="tensor 'a' twice"):
-            tc.archive_from_bytes(forged)
+            dict(tc.archive_entries(forged))
 
     def test_entries_come_in_stored_order_one_at_a_time(self):
         # a truncated last entry raises only once it is asked for
@@ -316,7 +316,7 @@ class TestTsrFormat:
     def test_non_utf8_name_rejected(self):
         buf = tc.archive_to_bytes({"ab": np.zeros(1, np.float32)})
         with pytest.raises(ValueError):
-            tc.archive_from_bytes(buf[:6] + b"\xff" + buf[7:])
+            dict(tc.archive_entries(buf[:6] + b"\xff" + buf[7:]))
 
     def test_rank_outside_one_to_four_rejected(self):
         with pytest.raises(ValueError, match="rank 5"):
