@@ -53,10 +53,10 @@ class TestBundle:
         path = tmp_path / "init0.bin"
         md.save_bundle(path, bundle)
         names = [n for n, _ in tc.param_items(bundle)]
-        assert [n for n, _ in tc.archive_entries(path.read_bytes())] == ["meta"] + names
+        buf = path.read_bytes()
+        assert [n for n, _ in tc.archive_entries(buf)] == ["meta"] + names
         assert names[:4] == ["text.embed", "text.w_out", "text.b_out",
                              "text.layers.0.wq"]
-        buf = path.read_bytes()
         assert len(buf) == 3687678
         assert hashlib.sha256(buf).hexdigest() == \
             "8db63990a648450b2e01ed908465fdeb662159a3e45630be2af4fd2af70dd562"
