@@ -37,8 +37,8 @@ def _prompt(name, value):
     return value
 
 
-# name -> (parser, default as the library keeps it, the using module's
-# check or None, flag help)
+# name -> (parser, default as the library keeps it, the check of the module
+# that uses the value or None, flag help)
 SCHEMA = {
     "weights": (str, "weights.bin", None, "weights archive path"),
     "mode": (str, OffloadPolicy.mode, _policy,

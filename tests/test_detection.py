@@ -273,7 +273,7 @@ class TestDetectLoss:
             det.DetectLossWeights(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             det.DetectLossWeights(-1.0, 1.0, 1.0)
-        # each weight is named as config names its key's value
+        # the error names the field
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError,
                                match="lambda_cls must be non-negative and finite"):
