@@ -226,20 +226,31 @@ def ciou_loss_with_grad(pred: np.ndarray, gt: BBox, alpha: float | None = None):
     return float(loss), grad, alpha
 
 
-def dfl_loss_with_grad(dist_logits: np.ndarray, target: float):
-    """Distribution focal loss over one side's bins; grad is wrt the logits."""
-    reg_max = dist_logits.shape[0] - 1
-    if not 0.0 <= target <= reg_max:
-        raise ValueError(f"target {target} outside [0, {reg_max}]")
-    i = min(int(math.floor(target)), reg_max - 1)
-    wl = (i + 1) - target
-    wr = target - i
-    p = tc.softmax(np.asarray(dist_logits, dtype=np.float64))
-    loss = -(wl * math.log(max(p[i], 1e-300)) + wr * math.log(max(p[i + 1], 1e-300)))
-    y = np.zeros_like(p)
-    y[i] = wl
-    y[i + 1] = wr
-    return float(loss), (p - y).astype(np.asarray(dist_logits).dtype)
+# math.log elementwise: numpy's vectorised log differs from the C library's in
+# the last place on about 0.5% of inputs, and the losses keep the latter's
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def dfl_loss_with_grad(probs: np.ndarray, target):
+    """Distribution focal loss over the last axis's bins, from their softmax
+    probabilities, with one target distance per leading index. Returns the
+    loss per leading index and its gradient wrt the bin logits."""
+    reg_max = probs.shape[-1] - 1
+    target = np.asarray(target, dtype=np.float64)
+    outside = ~((0.0 <= target) & (target <= reg_max))
+    if outside.any():
+        raise ValueError(f"target {target[outside][0]} outside [0, {reg_max}]")
+    # each side as a row of grad, and the two bins around its target
+    grad = probs.reshape(-1, reg_max + 1).copy()
+    t, side = target.reshape(-1), np.arange(target.size)
+    i = np.minimum(np.floor(t).astype(np.intp), reg_max - 1)
+    wl, wr = (i + 1) - t, t - i
+    pl, pr = grad[side, i], grad[side, i + 1]
+    logs = _libm_log(np.maximum([pl, pr], 1e-300)).astype(np.float64)
+    loss = -(wl * logs[0] + wr * logs[1])
+    grad[side, i] = pl - wl
+    grad[side, i + 1] = pr - wr
+    return loss.reshape(target.shape), grad.reshape(probs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +308,9 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray):
     return loss, grad
 
 
-def _decoded_box(dist_probs: np.ndarray, row: int, col: int, grid: tuple[int, int]):
-    """Expected distances -> (box params, expected values). dist_probs: [4, nb]."""
-    h, w = grid
-    nb = dist_probs.shape[1]
-    bins = np.arange(nb, dtype=np.float64)
-    e = dist_probs @ bins  # [4] expected l, t, r, b
-    ccx, ccy = (col + 0.5) / w, (row + 0.5) / h
-    x1, y1 = ccx - e[0] / w, ccy - e[1] / h
-    x2, y2 = ccx + e[2] / w, ccy + e[3] / h
-    box = np.array([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1])
-    return box, e
+def _sum_in_order(start, values: np.ndarray):
+    """start + values[0] + values[1] + ..., left to right like a loop, not pairwise."""
+    return np.add.accumulate(np.concatenate(([start], values.ravel())))[-1]
 
 
 def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLossWeights,
@@ -320,59 +323,62 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLos
     n_classes = out.cls_logits.shape[0]
     positives = sorted(targets.boxes.keys())
     n_pos = len(positives)
+    rows, cols = np.array(positives, dtype=np.intp).reshape(n_pos, 2).T
 
     # classification: BCE over the objectness map plus per-class BCE at positives
     obj_terms, g_obj = _bce_with_logits(out.obj_logits[0], targets.obj)
     n_terms = h * w + n_pos * n_classes
+    g_obj = (g_obj / n_terms)[None, :, :]
     g_cls = np.zeros_like(out.cls_logits)
     cls_sum = obj_terms.sum()
-    for (r, c) in positives:
-        y = np.zeros(n_classes)
-        y[targets.cls[r, c]] = 1.0
-        terms, g = _bce_with_logits(out.cls_logits[:, r, c], y)
-        cls_sum += terms.sum()
-        g_cls[:, r, c] = g / n_terms
-    l_cls = float(cls_sum / n_terms)
-    g_obj = (g_obj / n_terms)[None, :, :]
-
     g_box = np.zeros_like(out.box)
-    l_bbox = 0.0
-    l_dfl = 0.0
+    l_bbox = l_dfl = 0.0
     alphas: dict = {}
     if n_pos:
-        grid = (h, w)
-        for (r, c) in positives:
-            logits = out.box[:, r, c].reshape(4, nb).astype(np.float64)
-            probs = tc.softmax(logits, axis=1)
-            box, e = _decoded_box(probs, r, c, grid)
-            gt = targets.boxes[(r, c)]
-            pinned = None if frozen_alphas is None else frozen_alphas[(r, c)]
-            closs, cg, alphas[(r, c)] = ciou_loss_with_grad(box, gt, alpha=pinned)
+        z = np.ascontiguousarray(out.cls_logits[:, rows, cols].T)  # [n, K]
+        terms, g = _bce_with_logits(z, np.eye(n_classes)[targets.cls[rows, cols]])
+        cls_sum = _sum_in_order(cls_sum, terms.sum(axis=1))
+        g_cls[:, rows, cols] = (g / n_terms).T
+
+        probs, e, mid, size = _cell_boxes(out.box, rows, cols)
+        g_pred = np.empty((n_pos, 4))
+        for k, cell in enumerate(positives):
+            pinned = None if frozen_alphas is None else frozen_alphas[cell]
+            closs, g_pred[k], alphas[cell] = ciou_loss_with_grad(
+                (*mid[k], *size[k]), targets.boxes[cell], alpha=pinned)
             l_bbox += closs
-            # chain box params -> expected distances -> bin logits
-            gcx, gcy, gw, gh = cg
-            g_e = np.array([
-                -gcx / (2 * w) + gw / w,
-                -gcy / (2 * h) + gh / h,
-                gcx / (2 * w) + gw / w,
-                gcy / (2 * h) + gh / h,
-            ]) / n_pos
-            bins = np.arange(nb, dtype=np.float64)
-            g_logits = probs * (bins[None, :] - e[:, None]) * g_e[:, None]
-            g_cell = weights.lambda_bbox * g_logits
-            for side in range(4):
-                dloss, dgrad = dfl_loss_with_grad(logits[side], float(targets.dist[side, r, c]))
-                l_dfl += dloss
-                g_cell[side] += weights.lambda_dfl * dgrad / (4 * n_pos)
-            g_box[:, r, c] = g_cell.reshape(-1)
         l_bbox /= n_pos
-        l_dfl /= 4 * n_pos
+        # chain box params -> expected distances (l, t, r, b) -> bin logits
+        half, side = g_pred[:, :2] / [2 * w, 2 * h], g_pred[:, 2:] / [w, h]
+        g_e = np.concatenate([-half + side, half + side], axis=1) / n_pos
+        dfl, g_dfl = dfl_loss_with_grad(probs, targets.dist[:, rows, cols].T)
+        l_dfl = float(_sum_in_order(0.0, dfl)) / (4 * n_pos)
+        g_cells = (weights.lambda_bbox * (probs * (np.arange(nb) - e[..., None]) * g_e[..., None])
+                   + weights.lambda_dfl * g_dfl / (4 * n_pos))
+        g_box.reshape(4, nb, h, w)[:, :, rows, cols] = g_cells.transpose(1, 2, 0)
+    l_cls = float(cls_sum / n_terms)
 
     total = (weights.lambda_cls * l_cls + weights.lambda_bbox * l_bbox
              + weights.lambda_dfl * l_dfl)
     g_obj = weights.lambda_cls * g_obj
     g_cls = weights.lambda_cls * g_cls
     return DetectLoss(total, l_cls, l_bbox, l_dfl, alphas), (g_obj, g_box, g_cls)
+
+
+def _cell_boxes(box: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """The float64 bin softmax [n, 4, REG_MAX+1], expected side distances
+    [n, 4] (l, t, r, b, in cells), and unclipped box centres and sides
+    ([n, 2] (x, y) pairs, image units) of the listed cells of the head's
+    [4*(REG_MAX+1), H, W] box logits."""
+    _, h, w = box.shape
+    nb = REG_MAX + 1
+    logits = box.reshape(4, nb, h, w)[:, :, rows, cols]
+    probs = tc.softmax(logits.transpose(2, 0, 1).astype(np.float64, order="C"), axis=2)
+    e = probs @ np.arange(nb, dtype=np.float64)
+    grid = np.array([w, h], dtype=np.float64)
+    centre = (np.stack([cols, rows], axis=1) + 0.5) / grid
+    lo, hi = centre - e[:, :2] / grid, centre + e[:, 2:] / grid
+    return probs, e, (lo + hi) / 2, hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +391,12 @@ def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
 
     Array code with the arithmetic of a per-cell loop: a cell is a candidate
     unless its objectness, in float64, lies below obj_thresh; its box is the
-    `_decoded_box` expectation clipped to the unit square; candidates rank by
+    `_cell_boxes` expectation clipped to the unit square; candidates rank by
     score, ties in row-major cell order; each kept box suppresses the later
     same-class candidates whose `iou` with it exceeds nms_iou.
     """
     check_threshold("obj_thresh", obj_thresh)
     check_threshold("nms_iou", nms_iou)
-    _, h, w = out.obj.shape
-    nb = REG_MAX + 1
     # float64 first: numpy compares a float32 array with a Python float in
     # float32, where np.float32(0.7) < 0.7 is false
     obj64 = out.obj[0].astype(np.float64)
@@ -400,14 +404,7 @@ def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
     order = np.argsort(-obj64[rows, cols], kind="stable")
     rows, cols = rows[order], cols[order]
     scores = obj64[rows, cols]
-    logits = out.box.reshape(4, nb, h, w)[:, :, rows, cols]
-    probs = tc.softmax(np.moveaxis(logits, 2, 0).astype(np.float64, order="C"), axis=2)
-    e = probs @ np.arange(nb, dtype=np.float64)  # [n, 4] expected l, t, r, b
-    # (x, y) pairs: centre, corners and sides as _decoded_box takes them
-    grid = np.array([w, h], dtype=np.float64)
-    centre = (np.stack([cols, rows], axis=1) + 0.5) / grid
-    lo, hi = centre - e[:, :2] / grid, centre + e[:, 2:] / grid
-    mid, size = (lo + hi) / 2, hi - lo
+    _, _, mid, size = _cell_boxes(out.box, rows, cols)
     # clipped as max(v, 0.0) and min(v, 1.0) do: v unless the bound wins
     lo, hi = mid - size / 2, mid + size / 2
     lo, hi = np.where(0.0 > lo, 0.0, lo), np.where(1.0 < hi, 1.0, hi)

@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import detection as det
+from . import encoders as enc
 from . import model as md
 from .ppm import image_to_rgb8, rgb8_to_image
 
@@ -298,14 +299,17 @@ def handle_request(buf: bytes, bundle: md.ModelBundle, text: str,
 class LoopbackTransport:
     """The cloud node: the weights and the settings it detects every frame
     with. request serves one framed request in process; CloudServer serves
-    the same node over TCP."""
+    the same node over TCP. A threshold outside (0, 1), or a prompt with no
+    phrase or too many, raises ValueError here rather than degrading every
+    frame sent to the node."""
 
     def __init__(self, bundle: md.ModelBundle, text: str = md.PROMPT,
                  obj_thresh: float = det.OBJ_THRESH, nms_iou: float = det.NMS_IOU):
+        enc.TextInput(text).validate()
         self.bundle = bundle
         self.text = text
-        self.obj_thresh = obj_thresh
-        self.nms_iou = nms_iou
+        self.obj_thresh = det.check_threshold("obj_thresh", obj_thresh)
+        self.nms_iou = det.check_threshold("nms_iou", nms_iou)
 
     def request(self, data: bytes) -> bytes:
         return handle_request(data, self.bundle, self.text,

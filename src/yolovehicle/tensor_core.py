@@ -427,9 +427,17 @@ def tensor_from_bytes(buf: bytes, offset: int = 0):
     return arr, end
 
 
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"archive tensor {name!r} holds a non-finite value")
+
+
 def archive_to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
+    """The TSR archive of tensors, in their order; ValueError naming the
+    first tensor that holds a NaN or an infinity."""
     out = [struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
+        _check_finite(name, arr)
         nb = name.encode("utf-8")
         out.append(struct.pack("<H", len(nb)))
         out.append(nb)
@@ -440,8 +448,9 @@ def archive_to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
 def archive_entries(buf: bytes):
     """Yields (name, array) for each entry of an archive_to_bytes buffer,
     in stored order, reading an entry only when it is asked for. Malformed
-    or truncated input, or a name given twice, raises ValueError (a name
-    that is not UTF-8 raises its subclass UnicodeDecodeError)."""
+    or truncated input, a name given twice or a tensor holding a NaN or an
+    infinity raises ValueError (a name that is not UTF-8 raises its
+    subclass UnicodeDecodeError)."""
     (count,) = _unpack("<I", buf, 0)
     pos = 4
     seen = set()
@@ -454,6 +463,7 @@ def archive_entries(buf: bytes):
         if name in seen:
             raise ValueError(f"archive holds tensor {name!r} twice")
         seen.add(name)
+        _check_finite(name, arr)
         yield name, arr
 
 

@@ -197,7 +197,7 @@ class TestLossSanity:
                     >= (1.0 - det.iou(box, other)) - 1e-12)
 
         uniform = np.zeros(8)
-        assert det.dfl_loss_with_grad(uniform, 3.5)[0] == math.log(8.0)
+        assert det.dfl_loss_with_grad(tc.softmax(uniform), 3.5)[0] == math.log(8.0)
 
         params, feat, targets = detect_scene(36)
         out = det.head_forward(feat, params)

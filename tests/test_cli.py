@@ -329,6 +329,16 @@ class TestTrainToy:
         assert bundle.head.w_cls.shape[0] == 3
         assert str(os.path.getsize(weights)) in capsys.readouterr().err
 
+    def test_diverged_weights_are_not_saved(self, tmp_path, capsys):
+        # lr 1e30 turns the weights to NaN within three steps; the archive
+        # used to load, and detect then wrote "score": NaN lines
+        weights = tmp_path / "w.bin"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["train-toy", "--steps", "3", "--lr", "1e30", "--seed", "0",
+                        "--save", str(weights)]) == 1
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_failed_save_leaves_existing_weights_untouched(self, tmp_path,
                                                            capsys, monkeypatch):
         weights = tmp_path / "w.bin"

@@ -159,29 +159,29 @@ class TestDfl:
     def test_one_hot_saturated(self):
         logits = np.zeros(8)
         logits[3] = 100.0
-        assert det.dfl_loss_with_grad(logits, 3.0)[0] < 1e-6
+        assert det.dfl_loss_with_grad(tc.softmax(logits), 3.0)[0] < 1e-6
 
     def test_uniform_logits_ln_bins(self):
         for t in range(8):
-            assert abs(det.dfl_loss_with_grad(np.zeros(8), float(t))[0] - math.log(8)) < 1e-9
+            assert abs(det.dfl_loss_with_grad(tc.softmax(np.zeros(8)), float(t))[0] - math.log(8)) < 1e-9
 
     def test_fractional_hand_eval(self):
         logits = np.array([0.1, -0.3, 0.2, 0.5, -0.1, 0.0, 0.4, -0.2])
         p = np.exp(logits - logits.max())
         p /= p.sum()
         expected = -(0.5 * math.log(p[2]) + 0.5 * math.log(p[3]))
-        assert abs(det.dfl_loss_with_grad(logits, 2.5)[0] - expected) < 1e-9
+        assert abs(det.dfl_loss_with_grad(tc.softmax(logits), 2.5)[0] - expected) < 1e-9
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            det.dfl_loss_with_grad(np.zeros(8), 7.5)
+            det.dfl_loss_with_grad(tc.softmax(np.zeros(8)), 7.5)
 
     def test_nonnegative(self):
         rng = tc.Rng(13)
         for _ in range(50):
             logits = rng.uniform(-2, 2, (8,))
             t = float(rng.uniform(0, 7, (1,))[0])
-            assert det.dfl_loss_with_grad(logits, t)[0] >= 0
+            assert det.dfl_loss_with_grad(tc.softmax(logits), t)[0] >= 0
 
     def test_grad_check(self):
         rng = tc.Rng(14)
@@ -190,7 +190,7 @@ class TestDfl:
             t = float(rng.uniform(0, 7, (1,))[0])
 
             def f(lg):
-                return det.dfl_loss_with_grad(lg, t)
+                return det.dfl_loss_with_grad(tc.softmax(lg), t)
 
             assert tc.grad_check(f, logits0) < 1e-3
 
@@ -200,7 +200,7 @@ class TestDfl:
         target = 2.3
         logits = np.zeros(8)
         for _ in range(30000):
-            _, g = det.dfl_loss_with_grad(logits, target)
+            _, g = det.dfl_loss_with_grad(tc.softmax(logits), target)
             logits = logits - 1.0 * g
         p = np.exp(logits - logits.max())
         p /= p.sum()

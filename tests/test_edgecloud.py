@@ -335,6 +335,17 @@ class TestParseAddr:
             ec.CloudServer(addr, None)
 
 
+class TestLoopbackTransport:
+    def test_bad_settings_rejected_at_construction(self, bundle):
+        # either node used to build, then answer every frame with MSG_ERROR
+        with pytest.raises(ValueError, match=r"^obj_thresh must lie in \(0, 1\), got 1.5"):
+            ec.LoopbackTransport(bundle, "car", 1.5, 0.5)
+        with pytest.raises(ValueError, match=r"^nms_iou must lie in \(0, 1\), got 0"):
+            ec.LoopbackTransport(bundle, "car", 0.5, 0)
+        with pytest.raises(ValueError, match="^empty text input$"):
+            ec.LoopbackTransport(bundle, ",,")
+
+
 class TestSocketTransport:
     @pytest.mark.parametrize("timeout_ms", [0, -5, float("nan"), float("inf")])
     def test_bad_timeout_rejected_at_construction(self, timeout_ms):

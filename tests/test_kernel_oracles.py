@@ -7,8 +7,9 @@ convolution, the K-estimator's and the backbone's backward passes written
 out layer by layer with each leaky ReLU's mask taken from its
 pre-activation, the unflushed
 sigmoid gradient, a fusion backward with matmul outer products, an
-out-of-place Adam, a whole-window dark channel and the per-cell
-decode-and-NMS loop. The fast kernels do the same arithmetic in the same
+out-of-place Adam, a whole-window dark channel, the per-cell
+decode-and-NMS loop and the per-positive detection-loss loop with one
+softmax per side. The fast kernels do the same arithmetic in the same
 order, so every comparison is exact; the one exception is the sigmoid
 gradient's flush of subnormal results to zero, which the saturated-gate
 tests pin down.
@@ -538,19 +539,30 @@ def test_adam_equals_out_of_place_reference():
 # decode: the per-cell loop the array code replaced
 
 
+def ref_cell_box(box_logits, r, c, grid):
+    """One cell's bin softmax [4, nb], expected (l, t, r, b) and unclipped
+    [cx, cy, w, h], from the head's box logits."""
+    h, w = grid
+    nb = det.REG_MAX + 1
+    probs = tc.softmax(box_logits[:, r, c].reshape(4, nb).astype(np.float64), axis=1)
+    e = probs @ np.arange(nb, dtype=np.float64)
+    ccx, ccy = (c + 0.5) / w, (r + 0.5) / h
+    x1, y1 = ccx - e[0] / w, ccy - e[1] / h
+    x2, y2 = ccx + e[2] / w, ccy + e[3] / h
+    return probs, e, np.array([(x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1])
+
+
 def ref_decode_detections(out, obj_thresh=0.5, nms_iou=0.5):
     if not (0 < obj_thresh < 1 and 0 < nms_iou < 1):
         raise ValueError("thresholds must lie in (0, 1)")
     _, h, w = out.obj.shape
-    nb = det.REG_MAX + 1
     candidates = []
     for r in range(h):
         for c in range(w):
             score = float(out.obj[0, r, c])
             if score < obj_thresh:
                 continue
-            probs = tc.softmax(out.box[:, r, c].reshape(4, nb).astype(np.float64), axis=1)
-            box, _ = det._decoded_box(probs, r, c, (h, w))
+            _, _, box = ref_cell_box(out.box, r, c, (h, w))
             x1 = max(box[0] - box[2] / 2, 0.0)
             y1 = max(box[1] - box[3] / 2, 0.0)
             x2 = min(box[0] + box[2] / 2, 1.0)
@@ -694,3 +706,150 @@ def test_decode_equals_loop_reference_on_edge_cases(case, dtype):
             assert got and all(b.w == b.h == 1e-6 for b in got)
         if case == "clipped_borders":
             assert all(0.0 <= b.cx - b.w / 2 and b.cx + b.w / 2 <= 1.0 for b in got)
+
+
+# ---------------------------------------------------------------------------
+# detection loss: the per-positive loop the array code replaced
+
+
+def ref_bce_with_logits(z, y):
+    return (np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))),
+            tc.sigmoid(z) - y)
+
+
+def ref_dfl(side_logits, target):
+    """One side's distribution focal loss and its gradient wrt the logits,
+    from its own softmax."""
+    reg_max = side_logits.shape[0] - 1
+    i = min(int(math.floor(target)), reg_max - 1)
+    wl, wr = (i + 1) - target, target - i
+    p = tc.softmax(side_logits)
+    loss = -(wl * math.log(max(p[i], 1e-300)) + wr * math.log(max(p[i + 1], 1e-300)))
+    y = np.zeros_like(p)
+    y[i], y[i + 1] = wl, wr
+    return float(loss), p - y
+
+
+def ref_detect_loss_with_grads(out, targets, weights, frozen_alphas=None):
+    h, w = targets.obj.shape
+    nb = det.REG_MAX + 1
+    n_classes = out.cls_logits.shape[0]
+    positives = sorted(targets.boxes.keys())
+    n_pos = len(positives)
+
+    obj_terms, g_obj = ref_bce_with_logits(out.obj_logits[0], targets.obj)
+    n_terms = h * w + n_pos * n_classes
+    g_cls = np.zeros_like(out.cls_logits)
+    cls_sum = obj_terms.sum()
+    for (r, c) in positives:
+        y = np.zeros(n_classes)
+        y[targets.cls[r, c]] = 1.0
+        terms, g = ref_bce_with_logits(out.cls_logits[:, r, c], y)
+        cls_sum += terms.sum()
+        g_cls[:, r, c] = g / n_terms
+    l_cls = float(cls_sum / n_terms)
+    g_obj = (g_obj / n_terms)[None, :, :]
+
+    g_box = np.zeros_like(out.box)
+    l_bbox = 0.0
+    l_dfl = 0.0
+    alphas = {}
+    bins = np.arange(nb, dtype=np.float64)
+    for (r, c) in positives:
+        probs, e, box = ref_cell_box(out.box, r, c, (h, w))
+        pinned = None if frozen_alphas is None else frozen_alphas[(r, c)]
+        closs, cg, alphas[(r, c)] = det.ciou_loss_with_grad(box, targets.boxes[(r, c)],
+                                                            alpha=pinned)
+        l_bbox += closs
+        gcx, gcy, gw, gh = cg
+        g_e = np.array([
+            -gcx / (2 * w) + gw / w,
+            -gcy / (2 * h) + gh / h,
+            gcx / (2 * w) + gw / w,
+            gcy / (2 * h) + gh / h,
+        ]) / n_pos
+        g_cell = weights.lambda_bbox * (probs * (bins[None, :] - e[:, None]) * g_e[:, None])
+        logits = out.box[:, r, c].reshape(4, nb).astype(np.float64)
+        for side in range(4):
+            dloss, dgrad = ref_dfl(logits[side], float(targets.dist[side, r, c]))
+            l_dfl += dloss
+            g_cell[side] += weights.lambda_dfl * dgrad / (4 * n_pos)
+        g_box[:, r, c] = g_cell.reshape(-1)
+    if n_pos:
+        l_bbox /= n_pos
+        l_dfl /= 4 * n_pos
+
+    total = (weights.lambda_cls * l_cls + weights.lambda_bbox * l_bbox
+             + weights.lambda_dfl * l_dfl)
+    loss = det.DetectLoss(total, l_cls, l_bbox, l_dfl, alphas)
+    return loss, (weights.lambda_cls * g_obj, g_box, weights.lambda_cls * g_cls)
+
+
+def test_dfl_equals_per_side_reference():
+    # numpy's own log differs from math.log in the last place on a few
+    # inputs in a thousand; a whole-bin target at a side's likeliest bin
+    # makes the loss that log exactly, so a thousand such sides show it
+    rng = tc.Rng(2100)
+    logits = rng.uniform(-6, 6, (500, 4, det.REG_MAX + 1)).astype(np.float64)
+    targets = rng.uniform(0, det.REG_MAX, (500, 4)).astype(np.float64)
+    targets[::2] = logits[::2].argmax(axis=-1)
+    targets[1, :] = (0, 3, det.REG_MAX - 0.5, det.REG_MAX)
+    loss, grad = det.dfl_loss_with_grad(tc.softmax(logits), targets)
+    for idx in np.ndindex(targets.shape):
+        want_loss, want_grad = ref_dfl(logits[idx], float(targets[idx]))
+        assert np.float64(loss[idx]).tobytes() == np.float64(want_loss).tobytes(), idx
+        assert grad[idx].tobytes() == want_grad.tobytes(), idx
+
+
+def random_loss_case(seed, dtype, grid, n_gts, n_classes=3):
+    """A random head output over grid and the targets of n_gts random boxes
+    plus, when n_gts > 0, one more in the first box's cell."""
+    rng = tc.Rng(seed)
+    h, w = grid
+    obj_logits = rng.uniform(-3, 3, (1, h, w)).astype(dtype)
+    box = rng.uniform(-4, 4, (4 * (det.REG_MAX + 1), h, w)).astype(dtype)
+    cls_logits = rng.uniform(-2, 2, (n_classes, h, w)).astype(dtype)
+    out = det.HeadOutput(obj=tc.sigmoid(obj_logits), box=box,
+                         cls=tc.softmax(cls_logits, axis=0),
+                         obj_logits=obj_logits, cls_logits=cls_logits)
+    n = n_gts + 1  # Rng draws at least one value
+    centres, sides = rng.uniform(0.02, 0.98, (n, 2)), rng.uniform(0.02, 1.2, (n, 2))
+    gts = [det.BBox(float(cx), float(cy), float(bw), float(bh), int(k))
+           for (cx, cy), (bw, bh), k in zip(centres, sides, rng.integers(n_classes, n))]
+    gts = gts[:n_gts]
+    if gts:
+        # a box past REG_MAX cells on its left and right, and in the first
+        # box's cell a larger one, which replaces it
+        gts[-1] = replace(gts[-1], w=16.0 / w)
+        gts.append(replace(gts[0], w=gts[0].w * 1.5, class_id=(gts[0].class_id + 1) % n_classes))
+    return out, det.assign_targets(gts, grid), len(gts)
+
+
+def assert_loss_equals_reference(out, targets, weights, frozen_alphas=None):
+    got, got_grads = det.detect_loss_with_grads(out, targets, weights, frozen_alphas)
+    want, want_grads = ref_detect_loss_with_grads(out, targets, weights, frozen_alphas)
+    for name in ("total", "l_cls", "l_bbox", "l_dfl"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b), name
+        assert np.float64(a).tobytes() == np.float64(b).tobytes(), name
+    assert got.alphas == want.alphas
+    for name, a, b in zip(("obj", "box", "cls"), got_grads, want_grads):
+        assert a.dtype == b.dtype == out.obj.dtype, name
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    return got
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grid", [(4, 6), (8, 8), (16, 12)])
+def test_detect_loss_equals_loop_reference(dtype, grid):
+    clipped = shared = 0
+    for n_gts in range(0, 31, 3):
+        out, targets, n_boxes = random_loss_case(2000 + n_gts, dtype, grid, n_gts)
+        clipped += int((targets.dist == det.REG_MAX).sum())
+        shared += n_boxes - len(targets.boxes)
+        for weights in (det.DetectLossWeights(), det.DetectLossWeights(1.0, 0.0, 2.5)):
+            free = assert_loss_equals_reference(out, targets, weights)
+            assert set(free.alphas) == set(targets.boxes)
+            assert_loss_equals_reference(out, targets, weights, free.alphas)
+    # the cases reach the clip at REG_MAX and put two boxes in one cell
+    assert clipped and shared

@@ -120,6 +120,18 @@ class TestBundle:
         with pytest.raises(ValueError, match="'head.b_obj' twice"):
             md.load_bundle(path)
 
+    def test_load_rejects_non_finite_tensor_naming_it(self, tmp_path):
+        tensors = {"meta": md.META}
+        tensors.update(tc.param_items(md.init_bundle(13)))
+        tensors["head.b_obj"] = np.full(1, np.nan, np.float32)
+        # written entry by entry: archive_to_bytes refuses the NaN itself
+        path = tmp_path / "w.bin"
+        path.write_bytes(struct.pack("<I", len(tensors)) + b"".join(
+            struct.pack("<H", len(name)) + name.encode() + tc.tensor_to_bytes(arr)
+            for name, arr in tensors.items()))
+        with pytest.raises(ValueError, match="'head.b_obj' holds a non-finite value"):
+            md.load_bundle(path)
+
     def test_load_rejects_unknown_params(self, tmp_path):
         tensors = {"meta": md.META}
         tensors.update(tc.param_items(md.init_bundle(13)))

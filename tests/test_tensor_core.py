@@ -284,6 +284,20 @@ class TestTsrFormat:
             with pytest.raises(ValueError):
                 dict(tc.archive_entries(buf[:cut]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected_naming_it(self, bad):
+        tensors = {"a": np.zeros(2, np.float32), "b": np.array([1.0, bad], np.float32)}
+        with pytest.raises(ValueError, match="'b' holds a non-finite value"):
+            tc.archive_to_bytes(tensors)
+        # the same archive written entry by entry, past the writer's check
+        buf = struct.pack("<I", 2) + b"".join(
+            struct.pack("<H", 1) + name.encode() + tc.tensor_to_bytes(arr)
+            for name, arr in tensors.items())
+        entries = tc.archive_entries(buf)
+        assert next(entries)[0] == "a"
+        with pytest.raises(ValueError, match="'b' holds a non-finite value"):
+            next(entries)
+
     def test_repeated_name_rejected_naming_it(self):
         # a second "a" record, with the count raised to match
         buf = tc.archive_to_bytes({"a": np.zeros(2, np.float32),
