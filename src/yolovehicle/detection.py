@@ -19,6 +19,7 @@ from . import tensor_core as tc
 REG_MAX = 7  # largest box-side distance in cells; REG_MAX + 1 bins per side
 OBJ_THRESH = 0.5  # default objectness threshold of every detecting caller
 NMS_IOU = 0.5     # default NMS IoU threshold, likewise
+NMS_BLOCK = 512   # candidates per suppression matrix in greedy NMS
 
 
 def check_threshold(name: str, value: float) -> float:
@@ -414,34 +415,56 @@ def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
 
     kept = _greedy_nms(mid, size, cls_ids, nms_iou)
     return [BBox(mid[i, 0], mid[i, 1], size[i, 0], size[i, 1], k, s) for i, k, s in
-            zip(kept, cls_ids[kept].tolist(), scores[kept].tolist())]
+            zip(kept.tolist(), cls_ids[kept].tolist(), scores[kept].tolist())]
 
 
 def _greedy_nms(mid, size, cls_ids, nms_iou):
     """Indices kept by greedy per-class NMS over [n, 2] box centres and
     sides already in rank order.
 
-    One pass per kept box, over the candidates after it: memory stays
-    linear in the candidate count. The decisions are `iou`'s: np.minimum
-    and np.maximum may differ from min() and max() only in the sign of a
-    zero or in a NaN, and neither passes `iw > 0` nor `> nms_iou`. The
-    overlap is clamped at 0 in place of iou()'s early return, which keeps
-    the division defined and decides the same.
+    Candidates go in blocks of at most NMS_BLOCK. The boxes kept in earlier
+    blocks first strike out what they suppress in a block, NMS_BLOCK of
+    them at a time; then the block's own suppression matrix is scanned
+    greedily, one row operation per kept box. No matrix exceeds NMS_BLOCK
+    x NMS_BLOCK, so the extra memory is bounded by NMS_BLOCK, not by the
+    candidate count.
     """
-    lo, hi = mid - size / 2, mid + size / 2
-    area = size[:, 0] * size[:, 1]
-    alive = np.ones(len(cls_ids), dtype=bool)
+    (cx, cy), (w, h) = mid.T, size.T
+    boxes = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h, cls_ids)
     kept = []
-    while alive.any():
-        i = int(alive.argmax())  # the first live candidate: all before it are done
-        kept.append(i)
-        alive[i] = False
-        rest = slice(i + 1, None)
-        side = np.maximum(np.minimum(hi[rest], hi[i]) - np.maximum(lo[rest], lo[i]), 0.0)
-        inter = side[:, 0] * side[:, 1]
-        over = inter / (area[i] + area[rest] - inter) > nms_iou
-        alive[rest] &= ~over | (cls_ids[rest] != cls_ids[i])
+    for start in range(0, len(cls_ids), NMS_BLOCK):
+        block = slice(start, start + NMS_BLOCK)
+        spare = ~_suppression(boxes, block, block, nms_iou)
+        alive = np.ones(len(spare), dtype=bool)
+        for k in range(0, len(kept), NMS_BLOCK):
+            rows = np.array(kept[k:k + NMS_BLOCK], dtype=np.intp)
+            alive &= ~_suppression(boxes, rows, block, nms_iou).any(axis=0)
+        # i is the first live candidate: all before it are done. It leaves
+        # by hand, as its IoU with itself may round below nms_iou
+        while alive[i := int(alive.argmax())]:
+            kept.append(start + i)
+            alive[i] = False
+            alive &= spare[i]
     return np.array(kept, dtype=np.intp)
+
+
+def _suppression(boxes, rows, cols, nms_iou):
+    """[rows, cols] booleans: whether kept box `rows` suppresses candidate
+    `cols`, from the (x1, y1, x2, y2, area, class) vectors of boxes.
+
+    The decisions are `iou`'s: np.minimum and np.maximum may differ from
+    min() and max() only in the sign of a zero or in a NaN, and neither
+    passes `iw > 0` nor `> nms_iou`. The overlap is clamped at 0 in place
+    of iou()'s early return, which keeps the division defined and decides
+    the same.
+    """
+    x1, y1, x2, y2, area, cls_ids = boxes
+    iw = np.minimum(x2[rows, None], x2[cols]) - np.maximum(x1[rows, None], x1[cols])
+    ih = np.minimum(y2[rows, None], y2[cols]) - np.maximum(y1[rows, None], y1[cols])
+    inter = np.maximum(iw, 0.0, out=iw)
+    inter *= np.maximum(ih, 0.0, out=ih)
+    over = inter / (area[rows, None] + area[cols] - inter) > nms_iou
+    return over & (cls_ids[rows, None] == cls_ids[cols])
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +484,28 @@ def detections_to_jsonl(dets: list[BBox], frame_id: int, inference_ms: float) ->
     return "".join(line + "\n" for line in lines)
 
 
+def checked_box(cx, cy, w, h, class_id, score) -> BBox:
+    """The BBox of a detection read from outside the process; ValueError
+    when its class id is not a whole number or is negative, a side is not
+    finite and positive, or the centre or score is not finite."""
+    if isinstance(class_id, float) and not class_id.is_integer():
+        raise ValueError(f"class_id must be a whole number, got {class_id!r}")
+    if class_id < 0:
+        raise ValueError(f"class_id must not be negative, got {class_id!r}")
+    for key, v in (("w", w), ("h", h)):
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{key} must be finite and positive, got {v!r}")
+    for key, v in (("cx", cx), ("cy", cy), ("score", score)):
+        if not math.isfinite(v):
+            raise ValueError(f"{key} must be finite, got {v!r}")
+    return BBox(cx=float(cx), cy=float(cy), w=float(w), h=float(h),
+                class_id=int(class_id), score=float(score))
+
+
 def _record_to_detection(rec):
     """(frame_id, BBox) from one decoded record; ValueError when it is
-    not an object, lacks a key, holds a non-number, a frame or class id
-    that is not a whole number, a box side that is not finite and
-    positive, or a centre or score that is not finite."""
+    not an object, lacks a key, holds a non-number or a frame id that is
+    not a whole number, or fails checked_box."""
     if not isinstance(rec, dict):
         raise ValueError(f"expected a JSON object, got {rec!r}")
     rec = {"score": 1.0, **rec}
@@ -474,18 +514,9 @@ def _record_to_detection(rec):
             raise ValueError(f"missing key {key!r}")
         if isinstance(rec[key], bool) or not isinstance(rec[key], (int, float)):
             raise ValueError(f"{key} is not a number: {rec[key]!r}")
-    for key in ("frame_id", "class_id"):
-        if isinstance(rec[key], float) and not rec[key].is_integer():
-            raise ValueError(f"{key} must be a whole number, got {rec[key]!r}")
-    for key in ("w", "h"):
-        if not (math.isfinite(rec[key]) and rec[key] > 0):
-            raise ValueError(f"{key} must be finite and positive, got {rec[key]!r}")
-    for key in ("cx", "cy", "score"):
-        if not math.isfinite(rec[key]):
-            raise ValueError(f"{key} must be finite, got {rec[key]!r}")
-    box = BBox(cx=float(rec["cx"]), cy=float(rec["cy"]), w=float(rec["w"]),
-               h=float(rec["h"]), class_id=int(rec["class_id"]),
-               score=float(rec["score"]))
+    if isinstance(rec["frame_id"], float) and not rec["frame_id"].is_integer():
+        raise ValueError(f"frame_id must be a whole number, got {rec['frame_id']!r}")
+    box = checked_box(*(rec[key] for key in ("cx", "cy", "w", "h", "class_id", "score")))
     return int(rec["frame_id"]), box
 
 

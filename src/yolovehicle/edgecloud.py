@@ -186,17 +186,24 @@ def encode_detection_response(frame_id: int, dets: list[det.BBox],
 
 def decode_detection_response(buf: bytes):
     """Returns (frame_id, detections, inference_ms); doubles on the wire so
-    the cloud route reproduces local detections bit-exactly."""
+    the cloud route reproduces local detections bit-exactly. ValueError
+    for a detection that fails det.checked_box, and for an inference time
+    that is negative or not finite."""
     if len(buf) < _RESP_HEAD.size:
         raise ValueError("detection response truncated")
     frame_id, inference_ms, count = _RESP_HEAD.unpack_from(buf)
     if len(buf) != _RESP_HEAD.size + count * _RESP_DET.size:
         raise ValueError("detection response length mismatch")
+    if not 0 <= inference_ms < math.inf:
+        raise ValueError(f"inference_ms must be non-negative and finite, got {inference_ms}")
     dets = []
     for i in range(count):
         cx, cy, w, h, score, class_id = _RESP_DET.unpack_from(
             buf, _RESP_HEAD.size + i * _RESP_DET.size)
-        dets.append(det.BBox(cx, cy, w, h, class_id=class_id, score=score))
+        try:
+            dets.append(det.checked_box(cx, cy, w, h, class_id, score))
+        except ValueError as e:
+            raise ValueError(f"detection {i} of the response: {e}") from None
     return frame_id, dets, inference_ms
 
 
@@ -529,6 +536,9 @@ def edge_serve(frames, policy: OffloadPolicy, bundle: md.ModelBundle,
                 if rid != frame_id:
                     raise ConnectionError(
                         f"response for frame {rid}, expected {frame_id}")
+                if compute_ms > rtt_ms:
+                    raise ValueError(f"cloud reports {compute_ms} ms of compute "
+                                     f"in a {rtt_ms} ms round trip")
                 stats.cloud_compute_ms.append(compute_ms)
                 stats.cloud_network_ms.append(rtt_ms - compute_ms)
             except Exception as e:

@@ -188,7 +188,9 @@ def train_toy(seed: int, steps: int, lr: float = LR,
 
     Text encoder and backbone stay fixed, so per-scene features are computed
     once; each step projects the prompt once and runs only the fusion/head
-    forward-backward. Returns (step, total, cls, bbox, dfl) rows.
+    forward-backward. Returns (step, total, cls, bbox, dfl) rows. A step
+    whose loss is not finite raises ValueError naming it, after its row is
+    logged and before the optimizer steps on it.
     """
     if steps < 1 or steps > 1000:
         raise ValueError(f"steps must lie in [1, 1000], got {steps}")
@@ -228,6 +230,9 @@ def train_toy(seed: int, steps: int, lr: float = LR,
         rows.append((step, *[float(v) for v in totals]))
         if log is not None:
             log("%d,%.6f,%.6f,%.6f,%.6f" % rows[-1])
+        if not np.isfinite(totals).all():
+            raise ValueError(f"training diverged: step {step} has a non-finite "
+                             "loss; try a smaller learning rate")
         for name, value in opt.step(params, grads).items():
             tc.set_param(bundle, name, value)
     return rows, bundle

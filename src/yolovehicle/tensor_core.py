@@ -10,13 +10,13 @@ finite-difference gradient checker can run the same code paths in float64.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import struct
 import tempfile
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 DTYPE = np.float32
 
@@ -118,11 +118,11 @@ def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 LEAKY_SLOPE = 0.01  # negative-side slope of every leaky relu in the model
 
 
-def leaky_relu(v: np.ndarray) -> np.ndarray:
+def leaky_relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # as 0 < LEAKY_SLOPE < 1, LEAKY_SLOPE * v < v exactly when v > 0: the
     # same choice as np.where(v > 0, v, LEAKY_SLOPE * v), signed zeros and
     # NaN included
-    return np.maximum(v, LEAKY_SLOPE * v)
+    return np.maximum(v, LEAKY_SLOPE * v, out=out)
 
 
 def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -153,15 +153,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
         xp = np.zeros((c, hp, wp), x.dtype)
         xp[:, pad : pad + h, pad : pad + w] = x
     else:
-        xp = x
+        xp = np.ascontiguousarray(x)
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     sc, sh, sw = xp.strides
     # taps[c, i, j, y, x] = xp[c, i + stride * y, j + stride * x]; every
-    # index stays inside xp. One row-order copy makes the columns
-    # C-contiguous, so the matmul sees the same layout at every shape
-    taps = as_strided(xp, (c, kh, kw, ho, wo), (sc, sh, sw, stride * sh, stride * sw),
-                      writeable=False)
-    return np.ascontiguousarray(taps).reshape(c * kh * kw, ho * wo), ho, wo
+    # index stays inside the contiguous xp, so a plain ndarray over its
+    # buffer can view it (cheaper per call than as_strided). One row-order
+    # copy makes the columns C-contiguous, so the matmul sees the same
+    # layout at every shape
+    taps = np.ndarray((c, kh, kw, ho, wo), xp.dtype, buffer=xp,
+                      strides=(sc, sh, sw, stride * sh, stride * sw))
+    return taps.copy().reshape(c * kh * kw, ho * wo), ho, wo
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -234,7 +236,10 @@ def conv_stack(x: np.ndarray, layers: list[ConvLayer], records: list | None = No
     """Conv + leaky ReLU per layer; records, if given, gets one
     (input, activated output, layer) tuple per layer for conv_stack_backward."""
     for layer in layers:
-        x_in, x = x, leaky_relu(conv_layer(x, layer))
+        # conv_layer's output is fresh, and its column matrix already freed:
+        # activate it in place
+        y = conv_layer(x, layer)
+        x_in, x = x, leaky_relu(y, out=y)
         if records is not None:
             records.append((x_in, x, layer))
     return x
@@ -360,6 +365,11 @@ def grad_check(f, x: np.ndarray, eps: float = 1e-4) -> float:
 _TSR_MAGIC = b"TSR1"
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def param_items(tree, prefix: str = ""):
     """Yields (dotted_name, array) for every ndarray in a tree of dataclasses
     and lists, in field order and then index order ("layers.0.wq").
@@ -368,7 +378,7 @@ def param_items(tree, prefix: str = ""):
     names are the archive keys and the gradient and optimizer keys.
     """
     if dataclasses.is_dataclass(tree):
-        children = [(f.name, getattr(tree, f.name)) for f in dataclasses.fields(tree)]
+        children = [(name, getattr(tree, name)) for name in _field_names(type(tree))]
     elif isinstance(tree, list):
         children = [(str(i), v) for i, v in enumerate(tree)]
     else:

@@ -330,14 +330,21 @@ class TestTrainToy:
         assert str(os.path.getsize(weights)) in capsys.readouterr().err
 
     def test_diverged_weights_are_not_saved(self, tmp_path, capsys):
-        # lr 1e30 turns the weights to NaN within three steps; the archive
-        # used to load, and detect then wrote "score": NaN lines
+        # lr 1e30 turns the loss to NaN at step 2: training stops there, the
+        # step named, and no archive is written
         weights = tmp_path / "w.bin"
         with np.errstate(over="ignore", invalid="ignore"):
             assert run(["train-toy", "--steps", "3", "--lr", "1e30", "--seed", "0",
                         "--save", str(weights)]) == 1
-        assert "holds a non-finite value" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "step 2 has a non-finite loss" in err
+        assert [line.split(",")[0] for line in out.splitlines()] == ["1", "2"]
         assert os.listdir(tmp_path) == []
+
+    def test_diverged_run_without_save_exits_non_zero(self, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["train-toy", "--steps", "3", "--lr", "1e30", "--seed", "0"]) == 1
+        assert "step 2 has a non-finite loss" in capsys.readouterr().err
 
     def test_failed_save_leaves_existing_weights_untouched(self, tmp_path,
                                                            capsys, monkeypatch):

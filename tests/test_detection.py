@@ -442,6 +442,8 @@ class TestJsonl:
          "frame_id must be a whole number"),
         ('{"frame_id": 0, "class_id": 1.7, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}',
          "class_id must be a whole number"),
+        ('{"frame_id": 0, "class_id": -1, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}',
+         "class_id must not be negative"),
         ('{"frame_id": 0, "class_id": 0, "cx": NaN, "cy": 0.5, "w": 0.1, "h": 0.1}',
          "cx must be finite"),
         ('{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": -Infinity, "w": 0.1, "h": 0.1}',
@@ -456,7 +458,7 @@ class TestJsonl:
          % ("0" * 400), "too large"),
     ], ids=["array", "missing_key", "string_value", "bool_value", "null_score",
             "negative_w", "zero_h", "nan_w", "infinite_h", "infinite_frame_id",
-            "fractional_class_id", "nan_cx", "infinite_cy", "nan_score",
+            "fractional_class_id", "negative_class_id", "nan_cx", "infinite_cy", "nan_score",
             "infinite_score", "overflowing_cx", "huge_integer_cx"])
     def test_bad_record_reports_line(self, bad, reason):
         good = '{"frame_id": 0, "class_id": 0, "cx": 0.5, "cy": 0.5, "w": 0.1, "h": 0.1}'

@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import socket
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from gradutil import DownTransport, serving
+from yolovehicle import detection as det
 from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
 from yolovehicle import ppm
@@ -135,6 +137,39 @@ class TestFramePayload:
             ec.FramePayload(1, 2, 2, 4, bytes(16))
         with pytest.raises(ValueError):
             ec.FramePayload(1, 2, 2, 3, bytes(11))
+
+
+GOOD_BOX = dict(cx=0.5, cy=0.5, w=0.2, h=0.3, class_id=1, score=0.9)
+
+
+def response_payload(frame_id=3, inference_ms=2.0, **fields):
+    """A detection response with one box: GOOD_BOX with fields replaced."""
+    return ec.encode_detection_response(
+        frame_id, [det.BBox(**{**GOOD_BOX, **fields})], inference_ms)
+
+
+class TestDetectionResponse:
+    def test_roundtrip(self):
+        fid, dets, ms = ec.decode_detection_response(response_payload())
+        assert (fid, ms) == (3, 2.0)
+        assert dets == [det.BBox(**GOOD_BOX)]
+
+    @pytest.mark.parametrize("fields, reason", [
+        ({"cx": math.nan}, "cx must be finite"),
+        ({"cy": -math.inf}, "cy must be finite"),
+        ({"w": -0.2}, "w must be finite and positive"),
+        ({"h": math.inf}, "h must be finite and positive"),
+        ({"h": 0.0}, "h must be finite and positive"),
+        ({"score": math.nan}, "score must be finite"),
+        ({"class_id": -7}, "class_id must not be negative"),
+        ({"inference_ms": -1.0}, "inference_ms must be non-negative and finite"),
+        ({"inference_ms": math.inf}, "inference_ms must be non-negative and finite"),
+        ({"inference_ms": math.nan}, "inference_ms must be non-negative and finite"),
+    ], ids=["nan_cx", "infinite_cy", "negative_w", "infinite_h", "zero_h",
+            "nan_score", "negative_class_id", "negative_ms", "infinite_ms", "nan_ms"])
+    def test_lying_fields_rejected(self, fields, reason):
+        with pytest.raises(ValueError, match=reason):
+            ec.decode_detection_response(response_payload(**fields))
 
 
 class TestHazeScore:
@@ -502,6 +537,32 @@ class TestEdgeServe:
         local, _ = md.detect_frame(img, "car, truck, bus", bundle,
                                    dehaze_first=True)
         assert results[0][2] == local
+
+    @pytest.mark.parametrize("answer", [
+        dict(cx=math.nan, cy=0.5, w=-0.2, h=math.inf, class_id=-7, score=5.0,
+             inference_ms=-1.0),
+        dict(class_id=-1),
+        dict(w=math.nan),
+        dict(inference_ms=math.inf),
+        # more compute than the whole round trip took
+        dict(inference_ms=1e9),
+    ], ids=["all_lies", "negative_class", "nan_side", "infinite_ms", "ms_over_rtt"])
+    def test_lying_cloud_degrades_to_edge(self, bundle, answer):
+        class LyingTransport:
+            def request(self, data):
+                frame = ec.decode_frame_payload(ec.decode_message(data).payload)
+                return ec.encode_message(ec.WireMessage(
+                    ec.MSG_DETECTION_RESPONSE,
+                    response_payload(frame.frame_id, **answer)))
+
+        frames = [(i, quantized_image(tc.Rng(75 + i))) for i in range(2)]
+        stats, results = ec.edge_serve(frames, ec.OffloadPolicy("always_cloud"),
+                                       bundle, transport=LyingTransport())
+        assert stats.degraded == stats.edge == 2 and stats.cloud == 0
+        assert stats.cloud_compute_ms == [] and stats.cloud_network_ms == []
+        for (fid, img), (rid, route, dets, degraded) in zip(frames, results):
+            assert rid == fid and route is ec.Route.EDGE and degraded
+            assert dets == md.detect_frame(img, md.PROMPT, bundle)[0]
 
     def test_requires_cloud_link(self, bundle):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ out layer by layer with each leaky ReLU's mask taken from its
 pre-activation, the unflushed
 sigmoid gradient, a fusion backward with matmul outer products, an
 out-of-place Adam, a whole-window dark channel, the per-cell
-decode-and-NMS loop and the per-positive detection-loss loop with one
-softmax per side. The fast kernels do the same arithmetic in the same
+decode-and-NMS loop, the per-kept-box NMS pass and the per-positive
+detection-loss loop with one softmax per side. The fast kernels do the same arithmetic in the same
 order, so every comparison is exact; the one exception is the sigmoid
 gradient's flush of subnormal results to zero, which the saturated-gate
 tests pin down.
@@ -706,6 +706,123 @@ def test_decode_equals_loop_reference_on_edge_cases(case, dtype):
             assert got and all(b.w == b.h == 1e-6 for b in got)
         if case == "clipped_borders":
             assert all(0.0 <= b.cx - b.w / 2 and b.cx + b.w / 2 <= 1.0 for b in got)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nms_iou", [0.1, 0.5, 0.9])
+def test_decode_equals_loop_reference_past_one_nms_block(dtype, nms_iou):
+    out = random_head_output(2024, dtype, grid=(24, 32))
+    assert np.count_nonzero(~(out.obj.astype(np.float64) < 0.05)) > det.NMS_BLOCK
+    assert_decode_equals_reference(out, 0.05, nms_iou)
+
+
+# ---------------------------------------------------------------------------
+# greedy NMS: the per-kept-box pass the block matrices replaced, and the
+# plain loop over iou()
+
+
+def ref_greedy_nms(mid, size, cls_ids, nms_iou):
+    """One pass per kept box over the candidates after it."""
+    lo, hi = mid - size / 2, mid + size / 2
+    area = size[:, 0] * size[:, 1]
+    alive = np.ones(len(cls_ids), dtype=bool)
+    kept = []
+    while alive.any():
+        i = int(alive.argmax())
+        kept.append(i)
+        alive[i] = False
+        rest = slice(i + 1, None)
+        side = np.maximum(np.minimum(hi[rest], hi[i]) - np.maximum(lo[rest], lo[i]), 0.0)
+        inter = side[:, 0] * side[:, 1]
+        over = inter / (area[i] + area[rest] - inter) > nms_iou
+        alive[rest] &= ~over | (cls_ids[rest] != cls_ids[i])
+    return np.array(kept, dtype=np.intp)
+
+
+def ref_nms_loop(mid, size, cls_ids, nms_iou):
+    boxes = [det.BBox(m[0], m[1], z[0], z[1], int(k)) for m, z, k in zip(mid, size, cls_ids)]
+    kept = []
+    for i, b in enumerate(boxes):
+        if not any(boxes[k].class_id == b.class_id and det.iou(boxes[k], b) > nms_iou
+                   for k in kept):
+            kept.append(i)
+    return kept
+
+
+def random_boxes(seed, n, side=(0.02, 0.3), n_classes=3):
+    rng = tc.Rng(seed)
+    m = max(n, 1)  # the generator draws at least one value
+    mid = rng.uniform(0.0, 1.0, (m, 2)).astype(np.float64)
+    size = rng.uniform(*side, (m, 2)).astype(np.float64)
+    return mid[:n], size[:n], rng.integers(n_classes, m)[:n]
+
+
+def assert_nms_equals_references(mid, size, cls_ids, nms_iou):
+    got = det._greedy_nms(mid, size, cls_ids, nms_iou)
+    want = ref_greedy_nms(mid, size, cls_ids, nms_iou)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.tolist() == ref_nms_loop(mid, size, cls_ids, nms_iou)
+    return got
+
+
+@pytest.mark.parametrize("n", [0, 1, det.NMS_BLOCK, det.NMS_BLOCK + 1])
+@pytest.mark.parametrize("nms_iou", [0.1, 0.5, 0.9])
+def test_nms_equals_references_at_block_sized_counts(n, nms_iou):
+    mid, size, cls_ids = random_boxes(3000 + n, n)
+    kept = assert_nms_equals_references(mid, size, cls_ids, nms_iou)
+    assert kept[:1].tolist() == [0][:n]
+
+
+def threshold_pairs(n, firsts):
+    """n dyadic boxes in rank order; each index in firsts starts a pair of
+    one class, a square and its double, whose IoU is 0.5 exactly. The other
+    boxes are tiny and apart, each of a class of its own."""
+    rng = tc.Rng(n)
+    mid = (rng.integers(1024, 2 * n).reshape(n, 2) + 0.5) / 1024
+    size = np.full((n, 2), 1 / 4096)
+    cls_ids = np.arange(3, n + 3)
+    for i in firsts:
+        cx, cy = (i % 8 + 0.5) / 8, (i // 8 % 8 + 0.5) / 8
+        mid[i], size[i] = (cx, cy), (1 / 32, 1 / 32)
+        mid[i + 1], size[i + 1] = (cx, cy + 1 / 64), (1 / 32, 1 / 16)
+        cls_ids[[i, i + 1]] = i % 3
+    return mid, size, cls_ids
+
+
+@pytest.mark.parametrize("nms_iou", [0.5, np.nextafter(0.5, 0.0)])
+def test_nms_at_exact_threshold_on_both_sides_of_a_block_boundary(nms_iou):
+    b = det.NMS_BLOCK
+    firsts = [10, b - 1, b + 20]  # inside the first block, across, inside the second
+    mid, size, cls_ids = threshold_pairs(2 * b, firsts)
+    for i in firsts:
+        box = [det.BBox(*mid[j], *size[j]) for j in (i, i + 1)]
+        assert det.iou(*box) == 0.5
+    kept = set(assert_nms_equals_references(mid, size, cls_ids, nms_iou).tolist())
+    for i in firsts:
+        assert i in kept and ((i + 1) in kept) == (nms_iou == 0.5)
+
+
+def test_nms_box_whose_iou_with_itself_is_below_the_threshold():
+    # its corners round so that the box's IoU with itself is 1 - 4e-16: it
+    # does not suppress itself, nor its twin, at the largest nms_iou below 1
+    box = [0.32973171649909216, 0.7884287034284043, 0.303194829291645, 0.4534978894806515]
+    nms_iou = np.nextafter(1.0, 0.0)
+    b = det.BBox(*box)
+    assert not det.iou(b, b) > nms_iou
+    mid, size = np.array([box[:2]] * 2), np.array([box[2:]] * 2)
+    kept = assert_nms_equals_references(mid, size, np.zeros(2, np.intp), nms_iou)
+    assert kept.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("block, n", [(1, 40), (2, 300), (7, 300), (64, 300)])
+def test_nms_block_size_does_not_change_decisions(monkeypatch, block, n):
+    # small blocks, most boxes kept: each later block meets several chunks
+    # of earlier kept boxes
+    mid, size, cls_ids = random_boxes(3100, n, side=(0.01, 0.15))
+    want = ref_greedy_nms(mid, size, cls_ids, 0.3)
+    assert len(want) > 4 * block
+    monkeypatch.setattr(det, "NMS_BLOCK", block)
+    assert np.array_equal(det._greedy_nms(mid, size, cls_ids, 0.3), want)
 
 
 # ---------------------------------------------------------------------------

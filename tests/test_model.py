@@ -16,6 +16,7 @@ from yolovehicle import model as md
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
 from yolovehicle.encoders import MultiScaleFeatures, TextFeature
+from yolovehicle.optim import Adam
 
 
 class TestBundle:
@@ -330,6 +331,24 @@ class TestTrainToy:
             md.train_toy(seed=0, steps=1001)
         with pytest.raises(ValueError):
             md.train_toy(seed=0, steps=0)
+
+    def test_stops_at_the_first_non_finite_loss(self, monkeypatch):
+        # lr 1e30 gives a finite loss at step 1 and NaN at step 2: the
+        # optimizer steps once, on step 1's gradients only
+        steps, logged = [], []
+        adam_step = Adam.step
+
+        def counted_step(self, params, grads):
+            steps.append(len(logged))
+            return adam_step(self, params, grads)
+
+        monkeypatch.setattr(Adam, "step", counted_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="step 2 has a non-finite loss"):
+                md.train_toy(seed=0, steps=3, lr=1e30, log=logged.append)
+        assert steps == [1]
+        assert [line.split(",")[0] for line in logged] == ["1", "2"]
+        assert "nan" in logged[1]
 
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
     def test_lr_must_be_finite_and_positive(self, lr):

@@ -1,15 +1,18 @@
-"""Seeded fuzzing of the PPM and TSR archive readers.
+"""Seeded fuzzing of the PPM, TSR archive and detection-response readers.
 
 Byte flips, truncations, insertions and forged headers: every input either
 decodes or raises ValueError, and no other exception leaves a reader.
 """
 
 import itertools
+import math
 import struct
 
 import numpy as np
 import pytest
 
+from yolovehicle import detection as det
+from yolovehicle import edgecloud as ec
 from yolovehicle import ppm
 from yolovehicle import tensor_core as tc
 
@@ -121,3 +124,37 @@ class TestTsrFuzz:
                    + bytes(64))
             with pytest.raises(ValueError, match="truncated TSR payload"):
                 tc.tensor_from_bytes(buf)
+
+
+def check_response(decoded):
+    _, dets, inference_ms = decoded
+    assert 0 <= inference_ms < math.inf
+    for b in dets:
+        assert type(b.class_id) is int and b.class_id >= 0
+        assert all(math.isfinite(v) for v in (b.cx, b.cy, b.score))
+        assert all(math.isfinite(v) and v > 0 for v in (b.w, b.h))
+
+
+class TestDetectionResponseFuzz:
+    BASE = ec.encode_detection_response(
+        12, [det.BBox(0.5, 0.4, 0.2, 0.3, 2, 0.9), det.BBox(0.1, 0.8, 0.05, 0.1, 0, 0.6)],
+        3.5)
+
+    def test_mutated_inputs_decode_or_raise_value_error(self):
+        decoded, rejected = outcomes(ec.decode_detection_response,
+                                     mutants(self.BASE, 13), check_response)
+        assert decoded > 0 and rejected > 0
+
+    def test_random_doubles_decode_or_raise_value_error(self):
+        # every field of a one-box response drawn from a mix of finite,
+        # negative, zero and non-finite doubles
+        rng = tc.Rng(14)
+        values = [0.0, -0.0, 0.5, -0.5, 1e300, -1e300, math.inf, -math.inf, math.nan]
+        inputs = []
+        for _ in range(CASES):
+            cx, cy, w, h, score, ms = (values[int(i)] for i in rng.integers(len(values), 6))
+            class_id = int(rng.integers(5, 1)[0]) - 2
+            inputs.append(ec._RESP_HEAD.pack(1, ms, 1)
+                          + ec._RESP_DET.pack(cx, cy, w, h, score, class_id))
+        decoded, rejected = outcomes(ec.decode_detection_response, inputs, check_response)
+        assert decoded > 0 and rejected > 0
