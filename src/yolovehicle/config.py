@@ -11,7 +11,7 @@ from __future__ import annotations
 from .detection import (NMS_IOU, OBJ_THRESH, DetectLossWeights,
                         check_loss_weight, check_threshold)
 from .edgecloud import TIMEOUT_MS, OffloadPolicy, check_timeout, parse_addr
-from .encoders import TextInput
+from .encoders import phrases
 from .model import PROMPT
 
 
@@ -31,7 +31,7 @@ def _address(name, value):
 def _prompt(name, value):
     """The text encoder's own check: 1 to encoders.MAX_PHRASES phrases."""
     try:
-        TextInput(value).validate()
+        phrases(value)
     except ValueError as e:
         raise ValueError(f"{name} is not a usable prompt: {e}") from None
     return value

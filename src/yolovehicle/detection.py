@@ -531,7 +531,7 @@ def jsonl_to_detections(text: str):
         try:
             out.append(_record_to_detection(json.loads(line)))
         # JSONDecodeError included; an integer too large for a float
-        # overflows
-        except (ValueError, OverflowError) as e:
+        # overflows, and a too deeply nested line exhausts json's recursion
+        except (ValueError, OverflowError, RecursionError) as e:
             raise ValueError(f"bad detection on line {ln}: {e}") from e
     return out

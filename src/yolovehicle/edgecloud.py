@@ -312,7 +312,7 @@ class LoopbackTransport:
 
     def __init__(self, bundle: md.ModelBundle, text: str = md.PROMPT,
                  obj_thresh: float = det.OBJ_THRESH, nms_iou: float = det.NMS_IOU):
-        enc.TextInput(text).validate()
+        enc.phrases(text)
         self.bundle = bundle
         self.text = text
         self.obj_thresh = det.check_threshold("obj_thresh", obj_thresh)

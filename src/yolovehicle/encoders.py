@@ -24,26 +24,22 @@ MAX_PHRASES = 16
 UNK_ID = 0
 
 
-def load_vocab() -> dict[str, int]:
-    """Shipped lexicon: one token per line, line number = id, id 0 is UNK."""
-    text = resources.files("yolovehicle").joinpath("data/vocab.txt").read_text("utf-8")
-    return {w: i for i, w in enumerate(text.splitlines())}
+# the shipped lexicon, read once: one token per line, line number = id,
+# id 0 is UNK
+VOCAB = {w: i for i, w in enumerate(
+    resources.files("yolovehicle").joinpath("data/vocab.txt")
+    .read_text("utf-8").splitlines())}
 
 
-@dataclass
-class TextInput:
-    raw: str
-
-    @property
-    def phrases(self) -> list[str]:
-        return [p.strip() for p in self.raw.split(",") if p.strip()]
-
-    def validate(self) -> None:
-        n = len(self.phrases)
-        if n == 0:
-            raise ValueError("empty text input")
-        if n > MAX_PHRASES:
-            raise ValueError(f"too many phrases: {n} > {MAX_PHRASES}")
+def phrases(text: str) -> list[str]:
+    """The prompt's comma-separated phrases, stripped, empty ones dropped.
+    The one check of a prompt: ValueError unless it has 1 to MAX_PHRASES."""
+    out = [p.strip() for p in text.split(",") if p.strip()]
+    if not out:
+        raise ValueError("empty text input")
+    if len(out) > MAX_PHRASES:
+        raise ValueError(f"too many phrases: {len(out)} > {MAX_PHRASES}")
+    return out
 
 
 @dataclass
@@ -60,7 +56,6 @@ class EncoderLayerParams:
 
 @dataclass
 class TextEncoderParams:
-    vocab: dict[str, int]
     embed: np.ndarray  # [V, d]
     w_out: np.ndarray  # [512, d]
     b_out: np.ndarray  # [1, 512]
@@ -74,7 +69,6 @@ class TextFeature:
 
 
 def init_text_encoder(rng: tc.Rng) -> TextEncoderParams:
-    vocab = load_vocab()
     d, ff = MODEL_DIM, FF_DIM
     layers = []
     for _ in range(NUM_LAYERS):
@@ -89,20 +83,20 @@ def init_text_encoder(rng: tc.Rng) -> TextEncoderParams:
             b2=np.zeros((1, d), tc.DTYPE),
         ))
     return TextEncoderParams(
-        vocab=vocab,
-        embed=tc.init_uniform(rng, (len(vocab), d), d),
+        embed=tc.init_uniform(rng, (len(VOCAB), d), d),
         layers=layers,
         w_out=tc.init_uniform(rng, (TEXT_DIM, d), d),
         b_out=np.zeros((1, TEXT_DIM), tc.DTYPE),
     )
 
 
-def tokenize(text: TextInput, vocab: dict[str, int]) -> list[list[int]]:
-    """Lowercase whitespace tokens per phrase, UNK for out-of-lexicon words."""
-    text.validate()
+def tokenize(text: str) -> list[list[int]]:
+    """Lowercase whitespace tokens per phrase, UNK for out-of-lexicon words.
+    Every phrase gives at least one: phrases strips the same whitespace
+    that split() splits on."""
     out = []
-    for phrase in text.phrases:
-        ids = [vocab.get(w, UNK_ID) for w in phrase.lower().split()]
+    for phrase in phrases(text):
+        ids = [VOCAB.get(w, UNK_ID) for w in phrase.lower().split()]
         out.append(ids[:MAX_PHRASE_TOKENS])
     return out
 
@@ -117,11 +111,10 @@ def _encoder_layer(x: np.ndarray, lp: EncoderLayerParams) -> np.ndarray:
     return x + hidden @ lp.w2.T + lp.b2
 
 
-def text_encode(text: TextInput, params: TextEncoderParams) -> TextFeature:
-    phrase_ids = tokenize(text, params.vocab)
+def text_encode(text: str, params: TextEncoderParams) -> TextFeature:
     phrase_vecs = []
-    for ids in phrase_ids:
-        x = params.embed[ids] if ids else np.zeros((1, MODEL_DIM), tc.DTYPE)
+    for ids in tokenize(text):
+        x = params.embed[ids]
         for lp in params.layers:
             x = _encoder_layer(x, lp)
         phrase_vecs.append(x.mean(axis=0))

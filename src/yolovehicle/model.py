@@ -88,6 +88,9 @@ def load_bundle(path) -> ModelBundle:
     name, meta = next(entries, (None, None))
     if name != "meta":
         raise ValueError(f"weights archive {path} does not begin with a meta record")
+    if meta.ndim != 1:
+        raise ValueError(f"weights archive {path} has a meta record of shape "
+                         f"{meta.shape}, expected a vector")
     # a version 1 meta is the seven sizes [8, 3, 7, 8, 2, 4, 2] with no
     # version entry, so no later version may stamp seven entries
     version = 1 if meta.size == 7 else float(meta[0]) if meta.size else None
@@ -124,19 +127,19 @@ def _projected_prompt(text: str, bundle: ModelBundle) -> fu.ProjectedText:
     """The prompt's projected text feature, from a one-slot memo on the bundle.
 
     The entry is keyed by the prompt and by every object that went into it:
-    the text encoder's arrays, its vocab and the fusion's text projection,
+    the text encoder's arrays and the fusion's text projection,
     held and compared by identity. set_param, load_bundle and training
     replace arrays rather than write into them, so none of them can meet a
     stale entry. The slot is read and replaced as one tuple, so threads
     sharing a bundle need no lock.
     """
-    weights = (bundle.text.vocab, bundle.fusion.w_text, bundle.fusion.b_text,
+    weights = (bundle.fusion.w_text, bundle.fusion.b_text,
                *(a for _, a in tc.param_items(bundle.text)))
     memo = bundle._prompt_memo
     if (memo is not None and memo[0] == text and len(memo[1]) == len(weights)
             and all(a is b for a, b in zip(memo[1], weights))):
         return memo[2]
-    projected = fu.project_text(enc.text_encode(enc.TextInput(text), bundle.text),
+    projected = fu.project_text(enc.text_encode(text, bundle.text),
                                 bundle.fusion)
     bundle._prompt_memo = (text, weights, projected)
     return projected
@@ -201,7 +204,7 @@ def train_toy(seed: int, steps: int, lr: float = LR,
     rng = tc.Rng(seed + 1)
     scenes = [make_toy_scene(rng) for _ in range(TOY_SCENES)]
     feats = [enc.backbone_extract(img, bundle.backbone) for img, _ in scenes]
-    tf = enc.text_encode(enc.TextInput(text), bundle.text)
+    tf = enc.text_encode(text, bundle.text)
     grid = fu.FEATURE_SHAPE[1:]
     targets = [det.assign_targets(gts, grid) for _, gts in scenes]
 

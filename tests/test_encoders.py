@@ -3,13 +3,12 @@ import numpy as np
 import pytest
 
 from gradutil import coord_subset_grad_check
+from yolovehicle import cli
+from yolovehicle import config as cfgmod
+from yolovehicle import edgecloud as ec
 from yolovehicle import encoders as enc
+from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
-
-
-@pytest.fixture(scope="module")
-def vocab():
-    return enc.load_vocab()
 
 
 @pytest.fixture(scope="module")
@@ -18,58 +17,99 @@ def text_params():
 
 
 class TestTokenize:
-    def test_direct_lookup(self, vocab):
-        ids = enc.tokenize(enc.TextInput("red sedan"), vocab)
-        assert ids == [[vocab["red"], vocab["sedan"]]]
+    def test_direct_lookup(self):
+        ids = enc.tokenize("red sedan")
+        assert ids == [[enc.VOCAB["red"], enc.VOCAB["sedan"]]]
 
-    def test_empty_input_rejected(self, vocab):
+    def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            enc.tokenize(enc.TextInput(""), vocab)
+            enc.tokenize("")
 
-    def test_unknown_maps_to_unk(self, vocab):
-        ids = enc.tokenize(enc.TextInput("zzzqq truck"), vocab)
-        assert ids == [[enc.UNK_ID, vocab["truck"]]]
+    def test_unknown_maps_to_unk(self):
+        ids = enc.tokenize("zzzqq truck")
+        assert ids == [[enc.UNK_ID, enc.VOCAB["truck"]]]
 
-    def test_phrase_split_and_cap(self, vocab):
-        ids = enc.tokenize(enc.TextInput("red sedan, large freight truck"), vocab)
+    def test_phrase_split_and_cap(self):
+        ids = enc.tokenize("red sedan, large freight truck")
         assert len(ids) == 2
         long = " ".join(["car"] * 20)
-        assert len(enc.tokenize(enc.TextInput(long), vocab)[0]) == enc.MAX_PHRASE_TOKENS
+        assert len(enc.tokenize(long)[0]) == enc.MAX_PHRASE_TOKENS
 
-    def test_too_many_phrases(self, vocab):
+    def test_too_many_phrases(self):
         with pytest.raises(ValueError):
-            enc.tokenize(enc.TextInput(", ".join(["car"] * 17)), vocab)
+            enc.tokenize(", ".join(["car"] * 17))
 
-    def test_vocab_size_and_unk_id(self, vocab):
-        assert len(vocab) == 256
-        assert min(vocab.values()) == 0 and max(vocab.values()) == 255
+    def test_vocab_size_and_unk_id(self):
+        assert len(enc.VOCAB) == 256
+        assert min(enc.VOCAB.values()) == 0 and max(enc.VOCAB.values()) == 255
+
+
+class TestPromptCheck:
+    """encoders.phrases is the one check of a prompt: every path that takes
+    one refuses a bad prompt with phrases' own message."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self):
+        return md.init_bundle(0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty text input"),
+        (" , ,", "empty text input"),
+        (", ".join(["car"] * 17), "too many phrases: 17 > 16"),
+    ])
+    def test_every_path_refuses_with_the_message_of_phrases(
+            self, bundle, text, message, tmp_path, capsys):
+        with pytest.raises(ValueError, match=message):
+            enc.phrases(text)
+        with pytest.raises(ValueError, match=message):
+            cfgmod.parse_config_text(f"text={text}")
+        # refused before the image is read: no such file exists
+        argv = ["detect", "--image", str(tmp_path / "none.ppm"), "--seed", "3",
+                f"--text={text}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        with pytest.raises(ValueError, match=message):
+            ec.LoopbackTransport(bundle, text)
+        with pytest.raises(ValueError, match=message):
+            enc.text_encode(text, bundle.text)
+
+    @pytest.mark.parametrize("text, words", [
+        ("red\tsedan", [["red", "sedan"]]),
+        ("red\u00a0sedan", [["red", "sedan"]]),
+        ("red\u3000sedan, \u3000bus\t", [["red", "sedan"], ["bus"]]),
+    ])
+    def test_unicode_whitespace_inside_a_phrase_splits_words(self, text, words):
+        # phrases strips the whitespace that split() splits on, so every
+        # phrase keeps at least one token and text_encode needs no empty case
+        assert enc.tokenize(text) == [[enc.VOCAB[w] for w in ws] for ws in words]
 
 
 class TestTextEncode:
     def test_output_dims(self, text_params):
-        feat = enc.text_encode(enc.TextInput("red sedan, large freight truck"), text_params)
+        feat = enc.text_encode("red sedan, large freight truck", text_params)
         assert feat.pooled.shape == (1, 512)
         assert feat.tokens.shape == (2, 512)
         assert np.linalg.norm(feat.pooled) > 0
 
     def test_single_phrase_pooled_equals_token_row(self, text_params):
-        feat = enc.text_encode(enc.TextInput("red sedan"), text_params)
+        feat = enc.text_encode("red sedan", text_params)
         assert feat.tokens.shape == (1, 512)
         assert np.allclose(feat.pooled, feat.tokens[0], atol=1e-6)
 
     def test_duplicate_phrases_identical_rows(self, text_params):
-        feat = enc.text_encode(enc.TextInput("car, car"), text_params)
+        feat = enc.text_encode("car, car", text_params)
         assert np.array_equal(feat.tokens[0], feat.tokens[1])
 
     def test_bit_identical_across_runs(self):
-        a = enc.text_encode(enc.TextInput("blue bus"), enc.init_text_encoder(tc.Rng(5)))
-        b = enc.text_encode(enc.TextInput("blue bus"), enc.init_text_encoder(tc.Rng(5)))
+        a = enc.text_encode("blue bus", enc.init_text_encoder(tc.Rng(5)))
+        b = enc.text_encode("blue bus", enc.init_text_encoder(tc.Rng(5)))
         assert np.array_equal(a.pooled, b.pooled)
         assert np.array_equal(a.tokens, b.tokens)
 
     def test_dim_always_512(self, text_params):
         for raw in ("car", "white van, taxi", "large truck, bus, red car"):
-            assert enc.text_encode(enc.TextInput(raw), text_params).pooled.shape == (1, 512)
+            assert enc.text_encode(raw, text_params).pooled.shape == (1, 512)
 
 
 class TestBackbone:

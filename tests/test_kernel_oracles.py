@@ -634,7 +634,7 @@ def test_decode_equals_loop_reference_on_random_heads(dtype, obj_thresh, nms_iou
 def toy_scene_heads():
     bundle = md.init_bundle(0)
     rng = tc.Rng(0)
-    text = enc.text_encode(enc.TextInput("car, truck, bus"), bundle.text)
+    text = enc.text_encode("car, truck, bus", bundle.text)
     heads = []
     for _ in range(64):
         image, _ = md.make_toy_scene(rng, size=64)

@@ -83,6 +83,17 @@ class TestBundle:
         with pytest.raises(ValueError, match=re.escape(shown)):
             md.load_bundle(path)
 
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 3), (1, 1)])
+    def test_load_rejects_a_meta_that_is_not_a_vector(self, tmp_path, shape):
+        # META's entries repeated to fill the shape: each leads with this
+        # build's version, and (1, 5) is the whole stamp
+        tensors = {"meta": np.resize(md.META, shape)}
+        tensors.update(tc.param_items(md.init_bundle(13)))
+        path = tmp_path / "rank2_meta.bin"
+        tc.atomic_write(path, tc.archive_to_bytes(tensors))
+        with pytest.raises(ValueError, match=re.escape(f"meta record of shape {shape}")):
+            md.load_bundle(path)
+
     def test_load_rejects_wrong_shapes_naming_the_tensor(self, tmp_path):
         for name, shape in (("fusion.w_gate", (3, 3)), ("head.b_cls", (5,))):
             tensors = {"meta": md.META}
@@ -200,7 +211,7 @@ class TestDetectFrame:
 
 def uncached_detect(image, text, bundle):
     """detect_frame's edge route composed by hand, with no prompt memo."""
-    projected = fu.project_text(enc.text_encode(enc.TextInput(text), bundle.text),
+    projected = fu.project_text(enc.text_encode(text, bundle.text),
                                 bundle.fusion)
     fmap, _ = fu.fuse_forward(enc.backbone_extract(image, bundle.backbone),
                               projected, bundle.fusion)
@@ -220,7 +231,7 @@ class TestPromptMemo:
         encode = enc.text_encode
 
         def counting(text, params):
-            calls.append(text.raw)
+            calls.append(text)
             return encode(text, params)
 
         monkeypatch.setattr(enc, "text_encode", counting)

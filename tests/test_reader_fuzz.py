@@ -1,4 +1,5 @@
-"""Seeded fuzzing of the PPM, TSR archive and detection-response readers.
+"""Seeded fuzzing of the PPM, TSR archive, detection-response and JSON-lines
+detection readers.
 
 Byte flips, truncations, insertions and forged headers: every input either
 decodes or raises ValueError, and no other exception leaves a reader.
@@ -158,3 +159,26 @@ class TestDetectionResponseFuzz:
                           + ec._RESP_DET.pack(cx, cy, w, h, score, class_id))
         decoded, rejected = outcomes(ec.decode_detection_response, inputs, check_response)
         assert decoded > 0 and rejected > 0
+
+
+def check_jsonl(rows):
+    for frame_id, b in rows:
+        assert type(frame_id) is int
+        check_response((frame_id, [b], 0.0))
+
+
+class TestJsonlFuzz:
+    BASE = (det.detections_to_jsonl([det.BBox(0.5, 0.4, 0.2, 0.3, 2, 0.9),
+                                     det.BBox(0.1, 0.8, 0.05, 0.1, 0, 0.6)], 3, 1.5)
+            + det.detections_to_jsonl([det.BBox(0.7, 0.2, 0.1, 0.1, 1, 0.4)], 4, 2.0))
+
+    def test_mutated_inputs_decode_or_raise_value_error(self):
+        # latin-1 maps each byte to one character, so every mutant is a str
+        inputs = (buf.decode("latin-1") for buf in mutants(self.BASE.encode(), 15))
+        decoded, rejected = outcomes(det.jsonl_to_detections, inputs, check_jsonl)
+        assert decoded > 0 and rejected > 0
+
+    def test_too_deeply_nested_line_is_rejected_naming_it(self):
+        nested = "[" * 100000 + "]" * 100000
+        with pytest.raises(ValueError, match="bad detection on line 4"):
+            det.jsonl_to_detections(self.BASE + nested + "\n")
