@@ -4,9 +4,13 @@ serve-cloud.
 Exit codes: 0 success, 1 runtime failure or a setting out of its
 config.SCHEMA range (one-line diagnostic on stderr), 2 usage error. All
 output files are written atomically (temp + rename).
+A command that runs the model loads the archive named by --weights or by
+weights= in the config file. With none named, a seed (--seed or seed=) gives
+a freshly initialized model from that seed, and no seed loads weights.bin
+from the working directory.
 Passing --seed, or seed= in the config file, makes the primary output files
-byte-identical across runs: weights are derived from the seed where
-applicable and per-line timing fields are zeroed.
+byte-identical across runs: weights are derived from the seed where none
+are named and per-line timing fields are zeroed.
 """
 
 from __future__ import annotations
@@ -97,27 +101,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def effective_config(args) -> dict:
-    """Defaults, overridden by the config file, overridden by flags.
-
-    weights= in the file names the archive as --weights does: it stands in
-    for an unset --weights in args, which _load_bundle reads."""
+    """Defaults, overridden by the config file, overridden by flags."""
     file_values = cfgmod.load_config(args.config) if args.config else {}
-    if getattr(args, "weights", None) is None and "weights" in file_values:
-        args.weights = file_values["weights"]
     return cfgmod.merge(file_values,
                         {k: getattr(args, k, None) for k in cfgmod.SCHEMA})
 
 
-def _load_bundle(cfg, args):
-    """Weights from the archive; a fixed seed with no archive named, by
-    --weights or by weights= in the config file, means a reproducible
-    freshly initialized model."""
-    path = cfg["weights"]
-    if os.path.exists(path):
-        return md.load_bundle(path)
-    if cfg["seed"] is not None and args.weights is None:
+def _archive_path(cfg):
+    """The weights archive named by --weights or weights=; with none named,
+    None under a fixed seed, which stands for a reproducible freshly
+    initialized model, and weights.bin otherwise."""
+    if cfg["weights"] is not None:
+        return cfg["weights"]
+    return None if cfg["seed"] is not None else "weights.bin"
+
+
+def _load_bundle(cfg):
+    path = _archive_path(cfg)
+    if path is None:
         return md.init_bundle(cfg["seed"])
-    raise FileNotFoundError(f"weights archive not found: {path}")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"weights archive not found: {path}")
+    return md.load_bundle(path)
 
 
 def _ppm_paths(input_dir):
@@ -141,7 +146,7 @@ def _write_detections(path, cfg, rows):
 
 def cmd_detect(args) -> int:
     cfg = effective_config(args)
-    bundle = _load_bundle(cfg, args)
+    bundle = _load_bundle(cfg)
     image = read_ppm(args.image)
     dets, ms = md.detect_frame(image, cfg["text"], bundle,
                                dehaze_first=args.pro,
@@ -154,7 +159,7 @@ def cmd_detect(args) -> int:
 
 def cmd_dehaze(args) -> int:
     cfg = effective_config(args)
-    bundle = _load_bundle(cfg, args)
+    bundle = _load_bundle(cfg)
     restored = dehaze_forward(read_ppm(args.image), bundle.gen)
     atomic_write(args.output, image_to_ppm_bytes(restored))
     print(f"dehazed image -> {args.output}")
@@ -164,12 +169,8 @@ def cmd_dehaze(args) -> int:
 def cmd_train_toy(args) -> int:
     cfg = effective_config(args)
     seed = 0 if cfg["seed"] is None else cfg["seed"]
-    weights = det.DetectLossWeights(lambda_cls=cfg["lambda1"],
-                                    lambda_bbox=cfg["lambda2"],
-                                    lambda_dfl=cfg["lambda3"])
     _, bundle = md.train_toy(seed=seed, steps=args.steps, lr=args.lr,
-                             weights=weights, text=cfg["text"],
-                             log=print)
+                             text=cfg["text"], log=print)
     if args.save:
         md.save_bundle(args.save, bundle)
         print(f"weights ({os.path.getsize(args.save)} bytes) -> {args.save}",
@@ -209,7 +210,7 @@ def cmd_bench(args) -> int:
     policy = ec.OffloadPolicy(cfg["mode"], cfg["tau"])
     if policy.mode != "always_edge" and not cfg["cloud"]:
         raise ValueError(f"policy {policy.mode!r} requires --cloud")
-    bundle = _load_bundle(cfg, args)
+    bundle = _load_bundle(cfg)
     images = [read_ppm(p) for p in _ppm_paths(args.input_dir)]
     frames = [(rep * len(images) + i, image)
               for rep in range(args.repetitions) for i, image in enumerate(images)]
@@ -239,8 +240,9 @@ def cmd_bench(args) -> int:
         "mean_cloud_compute_ms": _mean_or_none(stats.cloud_compute_ms),
         "mean_cloud_network_ms": _mean_or_none(stats.cloud_network_ms),
     }
-    if os.path.exists(cfg["weights"]):
-        report["model_size_bytes"] = os.path.getsize(cfg["weights"])
+    path = _archive_path(cfg)
+    if path is not None:
+        report["model_size_bytes"] = os.path.getsize(path)
     if args.detections:
         _write_detections(args.detections, cfg, [
             (fid, dets, ms)
@@ -263,7 +265,7 @@ def cmd_serve_cloud(args) -> int:
     except ValueError as e:
         raise ValueError(f"--listen: {e}") from None
     ec.cloud_serve(args.listen, ec.LoopbackTransport(
-        _load_bundle(cfg, args), cfg["text"], cfg["obj_thresh"], cfg["nms_iou"]))
+        _load_bundle(cfg), cfg["text"], cfg["obj_thresh"], cfg["nms_iou"]))
     return 0
 
 

@@ -8,8 +8,7 @@ of the module that uses the value; this module only parses and delegates.
 
 from __future__ import annotations
 
-from .detection import (NMS_IOU, OBJ_THRESH, DetectLossWeights,
-                        check_loss_weight, check_threshold)
+from .detection import NMS_IOU, OBJ_THRESH, check_threshold
 from .edgecloud import TIMEOUT_MS, OffloadPolicy, check_timeout, parse_addr
 from .encoders import phrases
 from .model import PROMPT
@@ -40,16 +39,12 @@ def _prompt(name, value):
 # name -> (parser, default as the library keeps it, the check of the module
 # that uses the value or None, flag help)
 SCHEMA = {
-    "weights": (str, "weights.bin", None, "weights archive path"),
+    "weights": (str, None, None,
+                "weights archive path; unset, a seed gives a freshly "
+                "initialized model and no seed reads weights.bin"),
     "mode": (str, OffloadPolicy.mode, _policy,
              "offload policy: always_edge, always_cloud or adaptive"),
     "tau": (float, OffloadPolicy.tau, _policy, "haze threshold for adaptive routing"),
-    "lambda1": (float, DetectLossWeights.lambda_cls, check_loss_weight,
-                "classification loss weight"),
-    "lambda2": (float, DetectLossWeights.lambda_bbox, check_loss_weight,
-                "box (CIoU) loss weight"),
-    "lambda3": (float, DetectLossWeights.lambda_dfl, check_loss_weight,
-                "distribution focal loss weight"),
     "seed": (int, None, None,
              "fix all RNG streams so output is reproducible; unset, "
              "train-toy trains from seed 0"),

@@ -20,6 +20,9 @@ REG_MAX = 7  # largest box-side distance in cells; REG_MAX + 1 bins per side
 OBJ_THRESH = 0.5  # default objectness threshold of every detecting caller
 NMS_IOU = 0.5     # default NMS IoU threshold, likewise
 NMS_BLOCK = 512   # candidates per suppression matrix in greedy NMS
+# the paper's three loss weights: of the class, box (CIoU) and distribution
+# focal terms of the detection loss
+LAMBDA_CLS, LAMBDA_BBOX, LAMBDA_DFL = 0.6, 7.0, 0.4
 
 
 def check_threshold(name: str, value: float) -> float:
@@ -27,14 +30,6 @@ def check_threshold(name: str, value: float) -> float:
     otherwise."""
     if not 0.0 < value < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {value}")
-    return value
-
-
-def check_loss_weight(name: str, value: float) -> float:
-    """value, if it is non-negative and finite; ValueError naming name
-    otherwise."""
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{name} must be non-negative and finite, got {value}")
     return value
 
 
@@ -73,20 +68,6 @@ class BBox:
     @property
     def area(self) -> float:
         return self.w * self.h
-
-
-@dataclass
-class DetectLossWeights:
-    lambda_cls: float = 0.6
-    lambda_bbox: float = 7.0
-    lambda_dfl: float = 0.4
-
-    def __post_init__(self):
-        vals = (check_loss_weight("lambda_cls", self.lambda_cls),
-                check_loss_weight("lambda_bbox", self.lambda_bbox),
-                check_loss_weight("lambda_dfl", self.lambda_dfl))
-        if not any(v > 0 for v in vals):
-            raise ValueError("at least one loss weight must be positive")
 
 
 def init_head(rng: tc.Rng, channels: int, n_classes: int) -> HeadParams:
@@ -314,7 +295,7 @@ def _sum_in_order(start, values: np.ndarray):
     return np.add.accumulate(np.concatenate(([start], values.ravel())))[-1]
 
 
-def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLossWeights,
+def detect_loss_with_grads(out: HeadOutput, targets: Targets,
                            frozen_alphas: dict | None = None):
     """Returns (DetectLoss, (g_obj_logits, g_box_logits, g_cls_logits))."""
     h, w = targets.obj.shape
@@ -354,15 +335,14 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets, weights: DetectLos
         g_e = np.concatenate([-half + side, half + side], axis=1) / n_pos
         dfl, g_dfl = dfl_loss_with_grad(probs, targets.dist[:, rows, cols].T)
         l_dfl = float(_sum_in_order(0.0, dfl)) / (4 * n_pos)
-        g_cells = (weights.lambda_bbox * (probs * (np.arange(nb) - e[..., None]) * g_e[..., None])
-                   + weights.lambda_dfl * g_dfl / (4 * n_pos))
+        g_cells = (LAMBDA_BBOX * (probs * (np.arange(nb) - e[..., None]) * g_e[..., None])
+                   + LAMBDA_DFL * g_dfl / (4 * n_pos))
         g_box.reshape(4, nb, h, w)[:, :, rows, cols] = g_cells.transpose(1, 2, 0)
     l_cls = float(cls_sum / n_terms)
 
-    total = (weights.lambda_cls * l_cls + weights.lambda_bbox * l_bbox
-             + weights.lambda_dfl * l_dfl)
-    g_obj = weights.lambda_cls * g_obj
-    g_cls = weights.lambda_cls * g_cls
+    total = LAMBDA_CLS * l_cls + LAMBDA_BBOX * l_bbox + LAMBDA_DFL * l_dfl
+    g_obj = LAMBDA_CLS * g_obj
+    g_cls = LAMBDA_CLS * g_cls
     return DetectLoss(total, l_cls, l_bbox, l_dfl, alphas), (g_obj, g_box, g_cls)
 
 

@@ -40,7 +40,11 @@ _KNOWN_TYPES = (MSG_FRAME_REQUEST, MSG_DETECTION_RESPONSE, MSG_PING,
                 MSG_PONG, MSG_ERROR)
 
 HEADER = struct.Struct("<2sBBI")  # magic, version, msg_type, payload_len
-MAX_PAYLOAD = 64 * 1024 * 1024
+# A cloud node's handle_request peaks near 400 B of allocation per pixel,
+# so the payload cap bounds the memory one request can demand. 8 MiB still
+# carries a 2048x1024 RGB frame (6.3 MB, the size of a Foggy Cityscapes
+# frame) and caps a request at about 1.1 GB; 64 MiB let one demand 9 GB.
+MAX_PAYLOAD = 8 * 1024 * 1024
 TIMEOUT_MS = 1000.0  # SocketTransport's default connect and read timeout
 
 

@@ -184,9 +184,8 @@ def make_toy_scene(rng: tc.Rng, size: int = 64):
 TOY_SCENES = 8  # the synthetic scenes train_toy overfits
 
 
-def train_toy(seed: int, steps: int, lr: float = LR,
-              weights: det.DetectLossWeights | None = None,
-              text: str = PROMPT, log=None):
+def train_toy(seed: int, steps: int, lr: float = LR, text: str = PROMPT,
+              log=None):
     """Overfits fusion + head on a handful of synthetic scenes.
 
     Text encoder and backbone stay fixed, so per-scene features are computed
@@ -199,7 +198,6 @@ def train_toy(seed: int, steps: int, lr: float = LR,
         raise ValueError(f"steps must lie in [1, 1000], got {steps}")
     if not 0 < lr < math.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
-    weights = weights or det.DetectLossWeights()
     bundle = init_bundle(seed)
     rng = tc.Rng(seed + 1)
     scenes = [make_toy_scene(rng) for _ in range(TOY_SCENES)]
@@ -219,7 +217,7 @@ def train_toy(seed: int, steps: int, lr: float = LR,
         for f, t in zip(feats, targets):
             fmap, cache = fu.fuse_forward(f, projected, bundle.fusion)
             out = det.head_forward(fmap, bundle.head)
-            loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(out, t, weights)
+            loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(out, t)
             hgrads, g_feat = det.head_backward(fmap, bundle.head,
                                                g_obj, g_box, g_cls)
             fgrads = fu.fuse_backward(cache, g_feat)

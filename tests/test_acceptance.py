@@ -93,9 +93,8 @@ class TestGradientSuite:
         worst_det = 0.0
         for scene_seed in (20, 24, 28, 32):
             params, feat, targets = detect_scene(scene_seed)
-            weights = det.DetectLossWeights()
             out0 = det.head_forward(feat, params)
-            frozen = det.detect_loss_with_grads(out0, targets, weights)[0].alphas
+            frozen = det.detect_loss_with_grads(out0, targets)[0].alphas
 
             for pseed, (name, value) in enumerate(tc.param_items(params)):
                 def f(p, name=name):
@@ -103,7 +102,7 @@ class TestGradientSuite:
                     setattr(trial, name, p)
                     out = det.head_forward(feat, trial)
                     loss, gs = det.detect_loss_with_grads(
-                        out, targets, weights, frozen_alphas=frozen)
+                        out, targets, frozen_alphas=frozen)
                     grads, _ = det.head_backward(feat, trial, *gs)
                     return loss.total, getattr(grads, name)
 
@@ -201,11 +200,13 @@ class TestLossSanity:
 
         params, feat, targets = detect_scene(36)
         out = det.head_forward(feat, params)
-        a = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(0.6, 7.0, 0.4))[0]
-        b = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8))[0]
-        assert abs(b.total - 2.0 * a.total) < 1e-9
+        loss = det.detect_loss_with_grads(out, targets)[0]
+        assert abs(loss.total - (det.LAMBDA_CLS * loss.l_cls
+                                 + det.LAMBDA_BBOX * loss.l_bbox
+                                 + det.LAMBDA_DFL * loss.l_dfl)) < 1e-9
         ok("losses: box loss zero at identity and >= 1-IoU, uniform "
-           "distribution loss = ln(bins), objective linear in its weights")
+           "distribution loss = ln(bins), objective the weighted sum of "
+           "its terms")
 
 
 class TestMetricsOracle:

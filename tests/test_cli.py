@@ -42,7 +42,9 @@ class TestConfig:
     def test_defaults_cover_schema(self):
         d = cfgmod.defaults()
         assert d["tau"] == 0.6
-        assert d["lambda1"] == 0.6 and d["lambda2"] == 7.0 and d["lambda3"] == 0.4
+        # unset: cli._load_bundle picks the archive from the seed
+        assert d["weights"] is None and d["seed"] is None
+        assert len(cfgmod.SCHEMA) == 9
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ValueError, match=":3:"):
@@ -52,15 +54,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=":1:"):
             cfgmod.parse_config_text("tau=very\n")
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            cfgmod.parse_config_text("lambda3=-0.5\n")
-
     def test_unread_keys_rejected_with_line(self):
         # keys that no command reads are not in the schema
         with pytest.raises(ValueError, match=r":2: unknown key 'channels'"):
             cfgmod.parse_config_text("tau=0.5\nchannels=16\n")
-        for key in ("lambda4", "lambda7", "height", "width"):
+        # the loss weights are detection.LAMBDA_* constants, not settings
+        for key in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda7",
+                    "height", "width"):
             with pytest.raises(ValueError, match=":1: unknown key"):
                 cfgmod.parse_config_text(f"{key}=1\n")
 
@@ -72,13 +72,6 @@ class TestConfig:
         for value in ("-1", "0", "inf", "nan"):
             with pytest.raises(ValueError, match=r":1: timeout_ms must be positive"):
                 cfgmod.parse_config_text(f"timeout_ms={value}\n")
-        # a NaN or infinite loss weight would train to NaN weights
-        for key in ("lambda1", "lambda2", "lambda3"):
-            for value in ("-0.5", "inf", "nan"):
-                with pytest.raises(ValueError,
-                                   match=rf":1: {key} must be non-negative and finite"):
-                    cfgmod.parse_config_text(f"{key}={value}\n")
-            assert cfgmod.parse_config_text(f"{key}=0\n") == {key: 0.0}
         with pytest.raises(ValueError, match=r":1: tau must lie in \[0, 1\]"):
             cfgmod.parse_config_text("tau=nan\n")
         # the text encoder takes 1 to encoders.MAX_PHRASES phrases
@@ -119,7 +112,7 @@ class TestConfig:
         eff = cfgmod.merge({"tau": 0.5, "mode": "always_edge"}, {"tau": 0.7})
         assert eff["tau"] == 0.7
         assert eff["mode"] == "always_edge"
-        assert eff["lambda2"] == 7.0  # untouched default
+        assert eff["nms_iou"] == det.NMS_IOU  # untouched default
 
 
 def _default(fn, name):
@@ -139,11 +132,8 @@ class TestOneHome:
         for fn in (ec.LoopbackTransport, ec.edge_serve, md.train_toy):
             assert _default(fn, "text") == schema["text"], fn
         assert _default(ec.SocketTransport, "timeout_ms") == schema["timeout_ms"]
-        fields = {f.name: f.default for cls in (ec.OffloadPolicy, det.DetectLossWeights)
-                  for f in dataclasses.fields(cls)}
+        fields = {f.name: f.default for f in dataclasses.fields(ec.OffloadPolicy)}
         assert (fields["mode"], fields["tau"]) == (schema["mode"], schema["tau"])
-        assert (fields["lambda_cls"], fields["lambda_bbox"], fields["lambda_dfl"]) \
-            == (schema["lambda1"], schema["lambda2"], schema["lambda3"])
 
     def test_train_toy_defaults(self):
         args = cli.build_parser().parse_args(["train-toy"])
@@ -691,3 +681,65 @@ class TestConfigPrecedence:
             parser.parse_args(argv + ["--config", str(cfg)]))["seed"] == 3
         assert cli.effective_config(
             parser.parse_args(argv + ["--config", str(cfg), "--seed", "4"]))["seed"] == 4
+
+
+class TestArchiveRule:
+    """cli._load_bundle loads the archive that --weights or weights= names;
+    with none named, a seed gives init_bundle(seed) and no seed reads
+    weights.bin from the working directory."""
+
+    @pytest.fixture()
+    def scene(self, tmp_path):
+        image, _ = md.make_toy_scene(tc.Rng(31))
+        indir = tmp_path / "imgs"
+        indir.mkdir()
+        (indir / "0.ppm").write_bytes(ppm.image_to_ppm_bytes(image))
+        return indir
+
+    @staticmethod
+    def argv(cmd, indir, out):
+        image = str(indir / "0.ppm")
+        return {
+            "detect": ["detect", "--image", image, "--obj-thresh", "0.05",
+                       "--output", str(out)],
+            "dehaze": ["dehaze", "--image", image, "--output", str(out)],
+            "bench": ["bench", "--input-dir", str(indir), "--mode", "always_edge",
+                      "--obj-thresh", "0.05", "--detections", str(out),
+                      "--output", str(out.parent / "bench.json")],
+        }[cmd]
+
+    @pytest.mark.parametrize("cmd", ["detect", "dehaze", "bench"])
+    def test_seed_ignores_a_stray_weights_bin(self, tmp_path, scene, cmd,
+                                              monkeypatch):
+        clean, stray = tmp_path / "clean", tmp_path / "stray"
+        clean.mkdir()
+        stray.mkdir()
+        md.save_bundle(stray / "weights.bin", md.init_bundle(9))
+        outs = {}
+        for name, cwd, extra in (
+                ("clean", clean, ["--seed", "3"]),
+                ("stray", stray, ["--seed", "3"]),
+                ("named", stray, ["--seed", "3", "--weights", "weights.bin"])):
+            monkeypatch.chdir(cwd)
+            outs[name] = cwd / f"{name}.out"
+            assert run(self.argv(cmd, scene, outs[name]) + extra) == 0
+        assert outs["clean"].read_bytes() == outs["stray"].read_bytes()
+        # a named archive wins over the seed, and its weights change the
+        # output, so the equality above can fail
+        assert outs["named"].read_bytes() != outs["stray"].read_bytes()
+
+    def test_bench_reports_the_size_of_a_loaded_archive_only(
+            self, tmp_path, scene, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        md.save_bundle(tmp_path / "weights.bin", md.init_bundle(9))
+        size = os.path.getsize(tmp_path / "weights.bin")
+
+        def report(*extra):
+            out = tmp_path / "o.jsonl"
+            assert run(self.argv("bench", scene, out) + list(extra)) == 0
+            return json.loads((tmp_path / "bench.json").read_text())
+        assert "model_size_bytes" not in report("--seed", "3")
+        assert report("--seed", "3", "--weights", "weights.bin")[
+            "model_size_bytes"] == size
+        # no seed and no archive named: weights.bin is loaded
+        assert report()["model_size_bytes"] == size

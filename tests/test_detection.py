@@ -246,40 +246,16 @@ class TestDetectLoss:
         out.obj_logits = np.full_like(out.obj_logits, -50.0)
         out.obj = tc.sigmoid(out.obj_logits)
         targets = det.assign_targets([], (2, 2))
-        loss = det.detect_loss_with_grads(out, targets, det.DetectLossWeights())[0]
+        loss = det.detect_loss_with_grads(out, targets)[0]
         assert loss.total < 1e-6
         assert loss.l_bbox == 0.0 and loss.l_dfl == 0.0
 
-    def test_weight_zeroing(self):
-        _, _, out, targets = self.make_scene()
-        loss = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(1.0, 0.0, 0.0))[0]
-        assert loss.total == loss.l_cls
-
     def test_weighted_sum_of_independent_terms(self):
         _, _, out, targets = self.make_scene()
-        w = det.DetectLossWeights()
-        loss = det.detect_loss_with_grads(out, targets, w)[0]
-        expected = w.lambda_cls * loss.l_cls + w.lambda_bbox * loss.l_bbox + w.lambda_dfl * loss.l_dfl
+        loss = det.detect_loss_with_grads(out, targets)[0]
+        expected = (det.LAMBDA_CLS * loss.l_cls + det.LAMBDA_BBOX * loss.l_bbox
+                    + det.LAMBDA_DFL * loss.l_dfl)
         assert abs(loss.total - expected) < 1e-9
-
-    def test_linear_in_weights(self):
-        _, _, out, targets = self.make_scene()
-        a = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(0.6, 7.0, 0.4))[0].total
-        b = det.detect_loss_with_grads(out, targets, det.DetectLossWeights(1.2, 14.0, 0.8))[0].total
-        assert abs(b - 2 * a) < 1e-9
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            det.DetectLossWeights(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            det.DetectLossWeights(-1.0, 1.0, 1.0)
-        # the error names the field
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError,
-                               match="lambda_cls must be non-negative and finite"):
-                det.DetectLossWeights(bad, 1.0, 1.0)
-        with pytest.raises(ValueError, match="lambda_dfl must be non-negative"):
-            det.DetectLossWeights(1.0, 1.0, -0.5)
 
     def test_frozen_alphas_reproduce_the_total_bit_for_bit(self):
         # a seeded scene whose decoded box is one of the rare pairs where an
@@ -291,10 +267,9 @@ class TestDetectLoss:
                              cls_logits=zero_cls)
         gt = det.BBox(*rng.uniform(0.1, 0.9, 2), *rng.uniform(0.05, 0.6, 2))
         targets = det.assign_targets([gt], (8, 8))
-        weights = det.DetectLossWeights()
-        base, grads = det.detect_loss_with_grads(out, targets, weights)
+        base, grads = det.detect_loss_with_grads(out, targets)
         again, again_grads = det.detect_loss_with_grads(
-            out, targets, weights, frozen_alphas=base.alphas)
+            out, targets, frozen_alphas=base.alphas)
         assert again.total == base.total
         assert again.l_bbox == base.l_bbox
         assert again.alphas == base.alphas
@@ -305,12 +280,11 @@ class TestDetectLoss:
         from gradutil import coord_subset_grad_check
 
         params, feat, out0, targets = self.make_scene()
-        weights = det.DetectLossWeights()
         feat64 = feat.astype(np.float64)
         # the aspect weight inside the box loss is a constant as far as the
         # gradients are concerned; pin it at the base point so the numeric
         # check differentiates exactly the same function
-        base, _ = det.detect_loss_with_grads(out0, targets, weights)
+        base, _ = det.detect_loss_with_grads(out0, targets)
         frozen = base.alphas
 
         for seed, (name, value) in enumerate(tc.param_items(params)):
@@ -319,7 +293,7 @@ class TestDetectLoss:
                 setattr(trial, name, p)
                 out = det.head_forward(feat64, trial)
                 loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(
-                    out, targets, weights, frozen_alphas=frozen)
+                    out, targets, frozen_alphas=frozen)
                 grads, _ = det.head_backward(feat64, trial, g_obj, g_box, g_cls)
                 return loss.total, getattr(grads, name)
 

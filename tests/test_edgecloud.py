@@ -5,6 +5,7 @@ import os
 import socket
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestFramePayload:
         frame = ec.FramePayload(77, 2, 3, 3, bytes(range(18)))
         back = ec.decode_frame_payload(ec.encode_frame_payload(frame))
         assert back == frame
+
+    def test_foggy_cityscapes_frame_fits_under_the_cap(self):
+        # a 2048x1024 RGB frame, the size of a Foggy Cityscapes image,
+        # crosses the wire whole; one byte more than the cap does not
+        pixels = bytes(range(256)) * (2048 * 1024 * 3 // 256)
+        frame = ec.FramePayload(5, 2048, 1024, 3, pixels)
+        buf = ec.encode_message(ec.WireMessage(
+            ec.MSG_FRAME_REQUEST, ec.encode_frame_payload(frame)))
+        assert ec.decode_frame_payload(ec.decode_message(buf).payload) == frame
+        with pytest.raises(ec.BadLength, match="payload too large"):
+            ec.encode_message(ec.WireMessage(ec.MSG_FRAME_REQUEST,
+                                             bytes(ec.MAX_PAYLOAD + 1)))
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -448,17 +461,23 @@ class TestSocketServer:
     @pytest.mark.parametrize("head, error", [
         (bytes(ec.HEADER.size), ec.BadMagic),
         (ec.HEADER.pack(ec.MAGIC, ec.VERSION + 1, ec.MSG_PING, 0), ec.BadVersion),
-    ], ids=["zero_bytes", "next_version"])
+        (ec.HEADER.pack(ec.MAGIC, ec.VERSION, ec.MSG_FRAME_REQUEST,
+                        ec.MAX_PAYLOAD + 1), ec.BadLength),
+    ], ids=["zero_bytes", "next_version", "payload_over_cap"])
     def test_bad_header_is_answered_at_once(self, bundle, head, error):
-        # each header declares an empty payload; the server must not wait
-        # for the checksum of a frame whose magic or version is wrong
+        # no payload follows the header; the server must not wait for the
+        # checksum of a frame whose magic or version is wrong, nor for (or
+        # buffer) a payload longer than MAX_PAYLOAD
         with serving(ec.LoopbackTransport(bundle)) as server:
             host, port = server.server_address[:2]
+            start = time.monotonic()
             with socket.create_connection((host, port), timeout=2.0) as sock:
                 sock.sendall(head)
                 err = ec.decode_message(ec._recv_frame(sock))
+            elapsed = time.monotonic() - start
             assert err.msg_type == ec.MSG_ERROR
             assert err.payload[0] == error.code
+            assert elapsed < 1.0, elapsed
 
     def test_edge_serve_over_tcp(self, bundle):
         with serving(ec.LoopbackTransport(bundle)) as server:

@@ -847,7 +847,7 @@ def ref_dfl(side_logits, target):
     return float(loss), p - y
 
 
-def ref_detect_loss_with_grads(out, targets, weights, frozen_alphas=None):
+def ref_detect_loss_with_grads(out, targets, frozen_alphas=None):
     h, w = targets.obj.shape
     nb = det.REG_MAX + 1
     n_classes = out.cls_logits.shape[0]
@@ -885,21 +885,21 @@ def ref_detect_loss_with_grads(out, targets, weights, frozen_alphas=None):
             gcx / (2 * w) + gw / w,
             gcy / (2 * h) + gh / h,
         ]) / n_pos
-        g_cell = weights.lambda_bbox * (probs * (bins[None, :] - e[:, None]) * g_e[:, None])
+        g_cell = det.LAMBDA_BBOX * (probs * (bins[None, :] - e[:, None]) * g_e[:, None])
         logits = out.box[:, r, c].reshape(4, nb).astype(np.float64)
         for side in range(4):
             dloss, dgrad = ref_dfl(logits[side], float(targets.dist[side, r, c]))
             l_dfl += dloss
-            g_cell[side] += weights.lambda_dfl * dgrad / (4 * n_pos)
+            g_cell[side] += det.LAMBDA_DFL * dgrad / (4 * n_pos)
         g_box[:, r, c] = g_cell.reshape(-1)
     if n_pos:
         l_bbox /= n_pos
         l_dfl /= 4 * n_pos
 
-    total = (weights.lambda_cls * l_cls + weights.lambda_bbox * l_bbox
-             + weights.lambda_dfl * l_dfl)
+    total = (det.LAMBDA_CLS * l_cls + det.LAMBDA_BBOX * l_bbox
+             + det.LAMBDA_DFL * l_dfl)
     loss = det.DetectLoss(total, l_cls, l_bbox, l_dfl, alphas)
-    return loss, (weights.lambda_cls * g_obj, g_box, weights.lambda_cls * g_cls)
+    return loss, (det.LAMBDA_CLS * g_obj, g_box, det.LAMBDA_CLS * g_cls)
 
 
 def test_dfl_equals_per_side_reference():
@@ -942,9 +942,9 @@ def random_loss_case(seed, dtype, grid, n_gts, n_classes=3):
     return out, det.assign_targets(gts, grid), len(gts)
 
 
-def assert_loss_equals_reference(out, targets, weights, frozen_alphas=None):
-    got, got_grads = det.detect_loss_with_grads(out, targets, weights, frozen_alphas)
-    want, want_grads = ref_detect_loss_with_grads(out, targets, weights, frozen_alphas)
+def assert_loss_equals_reference(out, targets, frozen_alphas=None):
+    got, got_grads = det.detect_loss_with_grads(out, targets, frozen_alphas)
+    want, want_grads = ref_detect_loss_with_grads(out, targets, frozen_alphas)
     for name in ("total", "l_cls", "l_bbox", "l_dfl"):
         a, b = getattr(got, name), getattr(want, name)
         assert type(a) is type(b), name
@@ -964,9 +964,8 @@ def test_detect_loss_equals_loop_reference(dtype, grid):
         out, targets, n_boxes = random_loss_case(2000 + n_gts, dtype, grid, n_gts)
         clipped += int((targets.dist == det.REG_MAX).sum())
         shared += n_boxes - len(targets.boxes)
-        for weights in (det.DetectLossWeights(), det.DetectLossWeights(1.0, 0.0, 2.5)):
-            free = assert_loss_equals_reference(out, targets, weights)
-            assert set(free.alphas) == set(targets.boxes)
-            assert_loss_equals_reference(out, targets, weights, free.alphas)
+        free = assert_loss_equals_reference(out, targets)
+        assert set(free.alphas) == set(targets.boxes)
+        assert_loss_equals_reference(out, targets, free.alphas)
     # the cases reach the clip at REG_MAX and put two boxes in one cell
     assert clipped and shared

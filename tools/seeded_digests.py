@@ -96,8 +96,7 @@ def digests() -> list[tuple[str, str]]:
 
 
 def main() -> int:
-    # relative paths, and the default weights.bin of the seeded commands,
-    # resolve inside the fresh directory
+    # the inputs and outputs are relative paths inside the fresh directory
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
