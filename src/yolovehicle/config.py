@@ -2,8 +2,9 @@
 
 Unknown keys are rejected with the offending line number; absent keys fall
 back to defaults; command-line flags, built from the same schema, override
-file values and pass the same range checks. Each range check is the one
-of the module that uses the value; this module only parses and delegates.
+file values and pass the same range checks. Each range check but one is
+the one of the module that uses the value; this module parses, delegates,
+and itself rejects only an empty weights path.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ def _address(name, value):
     return value
 
 
+def _archive(name, value):
+    """A weights archive path: an empty one names no file, and taking it as
+    unset would quietly pick a seed model or weights.bin."""
+    if not value:
+        raise ValueError(f"{name} must name an archive, got an empty path")
+    return value
+
+
 def _prompt(name, value):
     """The text encoder's own check: 1 to encoders.MAX_PHRASES phrases."""
     try:
@@ -39,7 +48,7 @@ def _prompt(name, value):
 # name -> (parser, default as the library keeps it, the check of the module
 # that uses the value or None, flag help)
 SCHEMA = {
-    "weights": (str, None, None,
+    "weights": (str, None, _archive,
                 "weights archive path; unset, a seed gives a freshly "
                 "initialized model and no seed reads weights.bin"),
     "mode": (str, OffloadPolicy.mode, _policy,

@@ -19,7 +19,7 @@ from . import tensor_core as tc
 REG_MAX = 7  # largest box-side distance in cells; REG_MAX + 1 bins per side
 OBJ_THRESH = 0.5  # default objectness threshold of every detecting caller
 NMS_IOU = 0.5     # default NMS IoU threshold, likewise
-NMS_BLOCK = 512   # candidates per suppression matrix in greedy NMS
+MAX_CANDIDATES = 512  # top-scoring cells decode keeps before NMS
 # the paper's three loss weights: of the class, box (CIoU) and distribution
 # focal terms of the detection loss
 LAMBDA_CLS, LAMBDA_BBOX, LAMBDA_DFL = 0.6, 7.0, 0.4
@@ -373,8 +373,9 @@ def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
     Array code with the arithmetic of a per-cell loop: a cell is a candidate
     unless its objectness, in float64, lies below obj_thresh; its box is the
     `_cell_boxes` expectation clipped to the unit square; candidates rank by
-    score, ties in row-major cell order; each kept box suppresses the later
-    same-class candidates whose `iou` with it exceeds nms_iou.
+    score, ties in row-major cell order, and only the first MAX_CANDIDATES
+    are decoded; each kept box suppresses the later same-class candidates
+    whose `iou` with it exceeds nms_iou.
     """
     check_threshold("obj_thresh", obj_thresh)
     check_threshold("nms_iou", nms_iou)
@@ -382,7 +383,7 @@ def decode_detections(out: HeadOutput, obj_thresh: float = OBJ_THRESH,
     # float32, where np.float32(0.7) < 0.7 is false
     obj64 = out.obj[0].astype(np.float64)
     rows, cols = np.nonzero(~(obj64 < obj_thresh))
-    order = np.argsort(-obj64[rows, cols], kind="stable")
+    order = np.argsort(-obj64[rows, cols], kind="stable")[:MAX_CANDIDATES]
     rows, cols = rows[order], cols[order]
     scores = obj64[rows, cols]
     _, _, mid, size = _cell_boxes(out.box, rows, cols)
@@ -402,49 +403,32 @@ def _greedy_nms(mid, size, cls_ids, nms_iou):
     """Indices kept by greedy per-class NMS over [n, 2] box centres and
     sides already in rank order.
 
-    Candidates go in blocks of at most NMS_BLOCK. The boxes kept in earlier
-    blocks first strike out what they suppress in a block, NMS_BLOCK of
-    them at a time; then the block's own suppression matrix is scanned
-    greedily, one row operation per kept box. No matrix exceeds NMS_BLOCK
-    x NMS_BLOCK, so the extra memory is bounded by NMS_BLOCK, not by the
-    candidate count.
+    One [n, n] matrix holds whether box i suppresses box j; it is scanned
+    greedily, one row operation per kept box. The decisions are `iou`'s:
+    np.minimum and np.maximum may differ from min() and max() only in the
+    sign of a zero or in a NaN, and neither passes `iw > 0` nor
+    `> nms_iou`. The overlap is clamped at 0 in place of iou()'s early
+    return, which keeps the division defined and decides the same.
     """
+    if len(cls_ids) == 0:
+        return np.zeros(0, dtype=np.intp)
     (cx, cy), (w, h) = mid.T, size.T
-    boxes = (cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h, cls_ids)
-    kept = []
-    for start in range(0, len(cls_ids), NMS_BLOCK):
-        block = slice(start, start + NMS_BLOCK)
-        spare = ~_suppression(boxes, block, block, nms_iou)
-        alive = np.ones(len(spare), dtype=bool)
-        for k in range(0, len(kept), NMS_BLOCK):
-            rows = np.array(kept[k:k + NMS_BLOCK], dtype=np.intp)
-            alive &= ~_suppression(boxes, rows, block, nms_iou).any(axis=0)
-        # i is the first live candidate: all before it are done. It leaves
-        # by hand, as its IoU with itself may round below nms_iou
-        while alive[i := int(alive.argmax())]:
-            kept.append(start + i)
-            alive[i] = False
-            alive &= spare[i]
-    return np.array(kept, dtype=np.intp)
-
-
-def _suppression(boxes, rows, cols, nms_iou):
-    """[rows, cols] booleans: whether kept box `rows` suppresses candidate
-    `cols`, from the (x1, y1, x2, y2, area, class) vectors of boxes.
-
-    The decisions are `iou`'s: np.minimum and np.maximum may differ from
-    min() and max() only in the sign of a zero or in a NaN, and neither
-    passes `iw > 0` nor `> nms_iou`. The overlap is clamped at 0 in place
-    of iou()'s early return, which keeps the division defined and decides
-    the same.
-    """
-    x1, y1, x2, y2, area, cls_ids = boxes
-    iw = np.minimum(x2[rows, None], x2[cols]) - np.maximum(x1[rows, None], x1[cols])
-    ih = np.minimum(y2[rows, None], y2[cols]) - np.maximum(y1[rows, None], y1[cols])
+    x1, y1, x2, y2, area = cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2, w * h
+    iw = np.minimum(x2[:, None], x2) - np.maximum(x1[:, None], x1)
+    ih = np.minimum(y2[:, None], y2) - np.maximum(y1[:, None], y1)
     inter = np.maximum(iw, 0.0, out=iw)
     inter *= np.maximum(ih, 0.0, out=ih)
-    over = inter / (area[rows, None] + area[cols] - inter) > nms_iou
-    return over & (cls_ids[rows, None] == cls_ids[cols])
+    over = inter / (area[:, None] + area - inter) > nms_iou
+    spare = ~(over & (cls_ids[:, None] == cls_ids))
+    alive = np.ones(len(cls_ids), dtype=bool)
+    kept = []
+    # i is the first live candidate: all before it are done. It leaves by
+    # hand, as its IoU with itself may round below nms_iou
+    while alive[i := int(alive.argmax())]:
+        kept.append(i)
+        alive[i] = False
+        alive &= spare[i]
+    return np.array(kept, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

@@ -191,11 +191,15 @@ def encode_detection_response(frame_id: int, dets: list[det.BBox],
 def decode_detection_response(buf: bytes):
     """Returns (frame_id, detections, inference_ms); doubles on the wire so
     the cloud route reproduces local detections bit-exactly. ValueError
-    for a detection that fails det.checked_box, and for an inference time
-    that is negative or not finite."""
+    for more than det.MAX_CANDIDATES detections, for a detection that fails
+    det.checked_box, and for an inference time that is negative or not
+    finite."""
     if len(buf) < _RESP_HEAD.size:
         raise ValueError("detection response truncated")
     frame_id, inference_ms, count = _RESP_HEAD.unpack_from(buf)
+    if count > det.MAX_CANDIDATES:
+        raise ValueError(f"response holds {count} detections, more than the "
+                         f"{det.MAX_CANDIDATES} decode keeps")
     if len(buf) != _RESP_HEAD.size + count * _RESP_DET.size:
         raise ValueError("detection response length mismatch")
     if not 0 <= inference_ms < math.inf:

@@ -86,6 +86,9 @@ class TestConfig:
                 with pytest.raises(ValueError, match=rf":1: {key} must lie in \(0, 1\)"):
                     cfgmod.parse_config_text(f"{key}={value}\n")
             assert cfgmod.parse_config_text(f"{key}=0.05\n") == {key: 0.05}
+        # an empty path names no archive; it is not taken as unset
+        with pytest.raises(ValueError, match=r":2: weights must name an archive"):
+            cfgmod.parse_config_text("seed=3\nweights=\n")
 
     def test_cloud_address_names_the_line(self):
         with pytest.raises(ValueError, match=r":2: address ':99999' has port 99999"):
@@ -590,6 +593,21 @@ class TestConfigPrecedence:
         assert err.count("\n") == 1
         assert message in err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("named, where", [
+        (["--config", "c.cfg"], "c.cfg:1"),
+        (["--weights", "", "--seed", "3"], "--weights"),
+    ], ids=["file", "flag"])
+    def test_empty_weights_fails_before_the_model_runs(self, tmp_path, image_path,
+                                                       monkeypatch, named, where,
+                                                       no_weights, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("weights=\nseed=3\n")
+        code = run(["detect", "--image", image_path, *named, "--output", "o.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err == (f"yolovehicle: error: {where}: weights must "
+                                           "name an archive, got an empty path\n")
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_config_weights_acts_as_weights_flag(self, tmp_path, monkeypatch,
                                                  capsys):

@@ -155,10 +155,10 @@ class TestFramePayload:
 GOOD_BOX = dict(cx=0.5, cy=0.5, w=0.2, h=0.3, class_id=1, score=0.9)
 
 
-def response_payload(frame_id=3, inference_ms=2.0, **fields):
-    """A detection response with one box: GOOD_BOX with fields replaced."""
+def response_payload(frame_id=3, inference_ms=2.0, count=1, **fields):
+    """A detection response with count boxes: GOOD_BOX with fields replaced."""
     return ec.encode_detection_response(
-        frame_id, [det.BBox(**{**GOOD_BOX, **fields})], inference_ms)
+        frame_id, [det.BBox(**{**GOOD_BOX, **fields})] * count, inference_ms)
 
 
 class TestDetectionResponse:
@@ -166,6 +166,10 @@ class TestDetectionResponse:
         fid, dets, ms = ec.decode_detection_response(response_payload())
         assert (fid, ms) == (3, 2.0)
         assert dets == [det.BBox(**GOOD_BOX)]
+        # as many as decode keeps still cross
+        _, dets, _ = ec.decode_detection_response(
+            response_payload(count=det.MAX_CANDIDATES))
+        assert dets == [det.BBox(**GOOD_BOX)] * det.MAX_CANDIDATES
 
     @pytest.mark.parametrize("fields, reason", [
         ({"cx": math.nan}, "cx must be finite"),
@@ -178,8 +182,11 @@ class TestDetectionResponse:
         ({"inference_ms": -1.0}, "inference_ms must be non-negative and finite"),
         ({"inference_ms": math.inf}, "inference_ms must be non-negative and finite"),
         ({"inference_ms": math.nan}, "inference_ms must be non-negative and finite"),
+        ({"count": det.MAX_CANDIDATES + 1},
+         f"holds {det.MAX_CANDIDATES + 1} detections, more than the {det.MAX_CANDIDATES}"),
     ], ids=["nan_cx", "infinite_cy", "negative_w", "infinite_h", "zero_h",
-            "nan_score", "negative_class_id", "negative_ms", "infinite_ms", "nan_ms"])
+            "nan_score", "negative_class_id", "negative_ms", "infinite_ms", "nan_ms",
+            "too_many"])
     def test_lying_fields_rejected(self, fields, reason):
         with pytest.raises(ValueError, match=reason):
             ec.decode_detection_response(response_payload(**fields))
@@ -565,7 +572,10 @@ class TestEdgeServe:
         dict(inference_ms=math.inf),
         # more compute than the whole round trip took
         dict(inference_ms=1e9),
-    ], ids=["all_lies", "negative_class", "nan_side", "infinite_ms", "ms_over_rtt"])
+        # more detections than decode keeps
+        dict(count=det.MAX_CANDIDATES + 1),
+    ], ids=["all_lies", "negative_class", "nan_side", "infinite_ms", "ms_over_rtt",
+            "too_many"])
     def test_lying_cloud_degrades_to_edge(self, bundle, answer):
         class LyingTransport:
             def request(self, data):

@@ -574,7 +574,7 @@ def ref_decode_detections(out, obj_thresh=0.5, nms_iou=0.5):
                                det.BBox((x1 + x2) / 2, (y1 + y2) / 2, bw, bh, cls_id, score)))
     candidates.sort(key=lambda t: (-t[0], t[1]))
     kept = []
-    for _, _, box in candidates:
+    for _, _, box in candidates[:det.MAX_CANDIDATES]:
         if any(k.class_id == box.class_id and det.iou(k, box) > nms_iou for k in kept):
             continue
         kept.append(box)
@@ -710,14 +710,33 @@ def test_decode_equals_loop_reference_on_edge_cases(case, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("nms_iou", [0.1, 0.5, 0.9])
-def test_decode_equals_loop_reference_past_one_nms_block(dtype, nms_iou):
+def test_decode_equals_capped_loop_reference_past_max_candidates(dtype, nms_iou):
     out = random_head_output(2024, dtype, grid=(24, 32))
-    assert np.count_nonzero(~(out.obj.astype(np.float64) < 0.05)) > det.NMS_BLOCK
+    assert np.count_nonzero(~(out.obj.astype(np.float64) < 0.05)) > det.MAX_CANDIDATES
     assert_decode_equals_reference(out, 0.05, nms_iou)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decode_cuts_tied_scores_in_row_major_order(dtype):
+    # 768 cells of one score: the cap keeps the first 512 in row-major order
+    # (NMS over all 768 would keep 375)
+    out = random_head_output(2024, dtype, grid=(24, 32))
+    out.obj[:] = 0.8
+    got = assert_decode_equals_reference(out, 0.5, 0.5)
+    assert len(got) == 263
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("obj_thresh, nms_iou", THRESHOLDS)
+def test_decode_equals_capped_loop_reference_on_a_wide_head(dtype, obj_thresh, nms_iou):
+    # the head grid of a 384x1248 frame at stride 8
+    out = random_head_output(2024, dtype, grid=(48, 156))
+    got = assert_decode_equals_reference(out, obj_thresh, nms_iou)
+    assert len(got) <= det.MAX_CANDIDATES
+
+
 # ---------------------------------------------------------------------------
-# greedy NMS: the per-kept-box pass the block matrices replaced, and the
+# greedy NMS: the per-kept-box pass the suppression matrix replaced, and the
 # plain loop over iou()
 
 
@@ -765,9 +784,9 @@ def assert_nms_equals_references(mid, size, cls_ids, nms_iou):
     return got
 
 
-@pytest.mark.parametrize("n", [0, 1, det.NMS_BLOCK, det.NMS_BLOCK + 1])
+@pytest.mark.parametrize("n", [0, 1, det.MAX_CANDIDATES, det.MAX_CANDIDATES + 1])
 @pytest.mark.parametrize("nms_iou", [0.1, 0.5, 0.9])
-def test_nms_equals_references_at_block_sized_counts(n, nms_iou):
+def test_nms_equals_references_at_cap_sized_counts(n, nms_iou):
     mid, size, cls_ids = random_boxes(3000 + n, n)
     kept = assert_nms_equals_references(mid, size, cls_ids, nms_iou)
     assert kept[:1].tolist() == [0][:n]
@@ -790,9 +809,9 @@ def threshold_pairs(n, firsts):
 
 
 @pytest.mark.parametrize("nms_iou", [0.5, np.nextafter(0.5, 0.0)])
-def test_nms_at_exact_threshold_on_both_sides_of_a_block_boundary(nms_iou):
-    b = det.NMS_BLOCK
-    firsts = [10, b - 1, b + 20]  # inside the first block, across, inside the second
+def test_nms_at_exact_threshold_on_both_sides_of_the_cap(nms_iou):
+    b = det.MAX_CANDIDATES
+    firsts = [10, b - 1, b + 20]  # below the cap, across it, above it
     mid, size, cls_ids = threshold_pairs(2 * b, firsts)
     for i in firsts:
         box = [det.BBox(*mid[j], *size[j]) for j in (i, i + 1)]
@@ -812,17 +831,6 @@ def test_nms_box_whose_iou_with_itself_is_below_the_threshold():
     mid, size = np.array([box[:2]] * 2), np.array([box[2:]] * 2)
     kept = assert_nms_equals_references(mid, size, np.zeros(2, np.intp), nms_iou)
     assert kept.tolist() == [0, 1]
-
-
-@pytest.mark.parametrize("block, n", [(1, 40), (2, 300), (7, 300), (64, 300)])
-def test_nms_block_size_does_not_change_decisions(monkeypatch, block, n):
-    # small blocks, most boxes kept: each later block meets several chunks
-    # of earlier kept boxes
-    mid, size, cls_ids = random_boxes(3100, n, side=(0.01, 0.15))
-    want = ref_greedy_nms(mid, size, cls_ids, 0.3)
-    assert len(want) > 4 * block
-    monkeypatch.setattr(det, "NMS_BLOCK", block)
-    assert np.array_equal(det._greedy_nms(mid, size, cls_ids, 0.3), want)
 
 
 # ---------------------------------------------------------------------------
