@@ -441,13 +441,12 @@ def keep_freed_memory() -> bool:
     give it back to the kernel. Returns False where the C library has no
     mallopt or refuses a setting.
 
-    A 384x1248 frame allocates and frees large temporaries in every layer
-    of the dehazer and the detector. By default glibc maps each of them
-    afresh or trims the heap once they are freed, so every frame faults its
-    pages in again: with two handler threads, 2,900-3,400 minor page faults
-    per frame, against about 1,200 with these settings. At 256x256 the
-    settings make no difference (125-130 either way). Three settings keep
-    that memory:
+    A frame allocates and frees megabytes of feature maps in every layer of
+    the dehazer and the detector. By default glibc maps each of them afresh
+    or trims the heap once they are freed, so every frame faults its pages
+    in again: with two handler threads, about 2,800 minor page faults per
+    384x1248 frame and 2,200 per 256x256 frame, against 17-34 and 30 with
+    these settings. Three settings keep that memory:
     - a 2 GiB trim threshold: freed memory at the top of a heap stays;
     - the mmap threshold fixed at glibc's 32 MiB cap: the temporaries come
       from the heap (a fixed trim threshold alone would pin the mmap

@@ -142,9 +142,12 @@ def clamp01_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 # convolution (cross-correlation), CHW single image
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Columns [C*kh*kw, H'*W']; row (c, i, j) holds kernel tap (i, j) of
-    channel c at every output position."""
+def _taps(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """The view taps[c, i, j, y, x] = xp[c, i + stride * y, j + stride * x]
+    over x padded by pad zeros: kernel tap (i, j) of channel c at output
+    position (y, x), shape [C, kh, kw, H', W']. With pad 0 and a
+    C-contiguous x the view is over x itself, so writes through it land in
+    x."""
     c, h, w = x.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
@@ -156,29 +159,57 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
         xp = np.ascontiguousarray(x)
     ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     sc, sh, sw = xp.strides
-    # taps[c, i, j, y, x] = xp[c, i + stride * y, j + stride * x]; every
-    # index stays inside the contiguous xp, so a plain ndarray over its
-    # buffer can view it (cheaper per call than as_strided). One row-order
-    # copy makes the columns C-contiguous, so the matmul sees the same
-    # layout at every shape
-    taps = np.ndarray((c, kh, kw, ho, wo), xp.dtype, buffer=xp,
+    # every index stays inside the contiguous xp, so a plain ndarray over
+    # its buffer can view it (cheaper per call than as_strided)
+    return np.ndarray((c, kh, kw, ho, wo), xp.dtype, buffer=xp,
                       strides=(sc, sh, sw, stride * sh, stride * sw))
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """Columns [C*kh*kw, H'*W']; row (c, i, j) holds kernel tap (i, j) of
+    channel c at every output position."""
+    taps = _taps(x, kh, kw, stride, pad)
+    c, _, _, ho, wo = taps.shape
+    # one row-order copy makes the columns C-contiguous, so the matmul sees
+    # the same layout at every shape
     return taps.copy().reshape(c * kh * kw, ho * wo), ho, wo
+
+
+CONV_BAND = 4096  # the most output positions conv2d multiplies in one matmul
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlate x [C,H,W] with kernels [O,C,kh,kw] -> [O,H',W'].
 
-    One matmul over all columns: BLAS may round a dot product differently
-    when the column count of a call changes, so the columns are not split.
+    A map of at most CONV_BAND output positions is one matmul over all its
+    columns. A larger map is cut into bands of whole output rows, as many
+    as fit in CONV_BAND positions (at least one): each band's columns are
+    built in one buffer, reused from band to band, and multiplied into
+    the output. The column matrix of a 384x1248 map would take 138 MB for
+    8 channels; the buffer takes 1.2 MB. BLAS may round a column of a
+    product differently with its position in the call (OpenBLAS does, on
+    some kernel families more often than on others), so the band
+    boundaries are part of the result.
     """
     if x.ndim != 3 or kernels.ndim != 4:
         raise ValueError(f"conv2d expects CHW input and OCKK kernels, got {x.shape}, {kernels.shape}")
     o, c, kh, kw = kernels.shape
     if c != x.shape[0]:
         raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    cols, ho, wo = _im2col(x, kh, kw, stride, pad)
-    out = kernels.reshape(o, -1) @ cols
+    w2 = kernels.reshape(o, -1)
+    k = w2.shape[1]
+    taps = _taps(x, kh, kw, stride, pad)
+    ho, wo = taps.shape[3:]
+    if ho * wo <= CONV_BAND:
+        return (w2 @ taps.copy().reshape(k, ho * wo)).reshape(o, ho, wo)
+    rows = max(1, CONV_BAND // wo)
+    buf = np.empty(k * rows * wo, taps.dtype)
+    out = np.empty((o, ho * wo), np.result_type(w2, taps))
+    for y0 in range(0, ho, rows):
+        y1 = min(y0 + rows, ho)
+        cols = buf[: k * (y1 - y0) * wo].reshape(c, kh, kw, y1 - y0, wo)
+        cols[...] = taps[:, :, :, y0:y1]
+        np.matmul(w2, cols.reshape(k, -1), out=out[:, y0 * wo : y1 * wo])
     return out.reshape(o, ho, wo)
 
 
@@ -195,11 +226,12 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     taps = grad_cols.reshape(c, kh, kw, ho, wo)
     h, w = x.shape[1:]
     gxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
+    gtaps = _taps(gxp, kh, kw, stride, 0)  # a view that writes into gxp
     # taps are added in (i, j) order at every input element, as a per-channel
     # loop would add them, so the sums round identically
     for i in range(kh):
         for j in range(kw):
-            gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += taps[:, i, j]
+            gtaps[:, i, j] += taps[:, i, j]
     if pad:
         gxp = gxp[:, pad:-pad, pad:-pad]
     return gxp, grad_k
@@ -236,7 +268,7 @@ def conv_stack(x: np.ndarray, layers: list[ConvLayer], records: list | None = No
     """Conv + leaky ReLU per layer; records, if given, gets one
     (input, activated output, layer) tuple per layer for conv_stack_backward."""
     for layer in layers:
-        # conv_layer's output is fresh, and its column matrix already freed:
+        # conv_layer's output is fresh, and its columns already freed:
         # activate it in place
         y = conv_layer(x, layer)
         x_in, x = x, leaky_relu(y, out=y)

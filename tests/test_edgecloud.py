@@ -294,8 +294,6 @@ class TestCloudHandler:
 
 # Two handler threads serve hazed 384x1248 frames, as the cloud node does,
 # after one warm-up frame each; prints the minor page faults per frame.
-# At 256x256 the count is the same with the setting and without it, so a
-# frame of that size could not show the setting working.
 PAGE_FAULT_SCRIPT = """
 import json, resource, sys, threading
 from yolovehicle import edgecloud as ec, model as md, tensor_core as tc
@@ -354,8 +352,8 @@ class TestCloudMemory:
         result = json.loads(out.stdout)
         assert not result["alive"]
         assert result["types"] == [ec.MSG_DETECTION_RESPONSE] * 8
-        # about 1,200 per frame with the setting; 2,900-3,400 with glibc's
-        # defaults, which give the freed temporaries back to the kernel
+        # 17-34 per frame with the setting; about 2,800 with glibc's
+        # defaults, which give the freed feature maps back to the kernel
         assert result["faults_per_frame"] < 2000
 
 

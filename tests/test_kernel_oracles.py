@@ -1,7 +1,8 @@
 """Fast kernels against plain reference kernels, bit for bit.
 
 The references are the straightforward forms of each kernel: a per-channel
-loop im2col/col2im, the np.pad + sliding-window column build, a three-line
+loop im2col/col2im (the loop's columns multiplied in conv2d's row bands),
+the np.pad + sliding-window column build, a three-line
 softmax, attention from that softmax, a dehaze forward built from the loop
 convolution, the K-estimator's and the backbone's backward passes written
 out layer by layer with each leaky ReLU's mask taken from its
@@ -10,9 +11,10 @@ sigmoid gradient, a fusion backward with matmul outer products, an
 out-of-place Adam, a whole-window dark channel, the per-cell
 decode-and-NMS loop, the per-kept-box NMS pass and the per-positive
 detection-loss loop with one softmax per side. The fast kernels do the same arithmetic in the same
-order, so every comparison is exact; the one exception is the sigmoid
+order, so every comparison is exact. Two exceptions: the sigmoid
 gradient's flush of subnormal results to zero, which the saturated-gate
-tests pin down.
+tests pin down, and a banded conv against one matmul over all its columns,
+which may round differently and is held to the dot-product error bound.
 """
 
 import math
@@ -54,9 +56,15 @@ def ref_im2col(x, kh, kw, stride, pad):
 
 
 def ref_conv2d(x, kernels, stride=1, pad=0):
+    """The loop-built columns multiplied in conv2d's bands: as many whole
+    output rows as fit in tc.CONV_BAND positions (one band for a map that
+    fits)."""
     o, _, kh, kw = kernels.shape
     cols, ho, wo = ref_im2col(x, kh, kw, stride, pad)
-    return (kernels.reshape(o, -1) @ cols).reshape(o, ho, wo)
+    w2 = kernels.reshape(o, -1)
+    band = max(1, tc.CONV_BAND // wo) * wo
+    parts = [w2 @ cols[:, p : p + band] for p in range(0, ho * wo, band)]
+    return np.concatenate(parts, axis=1).reshape(o, ho, wo)
 
 
 def ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0):
@@ -237,6 +245,50 @@ def test_conv2d_forward_and_backward_equal_loop_reference(stride, pad, k, dtype,
     gx, gk = tc.conv2d_backward(x, kernels, g, stride, pad)
     rgx, rgk = ref_conv2d_backward(x, kernels, g, stride, pad)
     assert np.array_equal(gx, rgx) and np.array_equal(gk, rgk)
+
+
+# a map wider than CONV_BAND (one row per band), and a stride-2 map whose
+# 35 output rows of 151 make bands of 27 rows and a short last band of 8
+@pytest.mark.parametrize("shape,stride", [((2, 5, tc.CONV_BAND + 104), 1), ((3, 70, 301), 2)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_banded_conv2d_equals_loop_reference(shape, stride, dtype):
+    rng = tc.Rng(960 + stride)
+    x = rng.uniform(-1, 1, shape).astype(dtype)
+    kernels = rng.uniform(-1, 1, (4, shape[0], 3, 3)).astype(dtype)
+    out = tc.conv2d(x, kernels, stride, 1)
+    assert out.shape[1] * out.shape[2] > tc.CONV_BAND
+    assert out.dtype == dtype and np.array_equal(out, ref_conv2d(x, kernels, stride, 1))
+
+
+@pytest.mark.parametrize("c,h,w,stride", [(8, 64, 64, 1), (3, 1, tc.CONV_BAND, 1),
+                                          (8, 127, 127, 2), (3, 37, 41, 1)])
+def test_conv2d_of_at_most_conv_band_positions_is_one_matmul(c, h, w, stride):
+    rng = tc.Rng(965 + h)
+    x = rng.uniform(-1, 1, (c, h, w))
+    kernels = rng.uniform(-1, 1, (3, c, 3, 3))
+    cols, ho, wo = tc._im2col(x, 3, 3, stride, 1)
+    assert ho * wo <= tc.CONV_BAND
+    single = (kernels.reshape(3, -1) @ cols).reshape(3, ho, wo)
+    assert np.array_equal(tc.conv2d(x, kernels, stride, 1), single)
+
+
+@pytest.mark.parametrize("c,o,h,w,stride", [(8, 3, 96, 312, 1), (8, 8, 192, 624, 2),
+                                            (3, 8, 100, 77, 1)])
+def test_banded_conv2d_within_dot_product_bound_of_one_matmul(c, o, h, w, stride):
+    # a dot product of K terms, summed in any order, is off its exact value
+    # by at most about K * eps / 2 times the sum of its terms' magnitudes,
+    # so two orders differ by at most about K * eps times that sum
+    rng = tc.Rng(970 + w)
+    x = rng.uniform(-1, 1, (c, h, w))
+    kernels = rng.uniform(-1, 1, (o, c, 3, 3))
+    cols, ho, wo = tc._im2col(x, 3, 3, stride, 1)
+    assert ho * wo > tc.CONV_BAND
+    w2 = kernels.reshape(o, -1)
+    single = w2 @ cols
+    banded = tc.conv2d(x, kernels, stride, 1).reshape(o, -1)
+    k = w2.shape[1]
+    bound = k * np.finfo(np.float32).eps * (np.abs(w2).astype(np.float64) @ np.abs(cols))
+    assert np.all(np.abs(banded.astype(np.float64) - single) <= bound)
 
 
 def ref_im2col_windows(x, kh, kw, stride, pad):

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -141,6 +143,32 @@ class TestConv2d:
 
         assert tc.grad_check(f_x, x) < 1e-3
         assert tc.grad_check(f_k, k) < 1e-3
+
+    def test_threads_convolving_at_once_each_get_their_own_result(self):
+        # the cloud node's handler threads convolve at once, and numpy lets
+        # go of the interpreter lock while it fills and multiplies a band
+        rng = tc.Rng(24)
+        k = rng.uniform(-1, 1, (8, 8, 3, 3))
+        maps = [rng.uniform(-1, 1, (8, 96, 100)) for _ in range(4)]  # 3 bands each
+        want = [tc.conv2d(x, k, pad=1) for x in maps]
+        same = [None] * len(maps)
+
+        def run(i):
+            same[i] = all(np.array_equal(tc.conv2d(maps[i], k, pad=1), want[i])
+                          for _ in range(10))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(maps))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert same == [True] * len(maps)
 
 
 class TestGlobalAvgPool:

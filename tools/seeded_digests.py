@@ -1,12 +1,13 @@
-"""Prints the digest of each seeded CLI output, one `name sha256[:16]` line
-per output.
+"""Prints the digest of each seeded CLI output, and of the raw float32
+restoration of the 256x256 frame, one `name sha256[:16]` line per output.
 
 These are the outputs a refactor must leave byte-identical. Run the script
 on two commits, on the same numpy and the same BLAS kernels (the
 OPENBLAS_CORETYPE family), and compare the lines. The inputs are built in a
-temporary directory from model.make_toy_scene and dehaze.synthesize_haze;
-JSON-lines outputs lose their one timing field, inference_ms, before they
-are hashed. A command that fails ends the script with a non-zero status.
+temporary directory from model.make_toy_scene, seeded uniform noise and
+dehaze.synthesize_haze; JSON-lines outputs lose their one timing field,
+inference_ms, before they are hashed. A command that fails ends the script
+with a non-zero status.
 
     PYTHONPATH=src python tools/seeded_digests.py
 """
@@ -24,8 +25,8 @@ import tempfile
 from yolovehicle import cli
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
-from yolovehicle.dehaze import synthesize_haze
-from yolovehicle.ppm import image_to_ppm_bytes
+from yolovehicle.dehaze import dehaze_forward, synthesize_haze
+from yolovehicle.ppm import image_to_ppm_bytes, read_ppm
 
 
 def digest(data: bytes) -> str:
@@ -51,18 +52,24 @@ def run(*argv: str) -> bytes:
     return out.getvalue().encode()
 
 
+def write_ppm(path, image) -> None:
+    with open(path, "wb") as fh:
+        fh.write(image_to_ppm_bytes(image))
+
+
 def write_scene(path, seed: int, size: int, transmission: float | None) -> None:
     image, _ = md.make_toy_scene(tc.Rng(seed), size)
     if transmission is not None:
         image = synthesize_haze(image, transmission)
-    with open(path, "wb") as fh:
-        fh.write(image_to_ppm_bytes(image))
+    write_ppm(path, image)
 
 
 def digests() -> list[tuple[str, str]]:
     out = []
     os.makedirs("frames")
     write_scene("hazy.ppm", 3, 256, 0.5)
+    # a KITTI-wide frame: its convs run in bands of a few whole rows
+    write_ppm("wide.ppm", synthesize_haze(tc.Rng(5).uniform(0, 1, (3, 384, 1248)), 0.5))
     for i in range(4):
         write_scene(os.path.join("frames", f"{i}.ppm"), 10 + i, 64,
                     0.4 if i % 2 else None)
@@ -76,6 +83,12 @@ def digests() -> list[tuple[str, str]]:
     run("dehaze", "--image", "hazy.ppm", "--seed", "3", "--output", "dehazed.ppm")
     with open("dehazed.ppm", "rb") as fh:
         out.append(("dehaze", digest(fh.read())))
+    # the float values the 8-bit PPM rounds away
+    restored = dehaze_forward(read_ppm("hazy.ppm"), md.init_bundle(3).gen)
+    out.append(("dehaze_float32", digest(restored.astype("<f4").tobytes())))
+
+    run("detect", "--image", "wide.ppm", "--seed", "3", "--pro", "--output", "wide.jsonl")
+    out.append(("detect_pro_wide", digest(without_timing("wide.jsonl"))))
 
     run("bench", "--input-dir", "frames", "--seed", "3", "--mode", "always_edge",
         "--detections", "bench.jsonl", "--output", "bench.json")
