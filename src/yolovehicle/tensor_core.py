@@ -181,15 +181,15 @@ CONV_BAND = 4096  # the most output positions conv2d multiplies in one matmul
 def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlate x [C,H,W] with kernels [O,C,kh,kw] -> [O,H',W'].
 
-    A map of at most CONV_BAND output positions is one matmul over all its
-    columns. A larger map is cut into bands of whole output rows, as many
-    as fit in CONV_BAND positions (at least one): each band's columns are
-    built in one buffer, reused from band to band, and multiplied into
-    the output. The column matrix of a 384x1248 map would take 138 MB for
-    8 channels; the buffer takes 1.2 MB. BLAS may round a column of a
-    product differently with its position in the call (OpenBLAS does, on
-    some kernel families more often than on others), so the band
-    boundaries are part of the result.
+    The map is cut into bands of whole output rows, as many as fit in
+    CONV_BAND positions (at least one), so a map of at most CONV_BAND
+    positions is one band and one matmul. Each band's columns are built in
+    one buffer, reused from band to band, and multiplied into the output.
+    The column matrix of a 384x1248 map would take 138 MB for 8 channels;
+    the buffer takes 1.2 MB. BLAS may round a column of a product
+    differently with its position in the call (OpenBLAS does, on some
+    kernel families more often than on others), so the band boundaries
+    are part of the result.
     """
     if x.ndim != 3 or kernels.ndim != 4:
         raise ValueError(f"conv2d expects CHW input and OCKK kernels, got {x.shape}, {kernels.shape}")
@@ -200,9 +200,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) ->
     k = w2.shape[1]
     taps = _taps(x, kh, kw, stride, pad)
     ho, wo = taps.shape[3:]
-    if ho * wo <= CONV_BAND:
-        return (w2 @ taps.copy().reshape(k, ho * wo)).reshape(o, ho, wo)
-    rows = max(1, CONV_BAND // wo)
+    rows = min(ho, max(1, CONV_BAND // wo))
     buf = np.empty(k * rows * wo, taps.dtype)
     out = np.empty((o, ho * wo), np.result_type(w2, taps))
     for y0 in range(0, ho, rows):

@@ -1,5 +1,6 @@
-"""Prints the digest of each seeded CLI output, and of the raw float32
-restoration of the 256x256 frame, one `name sha256[:16]` line per output.
+"""Prints the digest of each seeded CLI output, of the raw float32
+restoration of the 256x256 frame and of the raw float32 backbone features
+of the 384x1248 frame, one `name sha256[:16]` line per output.
 
 These are the outputs a refactor must leave byte-identical. Run the script
 on two commits, on the same numpy and the same BLAS kernels (the
@@ -26,6 +27,7 @@ from yolovehicle import cli
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
 from yolovehicle.dehaze import dehaze_forward, synthesize_haze
+from yolovehicle.encoders import backbone_features
 from yolovehicle.ppm import image_to_ppm_bytes, read_ppm
 
 
@@ -89,6 +91,11 @@ def digests() -> list[tuple[str, str]]:
 
     run("detect", "--image", "wide.ppm", "--seed", "3", "--pro", "--output", "wide.jsonl")
     out.append(("detect_pro_wide", digest(without_timing("wide.jsonl"))))
+    # the untrained head barely reads its features, so the boxes above can
+    # stay put while the backbone's float32 features move
+    feats = backbone_features(read_ppm("wide.ppm"), md.init_bundle(3).backbone)
+    out.append(("backbone_wide_float32",
+                digest(b"".join(f.astype("<f4").tobytes() for f in feats.scales()))))
 
     run("bench", "--input-dir", "frames", "--seed", "3", "--mode", "always_edge",
         "--detections", "bench.jsonl", "--output", "bench.json")
