@@ -214,9 +214,8 @@ def cmd_bench(args) -> int:
     images = [read_ppm(p) for p in _ppm_paths(args.input_dir)]
     frames = [(rep * len(images) + i, image)
               for rep in range(args.repetitions) for i, image in enumerate(images)]
-    link = None
-    if policy.mode != "always_edge":
-        link = ec.SocketTransport(cfg["cloud"], cfg["timeout_ms"])
+    link = (None if policy.mode == "always_edge"
+            else ec.SocketTransport(cfg["cloud"], cfg["timeout_ms"]))
     try:
         start = time.perf_counter()
         stats, results = ec.edge_serve(

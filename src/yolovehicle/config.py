@@ -99,9 +99,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             raise ValueError(f"{source}:{ln}: key {key!r} given twice, "
                              f"on lines {lines[key]} and {ln}")
         lines[key] = ln
-        parser = SCHEMA[key][0]
         try:
-            parsed = parser(value)
+            parsed = SCHEMA[key][0](value)
         except ValueError:
             raise ValueError(f"{source}:{ln}: bad value {value!r} for {key}") \
                 from None

@@ -10,7 +10,7 @@ about a seventh of the forward time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +36,31 @@ def init_generator(rng: tc.Rng, channels: int) -> DehazeGenerator:
     return gen
 
 
-def dehaze_forward(hazy: np.ndarray, gen: DehazeGenerator) -> np.ndarray:
-    y, _ = _gen_forward(hazy, gen)
-    return y
-
-
-def _gen_forward(hazy: np.ndarray, gen: DehazeGenerator):
+def dehaze_forward(hazy: np.ndarray, gen: DehazeGenerator, cache: list | None = None) -> np.ndarray:
+    """The restored frame. A cache gets the input, the pre-clamp frame and
+    one (input, output, layer) record per conv, the head's last, for
+    dehaze_backward; without one no record is kept."""
     if hazy.ndim != 3 or hazy.shape[0] != 3:
         raise ValueError(f"expected a 3xHxW image, got {hazy.shape}")
-    records = []
+    records = None if cache is None else []
     feat = tc.conv_stack(hazy, [gen.stem, gen.mid], records)
     k = tc.conv_layer(feat, gen.head)
     # K*I - K + 1 rearranged: where K is exactly 1 this returns I exactly,
     # which the literal form does not in floating point
     pre_clamp = hazy + (k - 1) * (hazy - 1)
-    return tc.clamp01(pre_clamp), (hazy, records, feat, k, pre_clamp)
+    if cache is not None:
+        cache += [hazy, pre_clamp, [*records, (feat, k, gen.head)]]
+    return tc.clamp01(pre_clamp)
 
 
-def _gen_backward(cache, gen: DehazeGenerator, g_out: np.ndarray):
+def dehaze_backward(cache: list, grad: np.ndarray):
     """Returns (input grad, parameter grads as a DehazeGenerator)."""
-    hazy, records, feat, k, pre_clamp = cache
-    g_pre = tc.clamp01_backward(pre_clamp, g_out)
-    g_feat, g_head = tc.conv_layer_backward(feat, gen.head, g_pre * (hazy - 1))
+    hazy, pre_clamp, [*records, (feat, k, head)] = cache
+    g_pre = tc.clamp01_backward(pre_clamp, grad)
+    g_feat, g_head = tc.conv_layer_backward(feat, head, g_pre * (hazy - 1))
     gh, (g_stem, g_mid) = tc.conv_stack_backward(records, g_feat)
     # dJ/dI = 1 + (K - 1) through the formula, plus the path through K
-    return g_pre * k + gh, replace(gen, stem=g_stem, mid=g_mid, head=g_head)
+    return g_pre * k + gh, DehazeGenerator(stem=g_stem, mid=g_mid, head=g_head)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +72,10 @@ def identity_loss_with_grads(gen: DehazeGenerator, clear: np.ndarray):
     generator's parameters. Returns (loss, grads), grads a dict keyed and
     ordered like tc.param_items(gen).
     """
-    out, cache = _gen_forward(clear, gen)
+    cache = []
+    out = dehaze_forward(clear, gen, cache)
     diff = out.astype(np.float64) - clear.astype(np.float64)
-    _, g_gen = _gen_backward(cache, gen, (np.sign(diff) / diff.size).astype(out.dtype))
+    _, g_gen = dehaze_backward(cache, (np.sign(diff) / diff.size).astype(out.dtype))
     return float(np.mean(np.abs(diff))), dict(tc.param_items(g_gen))
 
 

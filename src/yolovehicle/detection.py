@@ -285,9 +285,7 @@ class DetectLoss:
 
 def _bce_with_logits(z: np.ndarray, y: np.ndarray):
     """Stable elementwise binary cross-entropy on logits; returns (loss, grad)."""
-    loss = np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    grad = tc.sigmoid(z) - y
-    return loss, grad
+    return np.maximum(z, 0) - z * y + np.log1p(np.exp(-np.abs(z))), tc.sigmoid(z) - y
 
 
 def _sum_in_order(start, values: np.ndarray):
@@ -341,9 +339,8 @@ def detect_loss_with_grads(out: HeadOutput, targets: Targets,
     l_cls = float(cls_sum / n_terms)
 
     total = LAMBDA_CLS * l_cls + LAMBDA_BBOX * l_bbox + LAMBDA_DFL * l_dfl
-    g_obj = LAMBDA_CLS * g_obj
-    g_cls = LAMBDA_CLS * g_cls
-    return DetectLoss(total, l_cls, l_bbox, l_dfl, alphas), (g_obj, g_box, g_cls)
+    return (DetectLoss(total, l_cls, l_bbox, l_dfl, alphas),
+            (LAMBDA_CLS * g_obj, g_box, LAMBDA_CLS * g_cls))
 
 
 def _cell_boxes(box: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -436,16 +433,13 @@ def _greedy_nms(mid, size, cls_ids, nms_iou):
 
 
 def detections_to_jsonl(dets: list[BBox], frame_id: int, inference_ms: float) -> str:
-    lines = []
-    for d in dets:
-        lines.append(json.dumps({
-            "frame_id": int(frame_id),
-            "class_id": int(d.class_id),
-            "score": float(d.score),
-            "cx": float(d.cx), "cy": float(d.cy), "w": float(d.w), "h": float(d.h),
-            "inference_ms": float(inference_ms),
-        }, sort_keys=True))
-    return "".join(line + "\n" for line in lines)
+    return "".join(json.dumps({
+        "frame_id": int(frame_id),
+        "class_id": int(d.class_id),
+        "score": float(d.score),
+        "cx": float(d.cx), "cy": float(d.cy), "w": float(d.w), "h": float(d.h),
+        "inference_ms": float(inference_ms),
+    }, sort_keys=True) + "\n" for d in dets)
 
 
 def checked_box(cx, cy, w, h, class_id, score) -> BBox:

@@ -136,7 +136,7 @@ class BackboneParams:
 
 @dataclass
 class MultiScaleFeatures:
-    f1: np.ndarray  # [C, H/8,  W/8]
+    f1: np.ndarray  # [C, H/8,  W/8], each side rounded up
     f2: np.ndarray  # [C, H/16, W/16]
     f3: np.ndarray  # [C, H/32, W/32]
 
@@ -153,9 +153,10 @@ def init_backbone(rng: tc.Rng, channels: int) -> BackboneParams:
     return BackboneParams(stem=stem, stages=stages)
 
 
-def backbone_features(image: np.ndarray, params: BackboneParams, cache: list | None = None) -> MultiScaleFeatures:
-    """Pyramid features without backbone_extract's /32 divisibility check;
-    a cache gets one tc.conv_stack record list per stack, the stem's first."""
+def backbone_extract(image: np.ndarray, params: BackboneParams, cache: list | None = None) -> MultiScaleFeatures:
+    """Pyramid features of a 3xHxW image of any size, each map ceil(H/s) x
+    ceil(W/s) at stride s; a cache gets one tc.conv_stack record list per
+    stack, the stem's first."""
     x, outs = image, []
     for layers in [params.stem, *params.stages]:
         records = None if cache is None else []
@@ -166,18 +167,9 @@ def backbone_features(image: np.ndarray, params: BackboneParams, cache: list | N
     return MultiScaleFeatures(*outs[1:])
 
 
-def backbone_extract(image: np.ndarray, params: BackboneParams) -> MultiScaleFeatures:
-    if image.ndim != 3 or image.shape[0] != 3:
-        raise ValueError(f"expected 3xHxW image, got {image.shape}")
-    _, h, w = image.shape
-    if h % 32 or w % 32:
-        raise ValueError(f"image dims must be divisible by 32, got {h}x{w}")
-    return backbone_features(image, params)
-
-
 def backbone_backward(cache: list, grads: list[np.ndarray]):
     """Returns (grad_image, parameter grads as a BackboneParams). cache is
-    backbone_features'; grads holds one output grad per scales() entry."""
+    backbone_extract's; grads holds one output grad per scales() entry."""
     stem, *stages = cache
     g = None
     stage_grads = []

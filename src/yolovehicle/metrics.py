@@ -48,9 +48,7 @@ def match_detections(preds: list[BBox], gts: list[BBox],
         p = preds[i]
         best_iou, best_j = 0.0, -1
         for j, g in enumerate(gts):
-            if taken[j]:
-                continue
-            if g.class_id != p.class_id:
+            if taken[j] or g.class_id != p.class_id:
                 continue
             v = iou(p, g)
             if v >= cfg.iou_threshold and v > best_iou:
@@ -148,8 +146,7 @@ def map_at(preds, gts, thresholds=(0.5, 0.75)) -> dict[float, EvalResult]:
                 per_class_flags[box.class_id][1].append(box.score)
             for box in fg_boxes:
                 gt_counts[box.class_id] += 1
-        ap = {}
-        tp, fp, fn = {}, {}, {}
+        ap, tp, fp, fn = {}, {}, {}, {}
         for k in sorted(classes):
             flags_k, scores_k = per_class_flags[k]
             v = average_precision(flags_k, scores_k, gt_counts[k])

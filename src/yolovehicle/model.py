@@ -70,8 +70,7 @@ def init_bundle(seed: int) -> ModelBundle:
 
 
 def save_bundle(path, bundle: ModelBundle) -> None:
-    tensors = {"meta": META}
-    tensors.update(tc.param_items(bundle))
+    tensors = {"meta": META, **dict(tc.param_items(bundle))}
     tc.atomic_write(path, tc.archive_to_bytes(tensors))
 
 
@@ -148,8 +147,12 @@ def _projected_prompt(text: str, bundle: ModelBundle) -> fu.ProjectedText:
 def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
                  dehaze_first: bool = False, obj_thresh: float = det.OBJ_THRESH,
                  nms_iou: float = det.NMS_IOU):
-    """Full pipeline on one frame. Returns (detections, inference_ms)."""
+    """Full pipeline on one frame. Returns (detections, inference_ms).
+    ValueError, before any work, unless both sides are multiples of 32."""
     start = time.perf_counter()
+    h, w = image.shape[-2:]
+    if h % 32 or w % 32:
+        raise ValueError(f"image dims must be divisible by 32, got {h}x{w}")
     if dehaze_first:
         image = dh.dehaze_forward(image, bundle.gen)
     feats = enc.backbone_extract(image, bundle.backbone)

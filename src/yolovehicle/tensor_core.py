@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -509,13 +508,17 @@ def archive_entries(buf: bytes):
 
 def atomic_write(path, data) -> None:
     """Writes bytes or text to path via a temp file in the same directory,
-    so a failure part-way leaves an existing file at path untouched."""
+    so a failure part-way leaves an existing file at path untouched. It keeps
+    the mode of the file it replaces; a new one gets open()'s, 0o666 & ~umask."""
     directory = os.path.dirname(os.path.abspath(path))
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".yv-tmp-")
+    tmp = os.path.join(directory, f".yv-tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,6 +11,7 @@ import pytest
 from gradutil import serving
 from yolovehicle import cli
 from yolovehicle import config as cfgmod
+from yolovehicle import dehaze as dh
 from yolovehicle import detection as det
 from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
@@ -242,6 +243,19 @@ class TestDetect:
                     "--output", str(tmp_path / "o.jsonl")])
         assert code == 1
         assert "format version 1, this build reads version 2" in capsys.readouterr().err
+
+    def test_kitti_sized_frame_exits_one_before_dehazing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        calls = []
+        monkeypatch.setattr(dh, "dehaze_forward", lambda *a: calls.append(a))
+        frame = tmp_path / "kitti.ppm"
+        frame.write_bytes(ppm.image_to_ppm_bytes(np.full((3, 375, 1242), 0.5, np.float32)))
+        code = run(["detect", "--image", str(frame), "--pro", "--seed", "1",
+                    "--output", str(tmp_path / "o.jsonl")])
+        assert code == 1 and calls == []
+        assert capsys.readouterr().err == \
+            "yolovehicle: error: image dims must be divisible by 32, got 375x1242\n"
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_seeded_runs_byte_identical(self, tmp_path, image_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -75,6 +75,19 @@ class TestDehazeForward:
         with pytest.raises(ValueError, match="3xHxW"):
             dh.dehaze_forward(make_image(0, 6, 6)[:2], gen)
 
+    @pytest.mark.parametrize("h,w", [(8, 8), (37, 301)])
+    def test_cache_leaves_the_output_bit_identical(self, h, w):
+        gen = dh.init_generator(tc.Rng(174), channels=8)
+        hazy = make_image(175, h, w, 0.0, 1.0)
+        cache = []
+        cached = dh.dehaze_forward(hazy, gen, cache)
+        plain = dh.dehaze_forward(hazy, gen)
+        assert plain.dtype == cached.dtype and np.array_equal(plain, cached)
+        # the input, the pre-clamp frame, and the stem, mid and head records
+        assert cache[0] is hazy and len(cache) == 3 and len(cache[2]) == 3
+        layers = [layer for _, _, layer in cache[2]]
+        assert all(a is b for a, b in zip(layers, [gen.stem, gen.mid, gen.head]))
+
 
 class TestComponentGradients:
     """The generator's backward pass, one tensor at a time, against central
@@ -85,8 +98,9 @@ class TestComponentGradients:
         w = tc.Rng(seed).uniform(-1, 1, x.shape).astype(np.float64)
 
         def run(v, gen):
-            y, cache = dh._gen_forward(v, gen)
-            return float((y * w).sum()), dh._gen_backward(cache, gen, w)
+            cache = []
+            y = dh.dehaze_forward(v, gen, cache)
+            return float((y * w).sum()), dh.dehaze_backward(cache, w)
         return run
 
     def test_input(self):
@@ -187,9 +201,10 @@ class TestGeneratorGradients:
         gen, clear = dh.init_generator(tc.Rng(167), channels=4), make_image(168)
         gen.head.w = np.zeros_like(gen.head.w)
         gen.head.b = np.full_like(gen.head.b, 6.0)
-        out, cache = dh._gen_forward(clear, gen)
+        cache = []
+        out = dh.dehaze_forward(clear, gen, cache)
         assert np.all(out == 0.0)
-        gx, grads = dh._gen_backward(cache, gen, np.ones_like(out))
+        gx, grads = dh.dehaze_backward(cache, np.ones_like(out))
         assert not gx.any()
         assert not any(g.any() for _, g in tc.param_items(grads))
 
@@ -222,10 +237,11 @@ class TestPairedRestoration:
             params = dict(tc.param_items(gen))
             grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
             for hazy, clear in train:
-                out, cache = dh._gen_forward(hazy, gen)
+                cache = []
+                out = dh.dehaze_forward(hazy, gen, cache)
                 diff = out.astype(np.float64) - clear
                 g_out = (np.sign(diff) / diff.size / len(train)).astype(out.dtype)
-                for k, g in tc.param_items(dh._gen_backward(cache, gen, g_out)[1]):
+                for k, g in tc.param_items(dh.dehaze_backward(cache, g_out)[1]):
                     grads[k] += g
             for k, v in opt.step(params, grads).items():
                 tc.set_param(gen, k, v)

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import json
 import math
@@ -5,12 +6,14 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from gradutil import DownTransport, serving
+from yolovehicle import dehaze as dh
 from yolovehicle import detection as det
 from yolovehicle import edgecloud as ec
 from yolovehicle import model as md
@@ -291,6 +294,19 @@ class TestCloudHandler:
                                    dehaze_first=True)
         assert remote == local
 
+    def test_kitti_sized_frame_is_refused_before_dehazing(self, bundle, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dh, "dehaze_forward", lambda *a: calls.append(a))
+        img = quantized_image(tc.Rng(49), size=1)
+        img = np.broadcast_to(img, (3, 375, 1242))
+        req = ec.encode_message(ec.WireMessage(
+            ec.MSG_FRAME_REQUEST,
+            ec.encode_frame_payload(ec.image_to_frame_payload(6, img))))
+        msg = ec.decode_message(ec.handle_request(req, bundle, "car"))
+        assert msg.msg_type == ec.MSG_ERROR
+        assert msg.payload == b"\x00image dims must be divisible by 32, got 375x1242"
+        assert calls == []
+
 
 # Two handler threads serve hazed 384x1248 frames, as the cloud node does,
 # after one warm-up frame each; prints the minor page faults per frame.
@@ -399,7 +415,38 @@ class TestLoopbackTransport:
             ec.LoopbackTransport(bundle, ",,")
 
 
+@contextlib.contextmanager
+def trickling_peer(reply: bytes, gap_s: float):
+    """A listening peer that answers its first connection with reply, one
+    byte every gap_s seconds, whatever it is sent; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def trickle():
+        conn, _ = listener.accept()
+        with conn:
+            for i in range(len(reply)):
+                if stop.wait(gap_s):
+                    return
+                try:
+                    conn.sendall(reply[i:i + 1])
+                except OSError:  # the client gave up and closed
+                    return
+
+    thread = threading.Thread(target=trickle, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+
+
 class TestSocketTransport:
+    PONG = ec.encode_message(ec.WireMessage(ec.MSG_PONG, b"x"))
+    PING = ec.encode_message(ec.WireMessage(ec.MSG_PING, b"x"))
+
     @pytest.mark.parametrize("timeout_ms", [0, -5, float("nan"), float("inf")])
     def test_bad_timeout_rejected_at_construction(self, timeout_ms):
         # 0 would make the socket non-blocking: every cloud frame would
@@ -407,6 +454,42 @@ class TestSocketTransport:
         with pytest.raises(ValueError,
                            match=r"^timeout_ms must be positive and finite, got "):
             ec.SocketTransport("127.0.0.1:9", timeout_ms)
+
+    def test_one_deadline_covers_the_whole_request(self):
+        # the 13 bytes of a PONG at one per 0.15 s take about 2 s; no single
+        # recv waits longer than 0.15 s, so only a deadline on the request
+        # as a whole can end it inside its 0.5 s
+        with trickling_peer(self.PONG, 0.15) as addr:
+            link = ec.SocketTransport(addr, timeout_ms=500)
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                link.request(self.PING)
+            elapsed = time.monotonic() - start
+            assert link.sock is None  # a broken stream is not reused
+        assert 0.45 < elapsed < 1.0, elapsed
+
+    def test_trickled_answer_inside_the_deadline_arrives_whole(self):
+        with trickling_peer(self.PONG, 0.01) as addr:
+            link = ec.SocketTransport(addr, timeout_ms=5000)
+            try:
+                assert link.request(self.PING) == self.PONG
+            finally:
+                link.close()
+
+    def test_trickling_cloud_degrades_the_frame(self, bundle):
+        img = quantized_image(tc.Rng(79))
+        with trickling_peer(self.PONG, 0.15) as addr:
+            link = ec.SocketTransport(addr, timeout_ms=500)
+            start = time.monotonic()
+            try:
+                stats, results = ec.edge_serve([(0, img)], ec.OffloadPolicy("always_cloud"),
+                                               bundle, transport=link)
+            finally:
+                link.close()
+            elapsed = time.monotonic() - start
+        assert stats.degraded == stats.edge == 1 and stats.cloud == 0
+        assert results[0][2] == md.detect_frame(img, md.PROMPT, bundle)[0]
+        assert elapsed < 1.0, elapsed
 
 
 class TestSocketServer:

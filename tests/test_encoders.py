@@ -140,10 +140,30 @@ class TestBackbone:
         for fa, fb in zip(a.scales(), b.scales()):
             assert np.array_equal(fa, fb)
 
-    def test_indivisible_dims_rejected(self):
+    def test_any_size_gives_ceil_sized_maps(self):
+        # 48 rows halve to 24, 12, 6, 3 and then 2: each stride-2 conv,
+        # padded by one, keeps the last odd row
         params = enc.init_backbone(tc.Rng(205), channels=8)
-        with pytest.raises(ValueError):
-            enc.backbone_extract(np.zeros((3, 48, 64), np.float32), params)
+        feats = enc.backbone_extract(tc.Rng(214).uniform(0, 1, (3, 48, 64)), params)
+        assert [f.shape for f in feats.scales()] == [(8, 6, 8), (8, 3, 4), (8, 2, 2)]
+
+    @pytest.mark.parametrize("h,w", [(64, 64), (48, 64), (37, 61)])
+    def test_cache_leaves_the_features_bit_identical(self, h, w):
+        params = enc.init_backbone(tc.Rng(215), channels=8)
+        img = tc.Rng(216).uniform(0, 1, (3, h, w))
+        cache = []
+        cached = enc.backbone_extract(img, params, cache)
+        assert len(cache) == 4
+        for a, b in zip(enc.backbone_extract(img, params).scales(), cached.scales()):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_rejects_non_rgb_image(self):
+        # the stem's conv checks the channels, and that the image is CHW
+        params = enc.init_backbone(tc.Rng(217), channels=8)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            enc.backbone_extract(np.zeros((1, 64, 64), np.float32), params)
+        with pytest.raises(ValueError, match="expects CHW input"):
+            enc.backbone_extract(np.zeros((64, 64), np.float32), params)
 
     def test_backward_input_grad_check(self):
         params = enc.init_backbone(tc.Rng(206), channels=4)
@@ -153,7 +173,7 @@ class TestBackbone:
 
         def f(img):
             cache = []
-            feats = enc.backbone_features(img, params, cache)
+            feats = enc.backbone_extract(img, params, cache)
             loss = sum(float((fi * wi).sum()) for fi, wi in zip(feats.scales(), w))
             grads = [wi.copy() for wi in w]
             return loss, enc.backbone_backward(cache, grads)[0]
@@ -175,12 +195,12 @@ class TestBackbone:
                          else np.full(v.shape, 0.1))
         img = tc.Rng(210).uniform(0.2, 0.8, (3, 32, 32)).astype(np.float64)
         w = [tc.Rng(211 + i).uniform(-1, 1, f.shape).astype(np.float64)
-             for i, f in enumerate(enc.backbone_features(img, params).scales())]
+             for i, f in enumerate(enc.backbone_extract(img, params).scales())]
 
         def f(value):
             tc.set_param(params, name, value)
             cache = []
-            feats = enc.backbone_features(img, params, cache)
+            feats = enc.backbone_extract(img, params, cache)
             loss = sum(float((fi * wi).sum()) for fi, wi in zip(feats.scales(), w))
             _, grads = enc.backbone_backward(cache, w)
             return loss, dict(tc.param_items(grads))[name]
@@ -192,7 +212,7 @@ class TestBackbone:
     def test_backward_grads_shaped_like_params(self):
         params = enc.init_backbone(tc.Rng(212), channels=4)
         cache = []
-        feats = enc.backbone_features(tc.Rng(213).uniform(0, 1, (3, 32, 32)), params, cache)
+        feats = enc.backbone_extract(tc.Rng(213).uniform(0, 1, (3, 32, 32)), params, cache)
         gx, grads = enc.backbone_backward(cache, [np.ones_like(f) for f in feats.scales()])
         assert gx.shape == (3, 32, 32)
         assert [(k, v.shape, v.dtype) for k, v in tc.param_items(grads)] == \

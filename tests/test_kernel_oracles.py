@@ -133,7 +133,7 @@ def ref_layers_backward(records, g):
     return g, grads[::-1]
 
 
-def ref_gen_backward(hazy, gen, g_out):
+def ref_dehaze_backward(hazy, gen, g_out):
     """The K-estimator's forward and backward written out layer by layer,
     each conv's input a recomputed leaky_relu(pre)."""
     pre1 = tc.conv_layer(hazy, gen.stem)
@@ -426,15 +426,16 @@ def assert_trees_equal(a, b):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("h,w", [(64, 64), (37, 61)])
-def test_gen_backward_equals_reference_composition(h, w, dtype):
+def test_dehaze_backward_equals_reference_composition(h, w, dtype):
     gen = random_params(dh.init_generator(tc.Rng(0), channels=8), 980 + h, dtype)
     gen.head.b = gen.head.b + dtype(1.0)  # K about 1: some pixels clamp, most do not
     rng = tc.Rng(990 + w)
     hazy = rng.uniform(0, 1, (3, h, w)).astype(dtype)
     g_out = rng.uniform(-1, 1, (3, h, w)).astype(dtype)
-    _, cache = dh._gen_forward(hazy, gen)
-    gx, grads = dh._gen_backward(cache, gen, g_out)
-    rgx, rgrads = ref_gen_backward(hazy, gen, g_out)
+    cache = []
+    dh.dehaze_forward(hazy, gen, cache)
+    gx, grads = dh.dehaze_backward(cache, g_out)
+    rgx, rgrads = ref_dehaze_backward(hazy, gen, g_out)
     assert gx.dtype == dtype and np.array_equal(gx, rgx)
     assert_trees_equal(grads, rgrads)
 
@@ -446,7 +447,7 @@ def test_backbone_backward_equals_reference_composition(h, w, dtype):
     rng = tc.Rng(1010 + w)
     image = rng.uniform(0, 1, (3, h, w)).astype(dtype)
     cache = []
-    feats = enc.backbone_features(image, params, cache).scales()
+    feats = enc.backbone_extract(image, params, cache).scales()
     grads = [rng.uniform(-1, 1, f.shape).astype(dtype) for f in feats]
     gx, pgrads = enc.backbone_backward(cache, grads)
     rfeats, rgx, rpgrads = ref_backbone_backward(image, params, grads)

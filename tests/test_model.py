@@ -208,6 +208,19 @@ class TestDetectFrame:
         b, _ = md.detect_frame(image, "bus", bundle)
         assert a == b
 
+    @pytest.mark.parametrize("dehaze_first", [False, True])
+    def test_indivisible_dims_rejected(self, dehaze_first, monkeypatch):
+        # the one check of the frame size, made before any stage runs
+        bundle, calls = md.init_bundle(14), []
+        monkeypatch.setattr(dh, "dehaze_forward", lambda *a: calls.append(a))
+        monkeypatch.setattr(enc, "backbone_extract", lambda *a: calls.append(a))
+        for h, w in ((48, 64), (64, 48), (375, 1242)):
+            with pytest.raises(ValueError, match=rf"^image dims must be divisible "
+                                                 rf"by 32, got {h}x{w}$"):
+                md.detect_frame(np.zeros((3, h, w), np.float32), "car", bundle,
+                                dehaze_first=dehaze_first)
+        assert calls == []
+
 
 def uncached_detect(image, text, bundle):
     """detect_frame's edge route composed by hand, with no prompt memo."""

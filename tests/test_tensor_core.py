@@ -387,6 +387,33 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"new"
         assert os.listdir(tmp_path) == ["w.bin"]
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            tc.atomic_write(tmp_path / "new.txt", "x")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "new.txt").st_mode & 0o7777
+        assert mode == 0o666 & ~umask == os.stat(tmp_path / "plain.txt").st_mode & 0o7777
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o755], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, tmp_path, mode):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"old")
+        os.chmod(path, mode)
+        old = os.umask(0o077)
+        try:
+            tc.atomic_write(path, b"new")
+        finally:
+            os.umask(old)
+        assert path.read_bytes() == b"new"
+        assert os.stat(path).st_mode & 0o7777 == mode
+
     def test_failed_write_keeps_existing_file_and_no_temp(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("kept")

@@ -27,7 +27,7 @@ from yolovehicle import cli
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
 from yolovehicle.dehaze import dehaze_forward, synthesize_haze
-from yolovehicle.encoders import backbone_features
+from yolovehicle.encoders import backbone_extract
 from yolovehicle.ppm import image_to_ppm_bytes, read_ppm
 
 
@@ -93,7 +93,7 @@ def digests() -> list[tuple[str, str]]:
     out.append(("detect_pro_wide", digest(without_timing("wide.jsonl"))))
     # the untrained head barely reads its features, so the boxes above can
     # stay put while the backbone's float32 features move
-    feats = backbone_features(read_ppm("wide.ppm"), md.init_bundle(3).backbone)
+    feats = backbone_extract(read_ppm("wide.ppm"), md.init_bundle(3).backbone)
     out.append(("backbone_wide_float32",
                 digest(b"".join(f.astype("<f4").tobytes() for f in feats.scales()))))
 
