@@ -412,9 +412,11 @@ class _CloudHandler(socketserver.BaseRequestHandler):
             try:
                 buf = _recv_frame(self.request)
             except WireError as e:
-                # the stream cannot be resynchronised without a trusted
-                # header: answer once and close
-                self.request.sendall(encode_error(e))
+                # no trusted header, no way to resynchronise: answer once and close
+                try:
+                    self.request.sendall(encode_error(e))
+                except OSError:  # the peer is already gone
+                    pass
                 return
             except OSError:  # the peer closed or reset the connection
                 return

@@ -84,18 +84,20 @@ def fuse_forward(features: MultiScaleFeatures, projected: ProjectedText,
     g = tc.sigmoid(zcat @ params.w_gate.T + params.b_gate)
     att, att_cache = tc.multi_head_attention(a, tk, tk, HEADS)
     fused = g * a + (1.0 - g) * att
-    cache = (params, pooled, a, tp, tk, zcat, g, att, att_cache, text)
+    shapes = [f.shape for f in features.scales()]
+    cache = (params, pooled, shapes, a, tp, tk, zcat, g, att, att_cache, text)
     return (fused + PE0).reshape(FEATURE_SHAPE), cache
 
 
-def fuse_backward(cache, grad_output: np.ndarray) -> FusionParams:
-    """Parameter gradients as a FusionParams.
+def fuse_backward(cache, grad_output: np.ndarray):
+    """Returns (parameter grads as a FusionParams, one grad per pyramid scale):
+    each scale's slice of ga @ w_img spread evenly over its map, as the pool spread it.
 
     The outer products of two row vectors are broadcast products rather
     than (n, 1) @ (1, m) matmuls: each entry is one correctly rounded
     product either way, and the broadcast skips the GEMM set-up.
     """
-    params, pooled, a, tp, tk, zcat, g, att, att_cache, text = cache
+    params, pooled, shapes, a, tp, tk, zcat, g, att, att_cache, text = cache
     gfused = grad_output.reshape(1, -1)  # PE0 is an additive constant
     gg = gfused * (a - att)
     ga = gfused * g
@@ -109,6 +111,8 @@ def fuse_backward(cache, grad_output: np.ndarray) -> FusionParams:
     gq, gk, gv = tc.multi_head_attention_backward(att_cache, gatt)
     ga = ga + gq
     gtk = gk + gv
+    g_scales = [np.broadcast_to((gp / (h * w)).reshape(c, 1, 1), (c, h, w)).copy()
+                for gp, (c, h, w) in zip(np.split(ga @ params.w_img, len(shapes), 1), shapes)]
     return replace(
         params,
         w_img=ga.T * pooled,
@@ -117,4 +121,4 @@ def fuse_backward(cache, grad_output: np.ndarray) -> FusionParams:
         b_text=gtp + gtk.sum(axis=0, keepdims=True),
         w_gate=gw_gate,
         b_gate=gb_gate,
-    )
+    ), g_scales

@@ -1,6 +1,6 @@
 """Model bundle: every trainable component under one roof, with archive
-persistence, the two inference pipelines (with and without the dehazing
-front-end), and the toy detection training loop.
+persistence, and the one stage chain (forward, and a lazy backward) that
+detect_frame, with or without the dehazing front-end, and train_toy share.
 """
 
 from __future__ import annotations
@@ -144,6 +144,37 @@ def _projected_prompt(text: str, bundle: ModelBundle) -> fu.ProjectedText:
     return projected
 
 
+def forward(image: np.ndarray, projected: fu.ProjectedText, bundle: ModelBundle,
+            dehaze_first: bool = False, cache: dict | None = None) -> det.HeadOutput:
+    """The one chain of the stages: restoration (if dehaze_first), backbone,
+    fusion, head. An empty dict cache gets each stage's record for backward,
+    under its part's name in the bundle: "gen", "backbone", "fusion", "head"."""
+    def record(part):  # a fresh record list in the cache, or None without one
+        return None if cache is None else cache.setdefault(part, [])
+    if dehaze_first:
+        image = dh.dehaze_forward(image, bundle.gen, record("gen"))
+    feats = enc.backbone_extract(image, bundle.backbone, record("backbone"))
+    fmap, fcache = fu.fuse_forward(feats, projected, bundle.fusion)
+    if cache is not None:
+        cache.update(fusion=fcache, head=(fmap, bundle.head))
+    return det.head_forward(fmap, bundle.head)
+
+
+def backward(cache: dict, logit_grads):
+    """Yields (part, parameter grads) from the head back to the first stage
+    forward ran; logit_grads is (g_obj, g_box, g_cls), as the detection
+    loss returns it. A stage's backward runs only when its item is asked
+    for, so a caller that stops early never pays for the stages below."""
+    grads, g = det.head_backward(*cache["head"], *logit_grads)
+    yield "head", grads
+    grads, g = fu.fuse_backward(cache["fusion"], g)
+    yield "fusion", grads
+    g, grads = enc.backbone_backward(cache["backbone"], g)
+    yield "backbone", grads
+    if "gen" in cache:
+        yield "gen", dh.dehaze_backward(cache["gen"], g)[1]
+
+
 def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
                  dehaze_first: bool = False, obj_thresh: float = det.OBJ_THRESH,
                  nms_iou: float = det.NMS_IOU):
@@ -153,11 +184,7 @@ def detect_frame(image: np.ndarray, text: str, bundle: ModelBundle,
     h, w = image.shape[-2:]
     if h % 32 or w % 32:
         raise ValueError(f"image dims must be divisible by 32, got {h}x{w}")
-    if dehaze_first:
-        image = dh.dehaze_forward(image, bundle.gen)
-    feats = enc.backbone_extract(image, bundle.backbone)
-    fmap, _ = fu.fuse_forward(feats, _projected_prompt(text, bundle), bundle.fusion)
-    out = det.head_forward(fmap, bundle.head)
+    out = forward(image, _projected_prompt(text, bundle), bundle, dehaze_first)
     dets = det.decode_detections(out, obj_thresh, nms_iou)
     return dets, (time.perf_counter() - start) * 1000.0
 
@@ -191,11 +218,10 @@ def train_toy(seed: int, steps: int, lr: float = LR, text: str = PROMPT,
               log=None):
     """Overfits fusion + head on a handful of synthetic scenes.
 
-    Text encoder and backbone stay fixed, so per-scene features are computed
-    once; each step projects the prompt once and runs only the fusion/head
-    forward-backward. Returns (step, total, cls, bbox, dfl) rows. A step
-    whose loss is not finite raises ValueError naming it, after its row is
-    logged and before the optimizer steps on it.
+    Text encoder and backbone stay fixed: each step projects the prompt once
+    and takes backward only as far as the fusion. Returns (step, total, cls,
+    bbox, dfl) rows. A step whose loss is not finite raises ValueError naming
+    it, after its row is logged and before the optimizer steps on it.
     """
     if steps < 1 or steps > 1000:
         raise ValueError(f"steps must lie in [1, 1000], got {steps}")
@@ -204,7 +230,6 @@ def train_toy(seed: int, steps: int, lr: float = LR, text: str = PROMPT,
     bundle = init_bundle(seed)
     rng = tc.Rng(seed + 1)
     scenes = [make_toy_scene(rng) for _ in range(TOY_SCENES)]
-    feats = [enc.backbone_extract(img, bundle.backbone) for img, _ in scenes]
     tf = enc.text_encode(text, bundle.text)
     grid = fu.FEATURE_SHAPE[1:]
     targets = [det.assign_targets(gts, grid) for _, gts in scenes]
@@ -217,18 +242,17 @@ def train_toy(seed: int, steps: int, lr: float = LR, text: str = PROMPT,
         grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
         totals = np.zeros(4)
         projected = fu.project_text(tf, bundle.fusion)
-        for f, t in zip(feats, targets):
-            fmap, cache = fu.fuse_forward(f, projected, bundle.fusion)
-            out = det.head_forward(fmap, bundle.head)
-            loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(out, t)
-            hgrads, g_feat = det.head_backward(fmap, bundle.head,
-                                               g_obj, g_box, g_cls)
-            fgrads = fu.fuse_backward(cache, g_feat)
-            # the scene's gradients are fresh arrays: divide them in place
-            for name, g in [*tc.param_items(fgrads, "fusion"),
-                            *tc.param_items(hgrads, "head")]:
-                g /= TOY_SCENES
-                grads[name] += g
+        for (image, _), t in zip(scenes, targets):
+            cache = {}
+            loss, logit_grads = det.detect_loss_with_grads(
+                forward(image, projected, bundle, cache=cache), t)
+            for part, part_grads in backward(cache, logit_grads):
+                # the scene's gradients are fresh arrays: divide them in place
+                for name, g in tc.param_items(part_grads, part):
+                    g /= TOY_SCENES
+                    grads[name] += g
+                if part == "fusion":
+                    break
             totals += np.array([loss.total, loss.l_cls, loss.l_bbox, loss.l_dfl])
         totals /= TOY_SCENES
         rows.append((step, *[float(v) for v in totals]))

@@ -1,6 +1,6 @@
 """Shared test helpers: finite-difference checks on a random coordinate
-subset, a dehazing scene posed for them, a cloud link that is down, and a
-cloud node served over TCP.
+subset, a generator and a dehazing scene posed for them, a cloud link that
+is down, and a cloud node served over TCP.
 
 Full parameter matrices are too large for per-coordinate central differences,
 so each check probes a deterministic random subset of coordinates; the
@@ -35,22 +35,28 @@ def coord_subset_grad_check(f_full, param, n=8, seed=0, eps=1e-4):
     return tc.grad_check(g, base.reshape(-1)[idx].copy(), eps)
 
 
-def smooth_scene(gseed, cseed):
-    """A generator and a clear image posed away from every kink.
+def pose_generator(gen):
+    """Poses a generator away from every kink, in place.
 
     Finite differences are meaningless when a perturbation straddles a
     non-smooth point, so the check operates where the loss is differentiable:
     the stem and middle conv biases are shifted positive (leaky relus run in
     their linear region), and the head's weights are quartered and its bias
-    set to 1.5, so K lies in about [1.2, 1.8]: every output falls well below
-    its input and stays inside (0, 1), so the absolute-difference and clamp
-    terms keep a margin.
+    set to 1.5, so K lies in about [1.2, 1.8]: on an input in [0.45, 0.7]
+    every output falls well below its input and stays inside (0, 1), so the
+    absolute-difference and clamp terms keep a margin.
     """
-    gen = dh.init_generator(tc.Rng(gseed), channels=4)
     gen.stem.b = np.full_like(gen.stem.b, 0.8)
     gen.mid.b = np.full_like(gen.mid.b, 0.8)
     gen.head.w = gen.head.w * np.float32(0.25)
     gen.head.b = np.full_like(gen.head.b, 1.5)
+
+
+def smooth_scene(gseed, cseed):
+    """A generator and a clear image posed away from every kink (see
+    pose_generator)."""
+    gen = dh.init_generator(tc.Rng(gseed), channels=4)
+    pose_generator(gen)
     clear = tc.Rng(cseed).uniform(0.45, 0.7, (3, 8, 8))
     return gen, clear
 

@@ -168,7 +168,7 @@ class TestFusionContracts:
             text = TextFeature(pooled=rng.uniform(-2, 2, (1, 512)),
                                tokens=rng.uniform(-2, 2, (3, 512)))
             fmap, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
-            _, _, img, _, _, _, g, att, _, _ = cache
+            _, _, _, img, _, _, _, g, att, _, _ = cache
             out = g * img + (1.0 - g) * att
             assert np.all(out >= np.minimum(img, att) - 1e-5)
             assert np.all(out <= np.maximum(img, att) + 1e-5)

@@ -258,7 +258,30 @@ class TestDecideRoute:
             ec.decide_route(1.2, ec.OffloadPolicy())
 
 
+class _GonePeer:
+    """A socket whose peer sent a bad header and left: recv gives b"XX"
+    and then zeros, and every sendall raises BrokenPipeError."""
+
+    def __init__(self):
+        self.received = b""
+
+    def recv(self, n):
+        chunk = bytes(n) if self.received else (b"XX" + bytes(n))[:n]
+        self.received += chunk
+        return chunk
+
+    def sendall(self, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestCloudHandler:
+    def test_bad_header_from_a_departed_peer_ends_the_handler_quietly(self):
+        # BaseRequestHandler runs handle() from its constructor; the error
+        # answer cannot be sent, and that must not escape handle()
+        sock = _GonePeer()
+        ec._CloudHandler(sock, ("127.0.0.1", 0), server=None)
+        assert sock.received == b"XX" + bytes(ec.HEADER.size - 2)
+
     def test_ping_pong(self, bundle):
         reply = ec.handle_request(
             ec.encode_message(ec.WireMessage(ec.MSG_PING, b"\x07" * 8)),

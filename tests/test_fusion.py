@@ -31,7 +31,7 @@ def forward(feats, text, params):
     unpacked from the cache as fuse_backward unpacks it. Checks on the way
     that fuse_forward's map is that vector plus PE0, laid out row-major."""
     fmap, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
-    _, _, a, tp, tk, _, g, att, _, _ = cache
+    _, _, _, a, tp, tk, _, g, att, _, _ = cache
     fused = g * a + (1.0 - g) * att
     assert np.array_equal(fmap, (fused + fu.PE0).reshape(fu.FEATURE_SHAPE))
     return fused, a, tp, tk, g, att
@@ -199,7 +199,7 @@ class TestPositionalEncoding:
         fmap, cache = fu.fuse_forward(make_pyramid(tc.Rng(69)),
                                       fu.project_text(make_text(tc.Rng(70)), params),
                                       params)
-        _, _, a, _, _, _, g, att, _, _ = cache
+        _, _, _, a, _, _, _, g, att, _, _ = cache
         row = g * a + (1.0 - g) * att + fu.PE0
         assert fmap.shape == fu.FEATURE_SHAPE == (8, 8, 8)
         assert fmap.dtype == np.float32
@@ -236,8 +236,33 @@ class TestFusionGradients:
                 trial = fu.FusionParams(**{**params.__dict__})
                 setattr(trial, name, p)
                 out, cache = fu.fuse_forward(feats, fu.project_text(text, trial), trial)
-                grads = fu.fuse_backward(cache, w)
+                grads, _ = fu.fuse_backward(cache, w)
                 return float((out * w).sum()), getattr(grads, name)
 
             err = coord_subset_grad_check(f, getattr(params, name), n=8, seed=seed)
             assert err < 1e-3, f"{name}: {err}"
+
+    @pytest.mark.parametrize("scale", [0, 1, 2])
+    def test_grad_check_each_pyramid_scale(self, scale):
+        # the input grads fuse_backward returns beside the parameter grads,
+        # in float64, on maps that are not square
+        from gradutil import coord_subset_grad_check
+
+        rng = tc.Rng(74)
+        maps = [rng.uniform(-1, 1, (4, h, w)).astype(np.float64)
+                for h, w in ((8, 6), (4, 3), (2, 2))]
+        params = fu.init_fusion(tc.Rng(75), channels=4)
+        for name, v in tc.param_items(params):
+            tc.set_param(params, name, v.astype(np.float64))
+        projected = fu.project_text(make_text(rng, t=3), params)
+        w = tc.Rng(76).uniform(-1, 1, fu.FEATURE_SHAPE).astype(np.float64)
+
+        def f(value):
+            trial = [*maps[:scale], value, *maps[scale + 1:]]
+            out, cache = fu.fuse_forward(MultiScaleFeatures(*trial), projected, params)
+            _, g_scales = fu.fuse_backward(cache, w)
+            assert [g.shape for g in g_scales] == [m.shape for m in trial]
+            return float((out * w).sum()), g_scales[scale]
+
+        err = coord_subset_grad_check(f, maps[scale], n=8, seed=scale)
+        assert err < 1e-3, f"scale {scale}: {err}"

@@ -9,8 +9,9 @@ out layer by layer with each leaky ReLU's mask taken from its
 pre-activation, the unflushed
 sigmoid gradient, a fusion backward with matmul outer products, an
 out-of-place Adam, a whole-window dark channel, the per-cell
-decode-and-NMS loop, the per-kept-box NMS pass and the per-positive
-detection-loss loop with one softmax per side. The fast kernels do the same arithmetic in the same
+decode-and-NMS loop, the per-kept-box NMS pass, the per-positive
+detection-loss loop with one softmax per side and train_toy's fusion and
+head wired by hand. The fast kernels do the same arithmetic in the same
 order, so every comparison is exact. Two exceptions: the sigmoid
 gradient's flush of subnormal results to zero, which the saturated-gate
 tests pin down, and a banded conv against one matmul over all its columns,
@@ -178,8 +179,9 @@ def ref_sigmoid_backward(y, grad_out):
 
 
 def ref_fuse_backward(cache, grad_output, sigmoid_backward=ref_sigmoid_backward):
-    """fuse_backward with (n, 1) @ (1, m) matmul outer products."""
-    params, pooled, a, tp, tk, zcat, g, att, att_cache, text = cache
+    """fuse_backward with (n, 1) @ (1, m) matmul outer products, and the
+    pyramid grads filled in channel by channel."""
+    params, pooled, shapes, a, tp, tk, zcat, g, att, att_cache, text = cache
     gfused = grad_output.reshape(1, -1)
     gg = gfused * (a - att)
     ga = gfused * g
@@ -191,6 +193,11 @@ def ref_fuse_backward(cache, grad_output, sigmoid_backward=ref_sigmoid_backward)
     gq, gk, gv = tc.multi_head_attention_backward(att_cache, gatt)
     ga = ga + gq
     gtk = gk + gv
+    gpooled, start, g_scales = ga @ params.w_img, 0, []
+    for c, h, w in shapes:
+        g_scales.append(np.stack([np.full((h, w), gpooled[0, start + i] / (h * w))
+                                  for i in range(c)]))
+        start += c
     return replace(
         params,
         w_img=ga.T @ pooled,
@@ -199,7 +206,7 @@ def ref_fuse_backward(cache, grad_output, sigmoid_backward=ref_sigmoid_backward)
         b_text=gtp + gtk.sum(axis=0, keepdims=True),
         w_gate=gzg.T @ zcat,
         b_gate=gzg.copy(),
-    )
+    ), g_scales
 
 
 def ref_adam_steps(params, grad_seq, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -524,20 +531,24 @@ def fusion_case(seed, b_gate=None):
 @pytest.mark.parametrize("seed", [990, 991, 992])
 def test_fuse_backward_equals_matmul_reference(seed):
     cache, grad = fusion_case(seed)
-    out = dict(tc.param_items(fu.fuse_backward(cache, grad)))
-    ref = dict(tc.param_items(ref_fuse_backward(cache, grad)))
+    out, out_scales = fu.fuse_backward(cache, grad)
+    ref, ref_scales = ref_fuse_backward(cache, grad)
+    out, ref = dict(tc.param_items(out)), dict(tc.param_items(ref))
     assert out.keys() == ref.keys()
     for name in ref:
         assert out[name].dtype == ref[name].dtype, name
         assert np.array_equal(out[name], ref[name]), name
+    assert len(out_scales) == len(ref_scales) == 3
+    for a, b in zip(out_scales, ref_scales):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("b_gate", [-87.0, -100.0])
 @pytest.mark.parametrize("seed", [993, 994, 995, 996])
 def test_fuse_backward_saturated_gate_flushes_only_subnormal_gate_grads(seed, b_gate):
     cache, grad = fusion_case(seed, b_gate=b_gate)
-    out = fu.fuse_backward(cache, grad)
-    ref = ref_fuse_backward(cache, grad)
+    out, out_scales = fu.fuse_backward(cache, grad)
+    ref, ref_scales = ref_fuse_backward(cache, grad)
     # the gate gradient: subnormal entries of the reference are zeros now,
     # every other entry is unchanged
     flushed = is_subnormal(ref.b_gate)
@@ -550,12 +561,14 @@ def test_fuse_backward_saturated_gate_flushes_only_subnormal_gate_grads(seed, b_
     assert np.all(out.w_gate[rows] == 0)
     assert np.array_equal(out.w_gate[~rows], ref.w_gate[~rows])
     # the flushed values vanish in the sums that carry them to the image
-    # and text projections
+    # and text projections, and so in the pyramid grads
     for name in ("w_img", "b_img", "w_text", "b_text"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+    for a, b in zip(out_scales, ref_scales):
+        assert np.array_equal(a, b)
     # with the same flush in the reference, the broadcast outer products
     # equal the matmul ones everywhere
-    flushed_ref = ref_fuse_backward(cache, grad, tc.sigmoid_backward)
+    flushed_ref, _ = ref_fuse_backward(cache, grad, tc.sigmoid_backward)
     for (name, a), (_, b) in zip(tc.param_items(out), tc.param_items(flushed_ref)):
         assert np.array_equal(a, b), name
 
@@ -1030,3 +1043,52 @@ def test_detect_loss_equals_loop_reference(dtype, grid):
         assert_loss_equals_reference(out, targets, free.alphas)
     # the cases reach the clip at REG_MAX and put two boxes in one cell
     assert clipped and shared
+
+
+# ---------------------------------------------------------------------------
+# training: the hand-wired loop that model.forward and model.backward replaced
+
+
+def ref_train_toy(seed, steps, lr=md.LR, text=md.PROMPT):
+    """train_toy with the fusion and head wired by hand, on backbone
+    features computed once before the loop."""
+    bundle = md.init_bundle(seed)
+    rng = tc.Rng(seed + 1)
+    scenes = [md.make_toy_scene(rng) for _ in range(md.TOY_SCENES)]
+    feats = [enc.backbone_extract(img, bundle.backbone) for img, _ in scenes]
+    tf = enc.text_encode(text, bundle.text)
+    targets = [det.assign_targets(gts, fu.FEATURE_SHAPE[1:]) for _, gts in scenes]
+    opt = Adam(lr=lr)
+    rows = []
+    for step in range(1, steps + 1):
+        params = dict(tc.param_items(bundle.fusion, "fusion"))
+        params.update(tc.param_items(bundle.head, "head"))
+        grads = {k: np.zeros(v.shape, np.float64) for k, v in params.items()}
+        totals = np.zeros(4)
+        projected = fu.project_text(tf, bundle.fusion)
+        for f, t in zip(feats, targets):
+            fmap, cache = fu.fuse_forward(f, projected, bundle.fusion)
+            out = det.head_forward(fmap, bundle.head)
+            loss, (g_obj, g_box, g_cls) = det.detect_loss_with_grads(out, t)
+            hgrads, g_feat = det.head_backward(fmap, bundle.head, g_obj, g_box, g_cls)
+            fgrads, _ = fu.fuse_backward(cache, g_feat)
+            for name, g in [*tc.param_items(fgrads, "fusion"),
+                            *tc.param_items(hgrads, "head")]:
+                grads[name] += g / md.TOY_SCENES
+            totals += np.array([loss.total, loss.l_cls, loss.l_bbox, loss.l_dfl])
+        totals /= md.TOY_SCENES
+        rows.append((step, *[float(v) for v in totals]))
+        for name, value in opt.step(params, grads).items():
+            tc.set_param(bundle, name, value)
+    return rows, bundle
+
+
+@pytest.mark.parametrize("seed", [0, 7, 100003])
+def test_train_toy_equals_hand_wired_reference(seed):
+    rows, bundle = md.train_toy(seed, 3)
+    ref_rows, ref_bundle = ref_train_toy(seed, 3)
+    assert rows == ref_rows
+    for (name, a), (ref_name, b) in zip(tc.param_items(bundle),
+                                        tc.param_items(ref_bundle)):
+        assert name == ref_name
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -403,9 +403,11 @@ class TestGradientTrees:
         text = TextFeature(pooled=rng.uniform(-1, 1, (1, 512)),
                            tokens=rng.uniform(-1, 1, (3, 512)))
         _, cache = fu.fuse_forward(feats, fu.project_text(text, params), params)
-        grads = fu.fuse_backward(cache, rng.uniform(-1, 1, fu.FEATURE_SHAPE))
+        grads, g_scales = fu.fuse_backward(cache, rng.uniform(-1, 1, fu.FEATURE_SHAPE))
         assert (names_and_shapes(tc.param_items(grads))
                 == names_and_shapes(tc.param_items(params)))
+        # and one input grad per pyramid scale, shaped like that map
+        assert [g.shape for g in g_scales] == [f.shape for f in feats.scales()]
 
     def test_conv_layer_backward(self):
         layer = tc.init_conv(tc.Rng(64), 3, 4, stride=2)
@@ -422,6 +424,118 @@ class TestGradientTrees:
         _, grads = dh.identity_loss_with_grads(gen, clear)
         assert (names_and_shapes(grads.items())
                 == names_and_shapes(tc.param_items(gen)))
+
+
+class TestChain:
+    """model.forward runs the stages in order; model.backward yields each
+    part's gradients from the head down, one stage per item asked for."""
+
+    @pytest.fixture
+    def counted_backwards(self, monkeypatch):
+        calls = []
+        for module, name in ((enc, "backbone_backward"), (dh, "dehaze_backward")):
+            def counting(*args, fn=getattr(module, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def scene(self, seed):
+        bundle = md.init_bundle(seed)
+        image, gts = md.make_toy_scene(tc.Rng(seed + 1))
+        projected = fu.project_text(enc.text_encode(md.PROMPT, bundle.text),
+                                    bundle.fusion)
+        return bundle, image, projected, det.assign_targets(gts, fu.FEATURE_SHAPE[1:])
+
+    @pytest.mark.parametrize("dehaze_first", [False, True])
+    def test_cache_changes_no_output_and_names_the_parts(self, dehaze_first):
+        bundle, image, projected, targets = self.scene(30)
+        plain = md.forward(image, projected, bundle, dehaze_first)
+        cache = {}
+        cached = md.forward(image, projected, bundle, dehaze_first, cache)
+        for name in ("obj", "box", "cls", "obj_logits", "cls_logits"):
+            assert np.array_equal(getattr(plain, name), getattr(cached, name)), name
+        parts = ["head", "fusion", "backbone", *(["gen"] if dehaze_first else [])]
+        assert sorted(cache) == sorted(parts)
+        _, logit_grads = det.detect_loss_with_grads(cached, targets)
+        yielded = list(md.backward(cache, logit_grads))
+        assert [part for part, _ in yielded] == parts
+        for part, grads in yielded:
+            assert (names_and_shapes(tc.param_items(grads, part))
+                    == names_and_shapes(tc.param_items(getattr(bundle, part), part)))
+
+    def test_backward_is_lazy(self, counted_backwards):
+        bundle, image, projected, targets = self.scene(31)
+        cache = {}
+        out = md.forward(image, projected, bundle, True, cache)
+        chain = md.backward(cache, det.detect_loss_with_grads(out, targets)[1])
+        assert [next(chain)[0], next(chain)[0]] == ["head", "fusion"]
+        assert counted_backwards == []
+        assert [part for part, _ in chain] == ["backbone", "gen"]
+        assert counted_backwards == ["backbone_backward", "dehaze_backward"]
+
+    def test_train_toy_never_runs_the_backbone_or_dehaze_backward(
+            self, counted_backwards, monkeypatch):
+        extracts = []
+        extract = enc.backbone_extract
+        monkeypatch.setattr(enc, "backbone_extract",
+                            lambda *a: extracts.append(1) or extract(*a))
+        md.train_toy(seed=0, steps=2)
+        assert counted_backwards == []
+        assert len(extracts) == 2 * md.TOY_SCENES  # one forward per scene a step
+
+    @pytest.mark.parametrize("name", ["gen.stem.w", "backbone.stages.1.0.w",
+                                      "fusion.w_img", "head.w_box"])
+    def test_grad_check_from_image_to_loss(self, name):
+        # float64 throughout and dehaze first, posed off every kink, as
+        # checked below: each leaky ReLU's pre-activation lies 0.01 or more
+        # from 0, and the restored frame inside (0, 1). The generator is
+        # posed as pose_generator poses it, with its stem and mid weights
+        # quartered as well (at 8 channels a bias of 0.8 alone leaves
+        # pre-activations within 1e-5 of the kink), and the backbone's
+        # biases are raised to 0.5
+        from gradutil import coord_subset_grad_check, pose_generator
+
+        bundle = md.init_bundle(32)
+        pose_generator(bundle.gen)
+        for layer in (bundle.gen.stem, bundle.gen.mid):
+            layer.w = layer.w * np.float32(0.25)
+        for k, v in tc.param_items(bundle):
+            if k.startswith("backbone.") and k.endswith(".b"):
+                v = np.full(v.shape, 0.5)
+            tc.set_param(bundle, k, v.astype(np.float64))
+        image = tc.Rng(33).uniform(0.45, 0.7, (3, 32, 32)).astype(np.float64)
+        gts = [det.BBox(0.4, 0.5, 0.3, 0.25, class_id=1)]
+        targets = det.assign_targets(gts, fu.FEATURE_SHAPE[1:])
+        text = enc.text_encode(md.PROMPT, bundle.text)
+
+        def run(frozen=None):
+            cache = {}
+            out = md.forward(image, fu.project_text(text, bundle.fusion), bundle,
+                             True, cache)
+            loss, logit_grads = det.detect_loss_with_grads(out, targets, frozen)
+            grads = {}
+            for part, part_grads in md.backward(cache, logit_grads):
+                grads.update(tc.param_items(part_grads, part))
+            return loss, grads, cache
+
+        # the box loss's aspect weight is a constant to the gradients: pin
+        # it at the base point, so the differences see the same function
+        base, _, cache = run()
+        frozen = base.alphas
+        _, pre_clamp, gen_records = cache["gen"]
+        assert 0.1 < pre_clamp.min() and pre_clamp.max() < 0.9
+        for _, out, _ in [*gen_records[:2], *sum(cache["backbone"], [])]:
+            assert np.abs(np.where(out > 0, out, out / tc.LEAKY_SLOPE)).min() > 0.01
+
+        def f(value):
+            tc.set_param(bundle, name, value)
+            loss, grads, _ = run(frozen)
+            return loss.total, grads[name]
+
+        value = dict(tc.param_items(bundle))[name]
+        err = coord_subset_grad_check(f, value, n=6, seed=len(name))
+        assert err < 2e-3, f"{name}: {err}"
 
 
 class TestPpm:

@@ -45,12 +45,15 @@ def without_timing(path) -> bytes:
 
 
 def run(*argv: str) -> bytes:
-    """cli.main's stdout; a non-zero exit ends the script naming the command."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """cli.main's stdout; its stderr is held back, so that only digest lines
+    are printed, and shown when a non-zero exit ends the script naming the
+    command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     if code != 0:
-        sys.exit(f"seeded_digests: `yolovehicle {' '.join(argv)}` exited {code}")
+        sys.exit(f"{err.getvalue()}seeded_digests: `yolovehicle {' '.join(argv)}` "
+                 f"exited {code}")
     return out.getvalue().encode()
 
 
