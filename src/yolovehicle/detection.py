@@ -230,8 +230,11 @@ def dfl_loss_with_grad(probs: np.ndarray, target):
     pl, pr = grad[side, i], grad[side, i + 1]
     logs = _libm_log(np.maximum([pl, pr], 1e-300)).astype(np.float64)
     loss = -(wl * logs[0] + wr * logs[1])
-    grad[side, i] = pl - wl
-    grad[side, i + 1] = pr - wr
+    cut = np.array([pl, pr]) < 1e-300  # a floored bin's log term is flat
+    wl, wr = np.where(cut, 0.0, [wl, wr])
+    grad *= np.where(cut.any(axis=0), wl + wr, 1.0)[:, None]
+    grad[side, i] -= wl
+    grad[side, i + 1] -= wr
     return loss.reshape(target.shape), grad.reshape(probs.shape)
 
 

@@ -164,74 +164,71 @@ def _taps(x: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
                       strides=(sc, sh, sw, stride * sh, stride * sw))
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Columns [C*kh*kw, H'*W']; row (c, i, j) holds kernel tap (i, j) of
-    channel c at every output position."""
-    taps = _taps(x, kh, kw, stride, pad)
-    c, _, _, ho, wo = taps.shape
-    # one row-order copy makes the columns C-contiguous, so the matmul sees
-    # the same layout at every shape
-    return taps.copy().reshape(c * kh * kw, ho * wo), ho, wo
+CONV_BAND = 4096  # the most output positions a conv multiplies in one matmul
 
 
-CONV_BAND = 4096  # the most output positions conv2d multiplies in one matmul
+def _bands(taps: np.ndarray):
+    """Yields (y0, y1, cols) over bands of whole output rows y0..y1 of the
+    _taps view, as many rows as fit in CONV_BAND positions (at least one),
+    so a map of at most CONV_BAND positions is one band. cols [C*kh*kw,
+    (y1-y0)*W'] is C-contiguous, row (c, i, j) holding kernel tap (i, j) of
+    channel c at each of the band's positions. It lives in one buffer,
+    reused from band to band: the column matrix of a 384x1248 map would
+    take 138 MB for 8 channels, the buffer takes 1.2 MB. BLAS may round a
+    column of a product differently with its position in the call
+    (OpenBLAS does, on some kernel families more often than on others), so
+    the band boundaries are part of every conv result."""
+    c, kh, kw, ho, wo = taps.shape
+    k = c * kh * kw
+    rows = min(ho, max(1, CONV_BAND // wo))
+    buf = np.empty(k * rows * wo, taps.dtype)
+    for y0 in range(0, ho, rows):
+        y1 = min(y0 + rows, ho)
+        cols = buf[: k * (y1 - y0) * wo].reshape(c, kh, kw, y1 - y0, wo)
+        cols[...] = taps[:, :, :, y0:y1]
+        yield y0, y1, cols.reshape(k, -1)
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlate x [C,H,W] with kernels [O,C,kh,kw] -> [O,H',W'].
-
-    The map is cut into bands of whole output rows, as many as fit in
-    CONV_BAND positions (at least one), so a map of at most CONV_BAND
-    positions is one band and one matmul. Each band's columns are built in
-    one buffer, reused from band to band, and multiplied into the output.
-    The column matrix of a 384x1248 map would take 138 MB for 8 channels;
-    the buffer takes 1.2 MB. BLAS may round a column of a product
-    differently with its position in the call (OpenBLAS does, on some
-    kernel families more often than on others), so the band boundaries
-    are part of the result.
-    """
+    """Cross-correlate x [C,H,W] with kernels [O,C,kh,kw] -> [O,H',W'],
+    one matmul per _bands band into the output."""
     if x.ndim != 3 or kernels.ndim != 4:
         raise ValueError(f"conv2d expects CHW input and OCKK kernels, got {x.shape}, {kernels.shape}")
     o, c, kh, kw = kernels.shape
     if c != x.shape[0]:
         raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
     w2 = kernels.reshape(o, -1)
-    k = w2.shape[1]
     taps = _taps(x, kh, kw, stride, pad)
     ho, wo = taps.shape[3:]
-    rows = min(ho, max(1, CONV_BAND // wo))
-    buf = np.empty(k * rows * wo, taps.dtype)
     out = np.empty((o, ho * wo), np.result_type(w2, taps))
-    for y0 in range(0, ho, rows):
-        y1 = min(y0 + rows, ho)
-        cols = buf[: k * (y1 - y0) * wo].reshape(c, kh, kw, y1 - y0, wo)
-        cols[...] = taps[:, :, :, y0:y1]
-        np.matmul(w2, cols.reshape(k, -1), out=out[:, y0 * wo : y1 * wo])
+    for y0, y1, cols in _bands(taps):
+        np.matmul(w2, cols, out=out[:, y0 * wo : y1 * wo])
     return out.reshape(o, ho, wo)
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
                     stride: int = 1, pad: int = 0):
-    """Returns (grad_x, grad_kernels) for conv2d."""
+    """Returns (grad_x, grad_kernels) for conv2d, walking conv2d's bands:
+    grad_kernels sums each band's product in band order, and each band's
+    column gradients are added into grad_x before the next band starts."""
     o, c, kh, kw = kernels.shape
-    ho, wo = grad_out.shape[1:]
-    cols, _, _ = _im2col(x, kh, kw, stride, pad)
-    g = grad_out.reshape(o, -1)
-    grad_k = (g @ cols.T).reshape(kernels.shape)
-    # col2im for grad wrt input
-    grad_cols = kernels.reshape(o, -1).T @ g  # [c*kh*kw, ho*wo]
-    taps = grad_cols.reshape(c, kh, kw, ho, wo)
+    w2, g = kernels.reshape(o, -1), grad_out.reshape(o, -1)
+    wo = grad_out.shape[2]
     h, w = x.shape[1:]
     gxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
     gtaps = _taps(gxp, kh, kw, stride, 0)  # a view that writes into gxp
-    # taps are added in (i, j) order at every input element, as a per-channel
-    # loop would add them, so the sums round identically
-    for i in range(kh):
-        for j in range(kw):
-            gtaps[:, i, j] += taps[:, i, j]
+    for y0, y1, cols in _bands(_taps(x, kh, kw, stride, pad)):
+        g_band = g[:, y0 * wo : y1 * wo]
+        part = g_band @ cols.T
+        grad_k = part if y0 == 0 else grad_k + part
+        grad_cols = (w2.T @ g_band).reshape(c, kh, kw, y1 - y0, wo)
+        # taps are added in (i, j) order at every input element, as a
+        # per-channel loop would add them, so the sums round identically
+        for i, j in np.ndindex(kh, kw):
+            gtaps[:, i, j, y0:y1] += grad_cols[:, i, j]
     if pad:
         gxp = gxp[:, pad:-pad, pad:-pad]
-    return gxp, grad_k
+    return gxp, grad_k.reshape(kernels.shape)
 
 
 @dataclasses.dataclass

@@ -194,6 +194,18 @@ class TestDfl:
 
             assert tc.grad_check(f, logits0) < 1e-3
 
+    def test_grad_check_with_floored_bins(self):
+        # a bin probability under 1e-300 is floored before its log, so its
+        # term is flat: one target bin floored, then both
+        for bump in (0.0, 800.0):
+            logits0 = np.zeros(8)
+            logits0[1], logits0[3] = -700.0, bump
+
+            def f(lg):
+                return det.dfl_loss_with_grad(tc.softmax(lg), 1.5)
+
+            assert tc.grad_check(f, logits0) < 1e-6
+
     def test_descent_reaches_two_bin_optimum(self):
         # gradient descent over logits at fixed fractional target converges to
         # the two-bin distribution matching the target's fractional position

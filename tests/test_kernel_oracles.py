@@ -1,8 +1,9 @@
 """Fast kernels against plain reference kernels, bit for bit.
 
 The references are the straightforward forms of each kernel: a per-channel
-loop im2col/col2im (the loop's columns multiplied in conv2d's row bands),
-the np.pad + sliding-window column build, a three-line
+loop im2col/col2im (the loop's columns multiplied, and their gradients
+scattered, in conv2d's row bands), the np.pad + sliding-window column build
+of each band, a three-line
 softmax, attention from that softmax, a dehaze forward built from the loop
 convolution, the K-estimator's and the backbone's backward passes written
 out layer by layer with each leaky ReLU's mask taken from its
@@ -69,24 +70,34 @@ def ref_conv2d(x, kernels, stride=1, pad=0):
 
 
 def ref_conv2d_backward(x, kernels, grad_out, stride=1, pad=0):
+    """The loop-built columns in conv2d's bands: the kernel gradient sums the
+    band products in band order, and each band's column gradients are
+    scattered channel by channel, tap by tap, before the next band."""
     o, c, kh, kw = kernels.shape
     ho, wo = grad_out.shape[1:]
     cols, _, _ = ref_im2col(x, kh, kw, stride, pad)
     g = grad_out.reshape(o, -1)
-    grad_k = (g @ cols.T).reshape(kernels.shape)
-    grad_cols = kernels.reshape(o, -1).T @ g
+    w2 = kernels.reshape(o, -1)
+    rows = max(1, tc.CONV_BAND // wo)
     h, w = x.shape[1:]
     gxp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
-    idx = 0
-    for ci in range(c):
-        for i in range(kh):
-            for j in range(kw):
-                gxp[ci, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                    grad_cols[idx].reshape(ho, wo))
-                idx += 1
+    grad_k = None
+    for y0 in range(0, ho, rows):
+        y1 = min(y0 + rows, ho)
+        g_band = g[:, y0 * wo : y1 * wo]
+        part = g_band @ np.ascontiguousarray(cols[:, y0 * wo : y1 * wo]).T
+        grad_k = part if grad_k is None else grad_k + part
+        grad_cols = w2.T @ g_band
+        idx = 0
+        for ci in range(c):
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[ci, i + stride * y0 : i + stride * y1 : stride,
+                        j : j + stride * wo : stride] += grad_cols[idx].reshape(y1 - y0, wo)
+                    idx += 1
     if pad:
         gxp = gxp[:, pad:-pad, pad:-pad]
-    return gxp, grad_k
+    return gxp, grad_k.reshape(kernels.shape)
 
 
 def ref_softmax(v, axis=-1):
@@ -265,6 +276,11 @@ def test_banded_conv2d_equals_loop_reference(shape, stride, dtype):
     out = tc.conv2d(x, kernels, stride, 1)
     assert out.shape[1] * out.shape[2] > tc.CONV_BAND
     assert out.dtype == dtype and np.array_equal(out, ref_conv2d(x, kernels, stride, 1))
+    g = rng.uniform(-1, 1, out.shape).astype(dtype)
+    gx, gk = tc.conv2d_backward(x, kernels, g, stride, 1)
+    rgx, rgk = ref_conv2d_backward(x, kernels, g, stride, 1)
+    assert gx.dtype == gk.dtype == dtype
+    assert np.array_equal(gx, rgx) and np.array_equal(gk, rgk)
 
 
 @pytest.mark.parametrize("c,h,w,stride", [(8, 64, 64, 1), (3, 1, tc.CONV_BAND, 1),
@@ -273,10 +289,13 @@ def test_conv2d_of_at_most_conv_band_positions_is_one_matmul(c, h, w, stride):
     rng = tc.Rng(965 + h)
     x = rng.uniform(-1, 1, (c, h, w))
     kernels = rng.uniform(-1, 1, (3, c, 3, 3))
-    cols, ho, wo = tc._im2col(x, 3, 3, stride, 1)
+    cols, ho, wo = ref_im2col(x, 3, 3, stride, 1)
     assert ho * wo <= tc.CONV_BAND
     single = (kernels.reshape(3, -1) @ cols).reshape(3, ho, wo)
     assert np.array_equal(tc.conv2d(x, kernels, stride, 1), single)
+    g = rng.uniform(-1, 1, single.shape)
+    _, gk = tc.conv2d_backward(x, kernels, g, stride, 1)
+    assert np.array_equal(gk, (g.reshape(3, -1) @ cols.T).reshape(kernels.shape))
 
 
 @pytest.mark.parametrize("c,o,h,w,stride", [(8, 3, 96, 312, 1), (8, 8, 192, 624, 2),
@@ -288,7 +307,7 @@ def test_banded_conv2d_within_dot_product_bound_of_one_matmul(c, o, h, w, stride
     rng = tc.Rng(970 + w)
     x = rng.uniform(-1, 1, (c, h, w))
     kernels = rng.uniform(-1, 1, (o, c, 3, 3))
-    cols, ho, wo = tc._im2col(x, 3, 3, stride, 1)
+    cols, ho, wo = ref_im2col(x, 3, 3, stride, 1)
     assert ho * wo > tc.CONV_BAND
     w2 = kernels.reshape(o, -1)
     single = w2 @ cols
@@ -299,16 +318,28 @@ def test_banded_conv2d_within_dot_product_bound_of_one_matmul(c, o, h, w, stride
 
 
 def ref_im2col_windows(x, kh, kw, stride, pad):
-    """The np.pad + sliding_window_view construction that _im2col replaced."""
+    """Whole-map columns from np.pad + sliding_window_view."""
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     ho, wo = windows.shape[1:3]
     return windows.transpose(0, 3, 4, 1, 2).reshape(x.shape[0] * kh * kw, ho * wo), ho, wo
 
 
+def band_columns(x, kh, kw, stride, pad):
+    """((y0, y1), columns) of each _bands band of x, the columns copied
+    before the generator moves on, since it reuses one buffer."""
+    bands = []
+    for y0, y1, cols in tc._bands(tc._taps(x, kh, kw, stride, pad)):
+        assert cols.flags.c_contiguous
+        bands.append(((y0, y1), cols.copy()))
+    return bands
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("stride", [1, 2])
-def test_im2col_equals_sliding_window_construction(stride, dtype):
+def test_im2col_equals_sliding_window_construction(stride, dtype, monkeypatch):
+    # at the default CONV_BAND every map here is one band; at 7 most split
+    # into several, down to one row per band where a row holds 7 or more
     rng = np.random.default_rng(stride * 10 + np.dtype(dtype).itemsize)
     for c in range(1, 9):
         for h, w in [(1, 1), (5, 5), (7, 12), (16, 9), (13, 31)]:
@@ -320,12 +351,16 @@ def test_im2col_equals_sliding_window_construction(stride, dtype):
                     if kh > h + 2 * pad or kw > w + 2 * pad:
                         continue
                     ref, ho, wo = ref_im2col_windows(x, kh, kw, stride, pad)
-                    for src in (x, view):
-                        cols, cho, cwo = tc._im2col(src, kh, kw, stride, pad)
-                        assert (cho, cwo) == (ho, wo)
-                        assert cols.dtype == ref.dtype
-                        assert cols.flags.c_contiguous
-                        assert np.array_equal(cols, ref)
+                    for band in (tc.CONV_BAND, 7):
+                        monkeypatch.setattr(tc, "CONV_BAND", band)
+                        rows = min(ho, max(1, band // wo))
+                        want = [(y0, min(y0 + rows, ho)) for y0 in range(0, ho, rows)]
+                        for src in (x, view):
+                            bands = band_columns(src, kh, kw, stride, pad)
+                            assert [bounds for bounds, _ in bands] == want
+                            assert all(cols.dtype == ref.dtype for _, cols in bands)
+                            assert np.array_equal(
+                                np.concatenate([cols for _, cols in bands], axis=1), ref)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17])
@@ -916,8 +951,13 @@ def ref_dfl(side_logits, target):
     wl, wr = (i + 1) - target, target - i
     p = tc.softmax(side_logits)
     loss = -(wl * math.log(max(p[i], 1e-300)) + wr * math.log(max(p[i + 1], 1e-300)))
+    # a bin floored at 1e-300 adds a constant to the loss and nothing to
+    # the gradient; a side with no floored bin takes p - y as it is
     y = np.zeros_like(p)
-    y[i], y[i + 1] = wl, wr
+    y[i] = 0.0 if p[i] < 1e-300 else wl
+    y[i + 1] = 0.0 if p[i + 1] < 1e-300 else wr
+    if p[i] < 1e-300 or p[i + 1] < 1e-300:
+        p = p * (y[i] + y[i + 1])
     return float(loss), p - y
 
 
@@ -985,6 +1025,12 @@ def test_dfl_equals_per_side_reference():
     targets = rng.uniform(0, det.REG_MAX, (500, 4)).astype(np.float64)
     targets[::2] = logits[::2].argmax(axis=-1)
     targets[1, :] = (0, 3, det.REG_MAX - 0.5, det.REG_MAX)
+    # target bins under the 1e-300 floor: the left, both, the right, and a
+    # whole-bin target on a floored bin
+    logits[3, :, 1] = -700.0
+    logits[3, 1, 3] = 800.0
+    logits[3, 2, 1:3] = 0.0, -700.0
+    targets[3, :] = (1.5, 1.5, 1.25, 1.0)
     loss, grad = det.dfl_loss_with_grad(tc.softmax(logits), targets)
     for idx in np.ndindex(targets.shape):
         want_loss, want_grad = ref_dfl(logits[idx], float(targets[idx]))

@@ -4,6 +4,7 @@ import os
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,40 @@ class TestConv2d:
 
         assert tc.grad_check(f_x, x) < 1e-3
         assert tc.grad_check(f_k, k) < 1e-3
+
+    def test_backward_matches_finite_differences_across_band_seams(self):
+        # a map wider than CONV_BAND runs one output row per band, so each
+        # input row takes its gradient from three bands
+        from gradutil import coord_subset_grad_check
+        rng = tc.Rng(25)
+        shape = (2, 4, tc.CONV_BAND + 10)
+        x = rng.uniform(-1, 1, shape).astype(np.float64)
+        k = rng.uniform(-1, 1, (3, 2, 3, 3)).astype(np.float64)
+        r = rng.uniform(-1, 1, (3, *shape[1:])).astype(np.float64)
+
+        def f_x(xv):
+            return np.sum(tc.conv2d(xv, k, pad=1) * r), tc.conv2d_backward(xv, k, r, pad=1)[0]
+
+        def f_k(kv):
+            return np.sum(tc.conv2d(x, kv, pad=1) * r), tc.conv2d_backward(x, kv, r, pad=1)[1]
+
+        assert coord_subset_grad_check(f_x, x, n=12, seed=1) < 1e-6
+        assert coord_subset_grad_check(f_k, k, n=12, seed=2) < 1e-6
+
+    def test_backward_peak_memory_stays_within_its_bands(self):
+        # the whole-map column matrix of this map, and its gradient, would
+        # take 138 MB each
+        rng = tc.Rng(26)
+        x = rng.uniform(-1, 1, (8, 384, 1248))
+        k = rng.uniform(-1, 1, (8, 8, 3, 3))
+        g = rng.uniform(-1, 1, (8, 384, 1248))
+        tracemalloc.start()
+        try:
+            tc.conv2d_backward(x, k, g, pad=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_threads_convolving_at_once_each_get_their_own_result(self):
         # the cloud node's handler threads convolve at once, and numpy lets

@@ -1,6 +1,8 @@
 """Prints the digest of each seeded CLI output, of the raw float32
 restoration of the 256x256 frame and of the raw float32 backbone features
-of the 384x1248 frame, one `name sha256[:16]` line per output.
+of the 384x1248 frame, and of two backward passes: the dehaze generator's
+identity-loss parameter gradients on the 256x256 frame and the backbone's
+gradients on the 384x1248 frame. One `name sha256[:16]` line per output.
 
 These are the outputs a refactor must leave byte-identical. Run the script
 on two commits, on the same numpy and the same BLAS kernels (the
@@ -23,11 +25,13 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from yolovehicle import cli
 from yolovehicle import model as md
 from yolovehicle import tensor_core as tc
-from yolovehicle.dehaze import dehaze_forward, synthesize_haze
-from yolovehicle.encoders import backbone_extract
+from yolovehicle.dehaze import dehaze_forward, identity_loss_with_grads, synthesize_haze
+from yolovehicle.encoders import backbone_backward, backbone_extract
 from yolovehicle.ppm import image_to_ppm_bytes, read_ppm
 
 
@@ -55,6 +59,10 @@ def run(*argv: str) -> bytes:
         sys.exit(f"{err.getvalue()}seeded_digests: `yolovehicle {' '.join(argv)}` "
                  f"exited {code}")
     return out.getvalue().encode()
+
+
+def float32_digest(arrays) -> str:
+    return digest(b"".join(a.astype("<f4").tobytes() for a in arrays))
 
 
 def write_ppm(path, image) -> None:
@@ -90,15 +98,22 @@ def digests() -> list[tuple[str, str]]:
         out.append(("dehaze", digest(fh.read())))
     # the float values the 8-bit PPM rounds away
     restored = dehaze_forward(read_ppm("hazy.ppm"), md.init_bundle(3).gen)
-    out.append(("dehaze_float32", digest(restored.astype("<f4").tobytes())))
+    out.append(("dehaze_float32", float32_digest([restored])))
+    # each of the generator's three convs runs this frame in 16 bands
+    _, grads = identity_loss_with_grads(md.init_bundle(3).gen, read_ppm("hazy.ppm"))
+    out.append(("dehaze_identity_grads_float32", float32_digest(grads.values())))
 
     run("detect", "--image", "wide.ppm", "--seed", "3", "--pro", "--output", "wide.jsonl")
     out.append(("detect_pro_wide", digest(without_timing("wide.jsonl"))))
     # the untrained head barely reads its features, so the boxes above can
     # stay put while the backbone's float32 features move
-    feats = backbone_extract(read_ppm("wide.ppm"), md.init_bundle(3).backbone)
-    out.append(("backbone_wide_float32",
-                digest(b"".join(f.astype("<f4").tobytes() for f in feats.scales()))))
+    cache = []
+    feats = backbone_extract(read_ppm("wide.ppm"), md.init_bundle(3).backbone, cache)
+    out.append(("backbone_wide_float32", float32_digest(feats.scales())))
+    # unit output grads through every stride-2 and many-band conv
+    g_image, g_params = backbone_backward(cache, [np.ones_like(f) for f in feats.scales()])
+    out.append(("backbone_wide_grads_float32",
+                float32_digest([g_image, *(v for _, v in tc.param_items(g_params))])))
 
     run("bench", "--input-dir", "frames", "--seed", "3", "--mode", "always_edge",
         "--detections", "bench.jsonl", "--output", "bench.json")
